@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ from .model import (
     load_checkpoint,
     preset,
     save_checkpoint,
-    config_with,
 )
 from .tokenizer import (
     BPETokenizer,
@@ -415,7 +414,7 @@ def cmd_sft(run: RunConfig, args) -> int:
         raise ConfigError(
             f"checkpoint vocabulary {cfg.vocab_size} != tokenizer vocabulary {vocab.total}"
         )
-    cfg = config_with(cfg, dropout=run["model.dropout"])
+    cfg = replace(cfg, dropout=run["model.dropout"])
 
     pairs = load_sft_corpus(Path(args.data_dir) / "sft.jsonl")
     examples = [(tok.encode(p), tok.encode(a)) for p, a in pairs]

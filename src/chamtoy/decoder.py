@@ -7,15 +7,17 @@ BOI and EOI, EOI itself is never sampled (the engine inserts it when the
 block is full, consuming no randomness), and generation never stops in
 the middle of a block.
 
-Two drivers share the machine and one sequential random stream seeded
-from the policy, so they emit identical tokens: generate_stream decodes
-incrementally with a key/value cache and yields events, generate_fused
-re-runs the full forward pass per token.
+One loop runs the machine and one sequential random stream seeded from
+the policy.  Its two drivers differ only in where the logits come from,
+so they emit identical tokens: generate_stream feeds a key/value cache
+and yields events, generate_fused re-runs the full forward pass per
+token.  Both run on frozen views of the parameters, so decoding records
+no autograd graph and its memory is bounded by the cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,9 +115,11 @@ def advance_state(
     return state  # text tokens and BOS/EOS/SEP leave the machine alone
 
 
-def _sample(logits: np.ndarray, legal: np.ndarray, temperature: float, rng) -> int:
+def _sample(logits: np.ndarray, legal: np.ndarray, temperature: float, rng, offset: int) -> int:
     if not legal.any():
         raise ValueError("no legal token to sample")
+    if not np.isfinite(logits[legal]).all():
+        raise DecodeError(offset, "non-finite logit for a legal token")
     masked = np.where(legal, logits, -np.inf)
     if temperature == 0.0:
         return int(np.argmax(masked))
@@ -131,7 +135,7 @@ def _sample(logits: np.ndarray, legal: np.ndarray, temperature: float, rng) -> i
 
 
 # ----------------------------------------------------------------------
-# streaming driver (kv cache, yields events)
+# the decode loop and its two drivers
 # ----------------------------------------------------------------------
 
 
@@ -170,27 +174,24 @@ def _prompt_state(prompt, policy, vocab) -> DecodeState:
     return state
 
 
-def generate_stream(
-    params: dict[str, Tensor],
-    cfg: ModelConfig,
-    prompt,
-    policy: DecodePolicy,
-    vocab: MixedVocab,
-):
-    """Yield decode events; the final event is always Finished.
+def _frozen(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Views of params that record no autograd graph (the arrays are shared)."""
+    return {name: Tensor(t.data) for name, t in params.items()}
 
-    The prompt is validated through the same machine, so an ill-formed
-    prompt fails before any model work.
+
+def _decode(cfg: ModelConfig, prompt, policy: DecodePolicy, vocab: MixedVocab, next_logits):
+    """The decode loop: yield events, ending with Finished.
+
+    next_logits(tokens) returns the logits for the position after
+    tokens[-1]; it is called only when a token is sampled, never for a
+    forced EOI.  The prompt is validated through the machine first, so an
+    ill-formed prompt fails before any model work.
     """
     prompt = [int(t) for t in prompt]
     if not prompt:
         raise ValueError("prompt must contain at least one token (BOS works)")
     state = _prompt_state(prompt, policy, vocab)
     rng = np.random.default_rng(policy.seed)
-
-    logits, aux = model_forward(params, cfg, np.array([prompt]), past_kv=None)
-    kv = aux["kv"]
-    last = logits.data[0, -1]
 
     tokens = list(prompt)
     produced = 0
@@ -205,7 +206,7 @@ def generate_stream(
             if not legal.any():
                 reason = "image_complete" if policy.mode == "image-only" else "exhausted"
                 break
-            tok = _sample(last, legal, policy.temperature, rng)
+            tok = _sample(next_logits(tokens), legal, policy.temperature, rng, len(tokens))
 
         state = advance_state(state, tok, policy, vocab, len(tokens))
         tokens.append(tok)
@@ -240,11 +241,32 @@ def generate_stream(
             reason = "max_tokens"
             break
 
-        logits, aux = model_forward(params, cfg, np.array([[tok]]), past_kv=kv)
-        kv = aux["kv"]
-        last = logits.data[0, -1]
-
     yield Finished(reason=reason, tokens=tuple(tokens))
+
+
+def generate_stream(
+    params: dict[str, Tensor],
+    cfg: ModelConfig,
+    prompt,
+    policy: DecodePolicy,
+    vocab: MixedVocab,
+):
+    """Yield decode events; the final event is always Finished.
+
+    Logits come from a key/value cache: each call feeds the model only the
+    tokens it has not seen yet, so a block's last code and its forced EOI
+    go in together.
+    """
+    params = _frozen(params)
+    kv, seen = None, 0
+
+    def next_logits(tokens):
+        nonlocal kv, seen
+        logits, aux = model_forward(params, cfg, np.array([tokens[seen:]]), past_kv=kv)
+        kv, seen = aux["kv"], len(tokens)
+        return logits.data[0, -1]
+
+    yield from _decode(cfg, prompt, policy, vocab, next_logits)
 
 
 def generate_fused(
@@ -254,67 +276,19 @@ def generate_fused(
     policy: DecodePolicy,
     vocab: MixedVocab,
 ) -> Finished:
-    """Same machine and random stream, full forward pass per token.
+    """Same loop, logits from a full forward pass over all tokens.
 
-    Legal masks are precomputed per machine situation instead of being
-    rebuilt each step.  Token output is identical to generate_stream.
+    The reference the key/value cache is checked against; its Finished
+    event is identical to generate_stream's.
     """
-    prompt = [int(t) for t in prompt]
-    if not prompt:
-        raise ValueError("prompt must contain at least one token (BOS works)")
-    state = _prompt_state(prompt, policy, vocab)
-    rng = np.random.default_rng(policy.seed)
+    params = _frozen(params)
 
-    mask_table = {
-        key: legal_mask(st, policy, vocab)
-        for key, st in {
-            "image": DecodeState(in_image=True, remaining=1),
-            "text-fresh": DecodeState(),
-            "text-after-block": DecodeState(blocks_done=1),
-        }.items()
-    }
+    def next_logits(tokens):
+        logits, _ = model_forward(params, cfg, np.array([tokens]))
+        return logits.data[0, -1]
 
-    tokens = list(prompt)
-    produced = 0
-    reason = None
-
-    while True:
-        if state.in_image and state.remaining == 0:
-            tok = vocab.eoi
-        else:
-            if state.in_image:
-                legal = mask_table["image"]
-            elif state.blocks_done == 0:
-                legal = mask_table["text-fresh"]
-            else:
-                legal = mask_table["text-after-block"]
-            if not legal.any():
-                reason = "image_complete" if policy.mode == "image-only" else "exhausted"
-                break
-            logits, _ = model_forward(params, cfg, np.array([tokens]))
-            tok = _sample(logits.data[0, -1], legal, policy.temperature, rng)
-
-        state = advance_state(state, tok, policy, vocab, len(tokens))
-        tokens.append(tok)
-        produced += 1
-
-        if tok == vocab.eos:
-            reason = "eos"
-            break
-        if not state.in_image:
-            if policy.mode == "image-only" and state.blocks_done >= 1:
-                reason = "image_complete"
-                break
-            if produced >= policy.max_new_tokens:
-                reason = "max_tokens"
-                break
-        if len(tokens) >= cfg.max_seq:
-            if state.in_image:
-                raise DecodeError(len(tokens) - 1, "context exhausted inside an image block")
-            reason = "max_tokens"
-            break
-
-    return Finished(reason=reason, tokens=tuple(tokens))
+    *_, finished = _decode(cfg, prompt, policy, vocab, next_logits)
+    return finished
 
 
 # ----------------------------------------------------------------------

@@ -101,6 +101,18 @@ def merge_heads(x: Tensor) -> Tensor:
     return x.transpose(0, 2, 1, 3).reshape(b, s, n * hd)
 
 
+def _rotated_qk(x, wq, wk, n_heads, n_kv_heads, cos, sin, q_gain, k_gain, norm_eps, offset):
+    """Split-head queries and keys, layer-normalized when gains are given,
+    then rotated for positions starting at offset."""
+    q = split_heads(x @ wq, n_heads)
+    k = split_heads(x @ wk, n_kv_heads)
+    if q_gain is not None:
+        q = layer_norm(q, q_gain, eps=norm_eps)
+    if k_gain is not None:
+        k = layer_norm(k, k_gain, eps=norm_eps)
+    return apply_rope_at(q, cos, sin, offset), apply_rope_at(k, cos, sin, offset)
+
+
 def attention(
     x: Tensor,
     wq: Tensor,
@@ -130,19 +142,9 @@ def attention(
         raise ValueError("query head count must be a multiple of kv head count")
     b, s, d = x.shape
     head_dim = d // n_heads
-
-    q = split_heads(x @ wq, n_heads)
-    k = split_heads(x @ wk, n_kv_heads)
-    v = split_heads(x @ wv, n_kv_heads)
-
-    if q_gain is not None:
-        q = layer_norm(q, q_gain, eps=norm_eps)
-    if k_gain is not None:
-        k = layer_norm(k, k_gain, eps=norm_eps)
-
     offset = 0 if past_kv is None else past_kv[0].shape[2]
-    q = apply_rope_at(q, cos, sin, offset)
-    k = apply_rope_at(k, cos, sin, offset)
+    q, k = _rotated_qk(x, wq, wk, n_heads, n_kv_heads, cos, sin, q_gain, k_gain, norm_eps, offset)
+    v = split_heads(x @ wv, n_kv_heads)
 
     if past_kv is not None:
         k = concat([past_kv[0], k], axis=2)
@@ -182,16 +184,8 @@ def attention_logits(
     norm_eps: float = 1e-5,
 ) -> Tensor:
     """Pre-softmax attention scores, exposed for norm-growth diagnostics."""
-    d = x.shape[-1]
-    head_dim = d // n_heads
-    q = split_heads(x @ wq, n_heads)
-    k = split_heads(x @ wk, n_kv_heads)
-    if q_gain is not None:
-        q = layer_norm(q, q_gain, eps=norm_eps)
-    if k_gain is not None:
-        k = layer_norm(k, k_gain, eps=norm_eps)
-    q = apply_rope_at(q, cos, sin, 0)
-    k = apply_rope_at(k, cos, sin, 0)
+    head_dim = x.shape[-1] // n_heads
+    q, k = _rotated_qk(x, wq, wk, n_heads, n_kv_heads, cos, sin, q_gain, k_gain, norm_eps, 0)
     if n_kv_heads != n_heads:
         k = k.repeat_interleave(n_heads // n_kv_heads, axis=1)
     return (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(head_dim))

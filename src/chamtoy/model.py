@@ -15,7 +15,7 @@ arrangement that keeps long mixed-modal runs from diverging.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,36 +90,38 @@ def preset(name: str, vocab_size: int, **overrides) -> ModelConfig:
     return ModelConfig(vocab_size=vocab_size, **kwargs)
 
 
+def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in init order; norm gains are 1-d."""
+    d, hd, ff = cfg.d_model, cfg.head_dim, cfg.ffn_hidden
+    kv = cfg.n_kv_heads * hd
+    shapes = {"tok_emb": (cfg.vocab_size, d)}
+    for i in range(cfg.n_layers):
+        pre = f"layers.{i}"
+        shapes[f"{pre}.attn.wq"] = (d, d)
+        shapes[f"{pre}.attn.wk"] = (d, kv)
+        shapes[f"{pre}.attn.wv"] = (d, kv)
+        shapes[f"{pre}.attn.wo"] = (d, d)
+        if cfg.qk_norm:
+            shapes[f"{pre}.attn.q_gain"] = (hd,)
+            shapes[f"{pre}.attn.k_gain"] = (hd,)
+        shapes[f"{pre}.attn_norm.gain"] = (d,)
+        shapes[f"{pre}.ffn.w_gate"] = (d, ff)
+        shapes[f"{pre}.ffn.w_up"] = (d, ff)
+        shapes[f"{pre}.ffn.w_down"] = (ff, d)
+        shapes[f"{pre}.ffn_norm.gain"] = (d,)
+    shapes["final_norm.gain"] = (d,)
+    shapes["lm_head"] = (d, cfg.vocab_size)
+    return shapes
+
+
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     """Fresh parameter dict; matrices ~ N(0, 0.02), norm gains at 1."""
     rng = np.random.default_rng(seed)
-    std = 0.02
-    p: dict[str, Tensor] = {}
-
-    def mat(name, rows, cols):
-        p[name] = Tensor(rng.normal(0.0, std, size=(rows, cols)), requires_grad=True)
-
-    def gain(name, n):
-        p[name] = Tensor(np.ones(n), requires_grad=True)
-
-    d, hd = cfg.d_model, cfg.head_dim
-    mat("tok_emb", cfg.vocab_size, d)
-    for i in range(cfg.n_layers):
-        mat(f"layers.{i}.attn.wq", d, d)
-        mat(f"layers.{i}.attn.wk", d, cfg.n_kv_heads * hd)
-        mat(f"layers.{i}.attn.wv", d, cfg.n_kv_heads * hd)
-        mat(f"layers.{i}.attn.wo", d, d)
-        if cfg.qk_norm:
-            gain(f"layers.{i}.attn.q_gain", hd)
-            gain(f"layers.{i}.attn.k_gain", hd)
-        gain(f"layers.{i}.attn_norm.gain", d)
-        mat(f"layers.{i}.ffn.w_gate", d, cfg.ffn_hidden)
-        mat(f"layers.{i}.ffn.w_up", d, cfg.ffn_hidden)
-        mat(f"layers.{i}.ffn.w_down", cfg.ffn_hidden, d)
-        gain(f"layers.{i}.ffn_norm.gain", d)
-    gain("final_norm.gain", d)
-    mat("lm_head", d, cfg.vocab_size)
-    return p
+    return {
+        name: Tensor(rng.normal(0.0, 0.02, size=shape) if len(shape) == 2 else np.ones(shape),
+                     requires_grad=True)
+        for name, shape in _param_shapes(cfg).items()
+    }
 
 
 def count_params(params: dict[str, Tensor]) -> int:
@@ -347,6 +349,17 @@ def load_checkpoint(path):
         else:
             params[name] = Tensor(arr, requires_grad=True)
 
+    expected = _param_shapes(cfg)
+    found = {name: t.shape for name, t in params.items()}
+    if found != expected:
+        missing = sorted(expected.keys() - found.keys())
+        unexpected = sorted(found.keys() - expected.keys())
+        misshapen = sorted(n for n in expected.keys() & found.keys() if found[n] != expected[n])
+        raise ValueError(
+            f"checkpoint parameters do not match its config: missing {missing}, "
+            f"unexpected {unexpected}, wrong shape {misshapen}"
+        )
+
     opt_state = None
     if opt_m:
         opt_state = {"m": opt_m, "v": opt_v, "t": int(kv.get("opt.t", "0"))}
@@ -356,7 +369,3 @@ def load_checkpoint(path):
 
 def clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
-
-
-def config_with(cfg: ModelConfig, **kw) -> ModelConfig:
-    return replace(cfg, **kw)

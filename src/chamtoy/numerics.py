@@ -6,28 +6,13 @@ parents and a backward closure, and :meth:`Tensor.backward` walks the
 resulting DAG once in reverse topological order, accumulating gradients
 into every node that requires them.
 
-Scalars are 64-bit by default for deterministic desk-scale testing; call
-:func:`set_default_dtype` to build 32-bit graphs instead.
+Every tensor holds float64, for deterministic desk-scale testing; it is
+also the dtype of the checkpoint format.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch the dtype used for new tensors (float64 or float32)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError(f"unsupported dtype {dtype}; use float64 or float32")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
 
 
 class ShapeMismatchError(ValueError):
@@ -72,7 +57,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
@@ -96,12 +81,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -562,39 +541,4 @@ def concat(tensors, axis=0) -> Tensor:
             if t.requires_grad:
                 t._accumulate(piece)
 
-    requires = any(t.requires_grad for t in tensors)
-    return Tensor(out_data, requires_grad=requires,
-                  _parents=tuple(t for t in tensors if t.requires_grad) if requires else (),
-                  _backward_fn=backward_fn if requires else None)
-
-
-def add(a, b):
-    return Tensor._lift(a) + b
-
-
-def sub(a, b):
-    return Tensor._lift(a) - b
-
-
-def mul(a, b):
-    return Tensor._lift(a) * b
-
-
-def div(a, b):
-    return Tensor._lift(a) / b
-
-
-def matmul(a, b):
-    return Tensor._lift(a) @ b
-
-
-def exp(x):
-    return Tensor._lift(x).exp()
-
-
-def log(x):
-    return Tensor._lift(x).log()
-
-
-def softmax(x, axis=-1):
-    return Tensor._lift(x).softmax(axis=axis)
+    return tensors[0]._make(out_data, tensors, backward_fn)

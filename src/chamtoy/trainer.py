@@ -291,19 +291,18 @@ def ablation_pair(
     batch_fn,
     steps: int,
     seed: int = 0,
-    flag: str = "qk_norm",
 ) -> dict[str, TrainResult]:
-    """Train two runs identical except for one boolean stability knob.
+    """Train two runs identical except for QK layer-norm.
 
-    make_cfg(**{flag: value}) must return a ModelConfig; both runs share
+    make_cfg(qk_norm=value) must return a ModelConfig; both runs share
     the seed, so data order and initial weights for all common parameters
-    match and any trace difference is attributable to the flag.
+    match and any trace difference is attributable to QK-norm.
     """
     from .model import init_params
 
     out: dict[str, TrainResult] = {}
     for value in (True, False):
-        cfg = make_cfg(**{flag: value})
+        cfg = make_cfg(qk_norm=value)
         params = init_params(cfg, seed=seed)
         out["on" if value else "off"] = train_loop(
             params, cfg, opt_cfg, batch_fn,

@@ -1,6 +1,7 @@
 """End-to-end and unit coverage for the command-line surface."""
 
 import argparse
+import shutil
 import subprocess
 import sys
 
@@ -314,6 +315,22 @@ def test_generate_append_sep_runs_clean(pretrain_dir, tokenizer_dir, tmp_path):
     ])
     assert code == EXIT_OK
     assert (out / "manifest.txt").exists()
+
+
+def test_generate_checkpoint_missing_param_fails_cleanly(pretrain_dir, tokenizer_dir, tmp_path):
+    ck = tmp_path / "checkpoint"
+    shutil.copytree(pretrain_dir / "checkpoint", ck)
+    manifest = ck / "manifest.txt"
+    kept = [l for l in manifest.read_text().splitlines() if not l.startswith("lm_head ")]
+    manifest.write_text("\n".join(kept) + "\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "chamtoy.cli", "generate", "--checkpoint", str(ck),
+         "--tokenizer-dir", str(tokenizer_dir), "--prompt", "the sky"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == EXIT_FAILURE
+    assert out.stderr.startswith("error: ") and "lm_head" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_generate_bad_mode_is_usage_error(pretrain_dir, tokenizer_dir):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chamtoy import decoder
 from chamtoy.decoder import (
     DecodeError,
     DecodePolicy,
@@ -234,6 +235,56 @@ def test_max_tokens_respected_in_text_mode():
     pol = policy(mode="text-only", max_new_tokens=5, seed=3)
     fin = generate_fused(params, cfg, [VOCAB.bos], pol, VOCAB)
     assert len(fin.tokens) <= 1 + 5
+
+
+def patch_forward(monkeypatch, edit):
+    """Route the drivers' forward passes through edit(logits, aux)."""
+    real = decoder.model_forward
+
+    def forward(*args, **kwargs):
+        logits, aux = real(*args, **kwargs)
+        edit(logits, aux)
+        return logits, aux
+
+    monkeypatch.setattr(decoder, "model_forward", forward)
+
+
+def both_drivers(params, cfg, prompt, pol):
+    yield lambda: collect(params, cfg, prompt, pol)[1]
+    yield lambda: generate_fused(params, cfg, prompt, pol, VOCAB)
+
+
+def inf_on_boi(logits):
+    logits[..., VOCAB.boi] = np.inf
+
+
+@pytest.mark.parametrize("temperature, fill", [
+    (1.0, lambda logits: logits.fill(np.nan)),
+    (1.0, inf_on_boi),
+    (0.0, lambda logits: logits.fill(-np.inf)),
+], ids=["nan", "pos-inf", "greedy-all-neg-inf"])
+def test_non_finite_legal_logits_raise(monkeypatch, temperature, fill):
+    params, cfg = tiny_model(seed=8)
+    patch_forward(monkeypatch, lambda logits, aux: fill(logits.data))
+    prompt = [VOCAB.bos, 5, 7]  # image-only: BOI is the one legal token
+    pol = policy(mode="image-only", temperature=temperature)
+    for drive in both_drivers(params, cfg, prompt, pol):
+        with pytest.raises(DecodeError, match="offset 3: non-finite logit"):
+            drive()
+
+
+def test_decode_builds_no_autograd_graph(monkeypatch):
+    params, cfg = tiny_model(seed=9)
+    assert all(t.requires_grad for t in params.values())
+    outputs = []
+    patch_forward(monkeypatch, lambda logits, aux: outputs.extend(
+        [logits] + [t for pair in aux["kv"] for t in pair]))
+    pol = policy(mode="image-only")
+    for drive in both_drivers(params, cfg, [VOCAB.bos], pol):
+        outputs.clear()
+        assert drive().reason == "image_complete"
+        assert outputs
+        assert not any(t.requires_grad or t._parents for t in outputs)
 
 
 def test_policy_validation():

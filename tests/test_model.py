@@ -218,6 +218,22 @@ def test_checkpoint_version_guard(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
+def test_checkpoint_params_must_match_config(tmp_path):
+    cfg = tiny_cfg()
+    save_checkpoint(tmp_path / "ck", init_params(cfg, seed=11), cfg)
+    manifest = tmp_path / "ck" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(l for l in lines if not l.startswith("lm_head ")) + "\n")
+    with pytest.raises(ValueError, match=r"missing \['lm_head'\]"):
+        load_checkpoint(tmp_path / "ck")
+
+    # a 16x32 matrix read back as 32x16 has the right byte span, wrong shape
+    manifest.write_text("\n".join(
+        l.replace("lm_head 16,32 ", "lm_head 32,16 ") for l in lines) + "\n")
+    with pytest.raises(ValueError, match=r"wrong shape \['lm_head'\]"):
+        load_checkpoint(tmp_path / "ck")
+
+
 def test_clone_params_detaches_storage():
     params = init_params(tiny_cfg(), seed=12)
     copy = clone_params(params)
