@@ -541,11 +541,12 @@ def cmd_monitor_report(run: RunConfig, args) -> int:
         raise ValueError(f"no rows in {args.log}")
     monitor = DivergenceMonitor()
     for row in rows:
-        monitor.update(row["output_rms"])
+        monitor.observe(row)
     first, last = rows[0], rows[-1]
     print(f"steps: {len(rows)} ({first['step']}..{last['step']})")
     print(f"output rms: {first['output_rms']:.4f} -> {last['output_rms']:.4f}")
-    print(f"smoothed log-rms: {monitor.ewma:.6f}")
+    if monitor.ewma is not None:
+        print(f"smoothed log-rms: {monitor.ewma:.6f}")
     if monitor.diverged:
         print(f"DIVERGED at step offset {monitor.diverged_at}")
         return EXIT_DIVERGED

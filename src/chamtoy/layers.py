@@ -64,24 +64,21 @@ def rope_tables(head_dim: int, max_len: int, base: float = 10000.0):
 def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate consecutive channel pairs of x by position-dependent angles.
 
-    x has shape [..., seq, head_dim]; cos/sin rows must cover seq.  The
+    x has shape [..., seq, head_dim]; cos/sin rows must cover seq.  Pair i
+    maps (x[2i], x[2i+1]) to (x[2i]*cos - x[2i+1]*sin, x[2i]*sin + x[2i+1]*cos),
+    computed as x*C + (x @ P)*S with P the pair-swap permutation.  The
     rotation is orthogonal, so vector norms are preserved exactly up to
     rounding.
     """
-    *lead, seq, head_dim = x.shape
+    seq, head_dim = x.shape[-2:]
     if cos.shape[0] < seq:
         raise ValueError("rotary table shorter than sequence")
-    c = Tensor(cos[:seq])
-    s = Tensor(sin[:seq])
-    x1 = x[..., 0::2]
-    x2 = x[..., 1::2]
-    r1 = x1 * c - x2 * s
-    r2 = x1 * s + x2 * c
-    paired = concat(
-        [r1.reshape(*lead, seq, head_dim // 2, 1), r2.reshape(*lead, seq, head_dim // 2, 1)],
-        axis=-1,
-    )
-    return paired.reshape(*x.shape)
+    c = np.repeat(cos[:seq], 2, axis=-1)
+    s = (sin[:seq, :, None] * np.array([-1.0, 1.0])).reshape(seq, head_dim)
+    # the identity with the two rows of every pair exchanged
+    pairs = np.eye(head_dim).reshape(head_dim // 2, 2, head_dim)
+    swap = pairs[:, ::-1].reshape(head_dim, head_dim)
+    return x * Tensor(c) + (x @ Tensor(swap)) * Tensor(s)
 
 
 def causal_mask(seq: int) -> np.ndarray:

@@ -95,8 +95,11 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a copy, because callers may pass the same array to several
+            # parents or hand over a read-only broadcast view
+            self.grad = np.array(grad)
+        else:
+            self.grad += grad
 
     def backward(self, grad=None) -> None:
         """Run one reverse pass from this tensor through its DAG.
@@ -182,9 +185,6 @@ class Tensor:
 
         return self._make(a.data - b.data, (a, b), backward_fn)
 
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
     def __mul__(self, other):
         other = self._lift(other)
         self._check_broadcast(other, "mul")
@@ -199,24 +199,6 @@ class Tensor:
         return self._make(a.data * b.data, (a, b), backward_fn)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        self._check_broadcast(other, "div")
-        if np.any(other.data == 0):
-            raise DomainError("div: divisor contains zero")
-        a, b = self, other
-
-        def backward_fn(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-        return self._make(a.data / b.data, (a, b), backward_fn)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
 
     def __neg__(self):
         a = self
@@ -239,25 +221,6 @@ class Tensor:
 
         return self._make(out_data, (a,), backward_fn)
 
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def backward_fn(g):
-            a._accumulate(g * out_data)
-
-        return self._make(out_data, (a,), backward_fn)
-
-    def log(self):
-        if np.any(self.data <= 0):
-            raise DomainError("log: operand contains non-positive values")
-        a = self
-
-        def backward_fn(g):
-            a._accumulate(g / a.data)
-
-        return self._make(np.log(a.data), (a,), backward_fn)
-
     def sigmoid(self):
         a = self
         # two-branch form avoids overflow for large |x|
@@ -267,17 +230,6 @@ class Tensor:
 
         def backward_fn(g):
             a._accumulate(g * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (a,), backward_fn)
-
-    def sqrt(self):
-        if np.any(self.data < 0):
-            raise DomainError("sqrt: operand contains negative values")
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def backward_fn(g):
-            a._accumulate(g * 0.5 / out_data)
 
         return self._make(out_data, (a,), backward_fn)
 
@@ -327,7 +279,7 @@ class Tensor:
         def backward_fn(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
+            a._accumulate(np.broadcast_to(g, a.shape))
 
         return self._make(out_data, (a,), backward_fn)
 
@@ -337,28 +289,6 @@ class Tensor:
             raise ShapeMismatchError("cannot reduce an empty tensor")
         count = self.size if axis is None else self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis=None, keepdims=False):
-        axis = self._normalize_axis(axis)
-        if axis is None and self.size == 0:
-            raise ShapeMismatchError("cannot reduce an empty tensor")
-        a = self
-        out_data = a.data.max(axis=axis, keepdims=keepdims)
-
-        def backward_fn(g):
-            expanded = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-                expanded = np.expand_dims(out_data, axis)
-            mask = (a.data == expanded)
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            a._accumulate(g * mask / counts)
-
-        return self._make(out_data, (a,), backward_fn)
-
-    def rms(self, axis=None, keepdims=False):
-        """Root-mean-square reduction (feeds the output-norm monitor)."""
-        return ((self * self).mean(axis=axis, keepdims=keepdims)).sqrt()
 
     # ------------------------------------------------------------------
     # softmax family
@@ -447,17 +377,6 @@ class Tensor:
             a._accumulate(np.swapaxes(g, ax1, ax2))
 
         return self._make(np.swapaxes(a.data, ax1, ax2), (a,), backward_fn)
-
-    def __getitem__(self, key):
-        a = self
-        out_data = a.data[key]
-
-        def backward_fn(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, key, g)
-            a._accumulate(full)
-
-        return self._make(out_data, (a,), backward_fn)
 
     def masked_fill(self, mask, value):
         """Replace entries where `mask` (bool array) is True with `value`.

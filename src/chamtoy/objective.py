@@ -72,11 +72,8 @@ def z_loss(logits: Tensor, mask=None, coeff: float = 1e-5) -> Tensor:
 def total_loss(logits: Tensor, targets, mask=None, z_coeff: float = 1e-5) -> LossBreakdown:
     """Cross-entropy plus normalizer penalty under one shared mask."""
     flat, targets, mask_arr = _flatten(logits, targets, mask)
-    lp = flat.log_softmax(axis=-1)
-    nll = -pick(lp, targets)
-    ce = _masked_mean(nll, mask_arr)
-    log_z = flat.logsumexp(axis=-1)
-    zl = _masked_mean(log_z * log_z, mask_arr) * z_coeff
+    ce = cross_entropy(flat, targets, mask_arr)
+    zl = z_loss(flat, mask_arr, coeff=z_coeff)
     return LossBreakdown(
         total=ce + zl,
         cross_entropy=ce,

@@ -155,6 +155,11 @@ class DivergenceMonitor:
         self.steps_seen += 1
         return self.diverged_at is not None
 
+    def observe(self, row: dict) -> bool:
+        """Update from one log row; a non-finite loss counts as a non-finite norm."""
+        finite = math.isfinite(row["ce"]) and math.isfinite(row["z_loss"])
+        return self.update(row["output_rms"] if finite else math.nan)
+
     @property
     def diverged(self) -> bool:
         return self.diverged_at is not None
@@ -231,18 +236,17 @@ def train_loop(
         adamw_step(params, opt_state, lr, opt_cfg)
 
         hidden = aux["hidden"].data
-        output_rms = float(np.sqrt(np.mean(hidden * hidden)))
-        diverged = monitor.update(output_rms)
-
-        rows.append({
+        row = {
             "step": step,
             "ce": float(breakdown.cross_entropy.data),
             "z_loss": float(breakdown.z_loss.data),
             "lr": lr,
             "grad_norm": grad_norm,
-            "output_rms": output_rms,
-            "diverged": int(diverged),
-        })
+            "output_rms": float(np.sqrt(np.mean(hidden * hidden))),
+        }
+        diverged = monitor.observe(row)
+        row["diverged"] = int(diverged)
+        rows.append(row)
         if halt_on_divergence and diverged:
             break
 

@@ -81,34 +81,22 @@ def _op_roster():
     def r(rng, *shape):
         return rng.normal(size=shape)
 
-    def spaced(rng, *shape):
-        # well separated values keep max/pick away from finite-difference kinks
-        n = int(np.prod(shape))
-        return (rng.permutation(n) * 0.37 + 0.1).reshape(shape)
-
     mask = np.zeros((3, 4), dtype=bool)
     mask[0, 1] = mask[2, 3] = True
     return [
         lambda rng: (lambda ts: ts[0] + ts[1], [r(rng, 3, 4), r(rng, 4)]),
         lambda rng: (lambda ts: ts[0] - ts[1], [r(rng, 3, 4), r(rng, 3, 4)]),
         lambda rng: (lambda ts: ts[0] * ts[1], [r(rng, 3, 4), r(rng, 4)]),
-        lambda rng: (lambda ts: ts[0] / ts[1], [r(rng, 3, 4), r(rng, 3, 4) * 0.2 + 2.0]),
         lambda rng: (lambda ts: ts[0] ** 3.0, [r(rng, 3, 4)]),
-        lambda rng: (lambda ts: ts[0].exp(), [r(rng, 3, 4)]),
-        lambda rng: (lambda ts: ts[0].log(), [np.abs(r(rng, 3, 4)) + 0.5]),
         lambda rng: (lambda ts: ts[0].sigmoid(), [r(rng, 3, 4)]),
-        lambda rng: (lambda ts: ts[0].sqrt(), [np.abs(r(rng, 3, 4)) + 0.5]),
         lambda rng: (lambda ts: ts[0] @ ts[1], [r(rng, 2, 3, 4), r(rng, 4, 5)]),
         lambda rng: (lambda ts: ts[0].sum(axis=-1), [r(rng, 3, 4)]),
         lambda rng: (lambda ts: ts[0].mean(axis=0), [r(rng, 3, 4)]),
-        lambda rng: (lambda ts: ts[0].max(axis=-1), [spaced(rng, 3, 4)]),
-        lambda rng: (lambda ts: ts[0].rms(axis=-1), [r(rng, 3, 4)]),
         lambda rng: (lambda ts: ts[0].softmax(), [r(rng, 3, 4)]),
         lambda rng: (lambda ts: ts[0].log_softmax(), [r(rng, 3, 4)]),
         lambda rng: (lambda ts: ts[0].logsumexp(), [r(rng, 3, 4)]),
         lambda rng: (lambda ts: ts[0].reshape(6, 2), [r(rng, 3, 4)]),
         lambda rng: (lambda ts: ts[0].swapaxes(0, 1), [r(rng, 3, 4)]),
-        lambda rng: (lambda ts: ts[0][1:, ::2], [r(rng, 3, 4)]),
         lambda rng: (lambda ts: ts[0].masked_fill(mask, -2.0), [r(rng, 3, 4)]),
         lambda rng: (lambda ts: ts[0].repeat_interleave(2, axis=0), [r(rng, 3, 4)]),
         lambda rng: (lambda ts: concat([ts[0], ts[1]], axis=1), [r(rng, 2, 3), r(rng, 2, 2)]),

@@ -401,4 +401,11 @@ def test_monitor_report_exit_codes(tmp_path):
     save_log(make_log_rows(np.exp(0.01 * np.arange(300))), ramp)
     assert main(["monitor-report", "--log", str(ramp)]) == EXIT_DIVERGED
 
+    # a non-finite loss is flagged even when the norm is flat
+    nan_loss = tmp_path / "nan_loss.csv"
+    rows = make_log_rows(np.ones(1))
+    rows[0]["ce"] = float("nan")
+    save_log(rows, nan_loss)
+    assert main(["monitor-report", "--log", str(nan_loss)]) == EXIT_DIVERGED
+
     assert main(["monitor-report", "--log", str(tmp_path / "no.csv")]) == EXIT_FAILURE

@@ -134,6 +134,24 @@ def test_rope_dot_products_depend_only_on_relative_position():
     assert dot_at(5, 5) == pytest.approx(dot_at(40, 40), abs=1e-10)
 
 
+def test_rope_rotates_adjacent_channel_pairs():
+    # the interleaved layout is part of the checkpoint format: a rotate-half
+    # layout passes the norm and relative-position tests but not this one
+    cos, sin = rope_tables(8, 32)
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(2, 3, 5, 8))
+    for offset in (0, 1, 7, 27):
+        out = apply_rope_at(Tensor(x), cos, sin, offset).data
+        c = cos[offset:offset + 5]
+        s = sin[offset:offset + 5]
+        expected = np.empty_like(x)
+        for i in range(4):
+            even, odd = x[..., 2 * i], x[..., 2 * i + 1]
+            expected[..., 2 * i] = even * c[:, i] - odd * s[:, i]
+            expected[..., 2 * i + 1] = even * s[:, i] + odd * c[:, i]
+        assert np.array_equal(out, expected), offset
+
+
 def test_rope_gradient():
     cos, sin = rope_tables(4, 8)
     x = np.random.default_rng(8).normal(size=(1, 2, 3, 4))

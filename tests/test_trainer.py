@@ -95,6 +95,25 @@ def test_clip_global_norm():
     assert p["a"].grad[0] == 0.3  # under the cap: untouched
 
 
+def test_grads_from_one_output_are_separate_buffers_clipped_once():
+    # add's backward hands the same array to both parents
+    p = {
+        "a": Tensor(np.full((2, 3), 1.0), requires_grad=True),
+        "b": Tensor(np.full((2, 3), 2.0), requires_grad=True),
+    }
+    out = p["a"] + p["b"]
+    out.sum().backward()
+    assert not np.shares_memory(p["a"].grad, p["b"].grad)
+    assert not np.shares_memory(p["a"].grad, out.grad)
+    assert not np.shares_memory(p["b"].grad, out.grad)
+    norm = clip_global_norm(p, 1.0)
+    assert norm == np.sqrt(12.0)
+    expected = np.full((2, 3), 1.0 / np.sqrt(12.0))
+    assert np.array_equal(p["a"].grad, expected)
+    assert np.array_equal(p["b"].grad, expected)
+    assert np.array_equal(out.grad, np.ones((2, 3)))
+
+
 # ----------------------------------------------------------------------
 # learning-rate schedule
 # ----------------------------------------------------------------------
@@ -275,6 +294,21 @@ def test_halt_on_divergence_stops_early():
     )
     assert result.diverged
     assert result.final_step < 30
+
+
+def test_non_finite_loss_flags_divergence_at_its_own_step():
+    cfg, opt, batch_fn = tiny_setup(total_steps=5)
+    for halt in (False, True):
+        params = init_params(cfg, seed=6)
+        params["lm_head"].data[:, 3] = np.inf
+        with np.errstate(all="ignore"):
+            result = train_loop(
+                params, cfg, opt, batch_fn, seed=15, halt_on_divergence=halt,
+            )
+        assert not np.isfinite(result.rows[0]["ce"])
+        assert result.rows[0]["diverged"] == 1
+        assert result.monitor.diverged_at == 0
+        assert len(result.rows) == (1 if halt else 5)
 
 
 def test_log_roundtrip(tmp_path):
