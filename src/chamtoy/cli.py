@@ -275,21 +275,23 @@ def cmd_tokenizer_train(run: RunConfig, args) -> int:
     texts = load_text_corpus(data_dir / "text.jsonl")
     captions = load_caption_corpus(data_dir / "captions.jsonl")
 
-    tok = train_bpe(texts + [c for c, _ in captions], run["tokenizer.vocab_size"])
-    tok.save(out_dir / "tokenizer.txt")
-
     size = run["tokenizer.image_size"]
     images = [
         prepare_image(read_pixmap(data_dir / rel), size, mode=run["data.image_fit"])
         for _, rel in captions
     ]
-    book, history = train_codebook(
-        images,
-        n_codes=run["tokenizer.image_codes"],
-        patch=run["tokenizer.patch"],
-        iters=run["tokenizer.kmeans_iters"],
-        seed=_seed(run),
-    )
+    try:
+        tok = train_bpe(texts + [c for c, _ in captions], run["tokenizer.vocab_size"])
+        book, history = train_codebook(
+            images,
+            n_codes=run["tokenizer.image_codes"],
+            patch=run["tokenizer.patch"],
+            iters=run["tokenizer.kmeans_iters"],
+            seed=_seed(run),
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    tok.save(out_dir / "tokenizer.txt")
     book.save(out_dir / "codebook.bin")
 
     vocab = MixedVocab(n_text=tok.vocab_size, n_image=book.n_codes)
@@ -357,6 +359,10 @@ def cmd_train(run: RunConfig, args) -> int:
         cfg = build_model_config(run, vocab.total)
         params = init_params(cfg, seed=seed)
         opt_state, start = None, 0
+    if run["train.seq_len"] > cfg.max_seq:
+        raise ConfigError(
+            f"train.seq_len {run['train.seq_len']} exceeds model.max_seq {cfg.max_seq}"
+        )
 
     result = train_loop(
         params, cfg, opt_cfg, batcher.batch,

@@ -51,6 +51,8 @@ class DecodePolicy:
             raise ValueError(f"unknown decode mode {self.mode!r}")
         if self.block_len < 1:
             raise ValueError("block_len must be positive")
+        if self.max_new_tokens < 1:
+            raise ValueError("max_new_tokens must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
 

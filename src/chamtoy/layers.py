@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Tensor, concat
+from .numerics import Tensor, concat, normalize
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
@@ -17,16 +17,12 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     out = x / sqrt(mean(x^2) + eps) * gain.  As eps -> 0 the output rows
     have root-mean-square exactly 1 before the gain is applied.
     """
-    ms = (x * x).mean(axis=-1, keepdims=True)
-    return x * ((ms + eps) ** -0.5) * gain
+    return normalize(x, gain, eps, center=False)
 
 
 def layer_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     """Mean-subtracting layer normalization over the last axis (no bias)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * ((var + eps) ** -0.5) * gain
+    return normalize(x, gain, eps, center=True)
 
 
 def silu(x: Tensor) -> Tensor:
@@ -154,10 +150,7 @@ def attention(
 
     total = k.shape[2]
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(head_dim))
-    mask = causal_mask(total)[total - s:, :]
-    if mask.any():
-        scores = scores.masked_fill(np.broadcast_to(mask, scores.shape), -np.inf)
-    probs = scores.softmax(axis=-1)
+    probs = scores.softmax(axis=-1, mask=causal_mask(total)[total - s:, :])
     out = merge_heads(probs @ v) @ wo
     return out, kv
 

@@ -15,6 +15,7 @@ arrangement that keeps long mixed-modal runs from diverging.
 from __future__ import annotations
 
 import enum
+import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -278,9 +279,17 @@ def save_checkpoint(
     each array name to its shape and byte span.  Optimizer moments are
     stored under opt.m.<name> / opt.v.<name> so a resumed run continues
     bit-for-bit.
+
+    The files are written to a sibling `<name>.tmp` directory that then
+    replaces `path` by rename, so a save that fails partway (including
+    one that overwrites the checkpoint it resumed from) leaves the
+    previous checkpoint intact.
     """
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    old = path.with_name(path.name + ".old")
+    shutil.rmtree(tmp, ignore_errors=True)  # left by a save that failed
+    tmp.mkdir(parents=True)
 
     arrays: list[tuple[str, np.ndarray]] = [(k, v.data) for k, v in params.items()]
     if opt_state is not None:
@@ -291,7 +300,7 @@ def save_checkpoint(
 
     manifest = []
     offset = 0
-    with open(path / "weights.bin", "wb") as fh:
+    with open(tmp / "weights.bin", "wb") as fh:
         for name, arr in arrays:
             buf = np.ascontiguousarray(arr, dtype="<f8").tobytes()
             shape = ",".join(map(str, arr.shape))
@@ -299,7 +308,7 @@ def save_checkpoint(
             fh.write(buf)
             offset += len(buf)
 
-    (path / "manifest.txt").write_text("\n".join(manifest) + "\n")
+    (tmp / "manifest.txt").write_text("\n".join(manifest) + "\n")
 
     lines = [f"format_version {FORMAT_VERSION}"]
     lines.extend(_config_to_lines(cfg))
@@ -307,7 +316,15 @@ def save_checkpoint(
         lines.append(f"opt.step {step}")
     if opt_state is not None:
         lines.append(f"opt.t {opt_state['t']}")
-    (path / "config.txt").write_text("\n".join(lines) + "\n")
+    (tmp / "config.txt").write_text("\n".join(lines) + "\n")
+
+    # the previous checkpoint is deleted only once `path` holds the new
+    # one, so a crash between the two renames still leaves it in `old`
+    if path.exists():
+        shutil.rmtree(old, ignore_errors=True)
+        path.rename(old)
+    tmp.rename(path)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(path):

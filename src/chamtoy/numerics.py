@@ -19,10 +19,6 @@ class ShapeMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class DomainError(ValueError):
-    """An operand lies outside the mathematical domain of the operation."""
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, inverting trailing-dimension broadcasting."""
     if grad.shape == shape:
@@ -170,21 +166,6 @@ class Tensor:
 
         return self._make(a.data + b.data, (a, b), backward_fn)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        self._check_broadcast(other, "sub")
-        a, b = self, other
-
-        def backward_fn(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.shape))
-
-        return self._make(a.data - b.data, (a, b), backward_fn)
-
     def __mul__(self, other):
         other = self._lift(other)
         self._check_broadcast(other, "mul")
@@ -198,8 +179,6 @@ class Tensor:
 
         return self._make(a.data * b.data, (a, b), backward_fn)
 
-    __rmul__ = __mul__
-
     def __neg__(self):
         a = self
 
@@ -207,19 +186,6 @@ class Tensor:
             a._accumulate(-g)
 
         return self._make(-a.data, (a,), backward_fn)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("pow expects a scalar exponent")
-        if exponent != int(exponent) and np.any(self.data < 0):
-            raise DomainError("pow: negative base with non-integer exponent")
-        a = self
-        out_data = a.data ** exponent
-
-        def backward_fn(g):
-            a._accumulate(g * exponent * a.data ** (exponent - 1))
-
-        return self._make(out_data, (a,), backward_fn)
 
     def sigmoid(self):
         a = self
@@ -283,27 +249,23 @@ class Tensor:
 
         return self._make(out_data, (a,), backward_fn)
 
-    def mean(self, axis=None, keepdims=False):
-        axis = self._normalize_axis(axis)
-        if axis is None and self.size == 0:
-            raise ShapeMismatchError("cannot reduce an empty tensor")
-        count = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     # ------------------------------------------------------------------
     # softmax family
     # ------------------------------------------------------------------
 
-    def softmax(self, axis=-1):
+    def softmax(self, axis=-1, mask=None):
         """Numerically stable softmax along `axis`.
 
         The running maximum is subtracted before exponentiation, so
         shifting the input by a constant along `axis` (when the shifted
         values are exactly representable) leaves the output bit-identical.
+        Entries where the boolean `mask` (broadcast to this shape) is True
+        get probability 0 and exactly zero gradient.
         """
         axis = self._normalize_axis(axis)
         a = self
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
+        data = a.data if mask is None else np.where(np.broadcast_to(mask, a.shape), -np.inf, a.data)
+        shifted = data - data.max(axis=axis, keepdims=True)
         exps = np.exp(shifted)
         out_data = exps / exps.sum(axis=axis, keepdims=True)
 
@@ -318,9 +280,10 @@ class Tensor:
         a = self
         m = a.data.max(axis=axis, keepdims=True)
         shifted = a.data - m
-        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out_data = shifted - lse
-        soft = np.exp(out_data)
+        exps = np.exp(shifted)
+        sums = exps.sum(axis=axis, keepdims=True)
+        out_data = shifted - np.log(sums)
+        soft = exps / sums
 
         def backward_fn(g):
             a._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
@@ -332,8 +295,10 @@ class Tensor:
         axis = self._normalize_axis(axis)
         a = self
         m = a.data.max(axis=axis, keepdims=True)
-        out_keep = m + np.log(np.exp(a.data - m).sum(axis=axis, keepdims=True))
-        soft = np.exp(a.data - out_keep)
+        exps = np.exp(a.data - m)
+        sums = exps.sum(axis=axis, keepdims=True)
+        out_keep = m + np.log(sums)
+        soft = exps / sums
         out_data = out_keep if keepdims else np.squeeze(out_keep, axis=axis)
 
         def backward_fn(g):
@@ -358,10 +323,6 @@ class Tensor:
         return self._make(a.data.reshape(shape), (a,), backward_fn)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
         a = self
         inverse = np.argsort(axes)
 
@@ -377,24 +338,6 @@ class Tensor:
             a._accumulate(np.swapaxes(g, ax1, ax2))
 
         return self._make(np.swapaxes(a.data, ax1, ax2), (a,), backward_fn)
-
-    def masked_fill(self, mask, value):
-        """Replace entries where `mask` (bool array) is True with `value`.
-
-        The replaced entries carry no gradient, so downstream computation
-        is exactly independent of the masked inputs.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != self.shape:
-            raise ShapeMismatchError(
-                f"masked_fill: mask shape {mask.shape} != tensor shape {self.shape}")
-        a = self
-        out_data = np.where(mask, np.asarray(value, dtype=a.data.dtype), a.data)
-
-        def backward_fn(g):
-            a._accumulate(np.where(mask, 0.0, g))
-
-        return self._make(out_data, (a,), backward_fn)
 
     def repeat_interleave(self, repeats: int, axis: int):
         """Tile each slice along `axis` `repeats` times (GQA head sharing)."""
@@ -412,6 +355,33 @@ class Tensor:
 # ----------------------------------------------------------------------
 # free functions used by layers and losses
 # ----------------------------------------------------------------------
+
+
+def normalize(x: Tensor, gain: Tensor, eps: float, center: bool) -> Tensor:
+    """gain * h / sqrt(mean(h^2) + eps) over the last axis, as one node.
+
+    h is x minus its mean over the last axis when `center` is set (layer
+    norm) and x itself otherwise (RMS norm).  `gain` broadcasts from the
+    trailing end, so a per-channel gain may meet any leading shape.
+    """
+    # means as sum * (1/n), the rounding of the Tensor composition this replaced
+    scale = 1.0 / x.shape[-1]
+    h = x.data - x.data.sum(axis=-1, keepdims=True) * scale if center else x.data
+    inv = ((h * h).sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
+    unit = h * inv
+
+    def backward_fn(g):
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * unit, gain.shape))
+        if x.requires_grad:
+            g_unit = g * gain.data
+            inner = (g_unit * unit).sum(axis=-1, keepdims=True) * scale
+            g_h = inv * (g_unit - unit * inner)
+            if center:
+                g_h -= g_h.sum(axis=-1, keepdims=True) * scale
+            x._accumulate(g_h)
+
+    return x._make(unit * gain.data, (x, gain), backward_fn)
 
 
 def embedding(weight: Tensor, ids) -> Tensor:

@@ -103,6 +103,8 @@ def train_codebook(
     When fewer distinct patches exist than requested codes the spare rows
     are jittered duplicates, so the codebook always has full rank count.
     """
+    if n_codes < 1 or iters < 1:
+        raise ValueError(f"need at least one code and one iteration, got {n_codes} and {iters}")
     all_patches = [extract_patches(img, patch) for img in images]
     channels = 1 if np.asarray(images[0]).ndim == 2 else np.asarray(images[0]).shape[2]
     data = np.concatenate(all_patches, axis=0)

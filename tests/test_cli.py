@@ -342,6 +342,50 @@ def test_generate_bad_mode_is_usage_error(pretrain_dir, tokenizer_dir):
     assert code == EXIT_USAGE
 
 
+# One row per documented failure path: argv (with {corpus}, {tok}, {ckpt}
+# and {tmp} filled in from the fixtures) and the exit code it must give.
+FAILURE_PATHS = {
+    "kmeans-iters-0": (["tokenizer-train", "--set", "tokenizer.kmeans_iters=0"], EXIT_USAGE),
+    "image-codes-0": (["tokenizer-train", "--set", "tokenizer.image_codes=0"], EXIT_USAGE),
+    "vocab-size-10": (["tokenizer-train", "--set", "tokenizer.vocab_size=10"], EXIT_USAGE),
+    "patch-5": (["tokenizer-train", "--set", "tokenizer.patch=5"], EXIT_USAGE),
+    "max-new-tokens-0": (["generate", "--set", "generate.max_new_tokens=0"], EXIT_USAGE),
+    "max-new-tokens-neg": (["generate", "--set", "generate.max_new_tokens=-3"], EXIT_USAGE),
+    "seq-len-over-max-seq": (
+        ["train", *TRAIN_SETS, "--set", "train.seq_len=300", "--set", "model.max_seq=256"],
+        EXIT_USAGE,
+    ),
+    "missing-judgments": (["eval", "--judgments", "{tmp}/absent.csv"], EXIT_FAILURE),
+    "monitor-report-not-a-log": (["monitor-report", "--log", "{corpus}/text.jsonl"], EXIT_FAILURE),
+    "sft-no-packable-rows": (["sft", "--set", "train.seq_len=4"], EXIT_FAILURE),
+}
+
+COMMAND_ARGS = {
+    "tokenizer-train": ["--data-dir", "{corpus}", "--out-dir", "{tmp}/out",
+                        "--set", "tokenizer.vocab_size=300"],
+    "generate": ["--checkpoint", "{ckpt}", "--tokenizer-dir", "{tok}"],
+    "train": ["--data-dir", "{corpus}", "--tokenizer-dir", "{tok}", "--out-dir", "{tmp}/out"],
+    "sft": ["--data-dir", "{corpus}", "--tokenizer-dir", "{tok}", "--init", "{ckpt}",
+            "--out-dir", "{tmp}/out"],
+}
+
+
+@pytest.mark.parametrize("case", FAILURE_PATHS)
+def test_failure_paths_exit_codes(case, corpus_dir, tokenizer_dir, pretrain_dir, tmp_path):
+    argv, expected = FAILURE_PATHS[case]
+    dirs = dict(corpus=corpus_dir, tok=tokenizer_dir, ckpt=pretrain_dir / "checkpoint", tmp=tmp_path)
+    # the row's own --set comes last, so it overrides a shared default
+    argv = [argv[0], *COMMAND_ARGS.get(argv[0], []), *argv[1:]]
+    out = subprocess.run(
+        [sys.executable, "-m", "chamtoy.cli", *(a.format(**dirs) for a in argv)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == expected, out.stderr
+    assert "Traceback" not in out.stderr
+    prefix = "configuration error: " if expected == EXIT_USAGE else "error: "
+    assert out.stderr.splitlines()[-1].startswith(prefix)
+
+
 # ----------------------------------------------------------------------
 # eval and monitor-report
 # ----------------------------------------------------------------------

@@ -294,6 +294,8 @@ def test_policy_validation():
         DecodePolicy(block_len=0)
     with pytest.raises(ValueError):
         DecodePolicy(block_len=4, temperature=-0.1)
+    with pytest.raises(ValueError):
+        DecodePolicy(block_len=4, max_new_tokens=0)
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,9 @@ from chamtoy.layers import (
     split_heads,
     swiglu,
 )
-from chamtoy.numerics import Tensor
+from chamtoy.numerics import Tensor, normalize
 
-from test_numerics import assert_grad_close, finite_difference
+from test_numerics import assert_grad_close, check_op_gradient, finite_difference
 
 
 def scalar_loss_grad(f, arrays, weights_seed=5):
@@ -74,6 +74,25 @@ def test_layer_norm_gradient():
         return float((layer_norm(Tensor(a), Tensor(g)) * Tensor(w)).sum().data)
 
     assert_grad_close(tensors[0].grad, finite_difference(f, x))
+
+
+def _norm_reference(x, gain, eps, center):
+    """The mean / subtract / square / mean / add / power / scale / gain
+    composition the fused op replaced, in plain numpy."""
+    h = x - x.mean(axis=-1, keepdims=True) if center else x
+    return h * (np.mean(h * h, axis=-1, keepdims=True) + eps) ** -0.5 * gain
+
+
+@pytest.mark.parametrize("center", [False, True], ids=["rms", "centered"])
+@pytest.mark.parametrize("shape", [(3, 6), (2, 3, 4, 6)], ids=["2d", "4d"])
+def test_normalize_matches_composition_and_finite_differences(center, shape):
+    rng = np.random.default_rng(len(shape) + center)
+    x = rng.normal(size=shape) * 3.0 + 1.0
+    g = rng.normal(size=shape[-1])
+    out = normalize(Tensor(x), Tensor(g), 1e-5, center).data
+    ref = _norm_reference(x, g, 1e-5, center)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    check_op_gradient(lambda ts: normalize(ts[0], ts[1], 1e-5, center), [x, g])
 
 
 def test_silu_hand_value():

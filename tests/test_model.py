@@ -234,6 +234,35 @@ def test_checkpoint_params_must_match_config(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    ck = tmp_path / "ck"
+    first = init_params(cfg, seed=13)
+    save_checkpoint(ck, first, cfg, step=1)
+    before = {f.name: f.read_bytes() for f in ck.iterdir()}
+
+    def disk_full(_cfg):
+        raise OSError("disk full")
+
+    # fails after weights.bin and manifest.txt are written, before config.txt
+    monkeypatch.setattr("chamtoy.model._config_to_lines", disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(ck, init_params(cfg, seed=14), cfg, step=2)
+    monkeypatch.undo()
+
+    assert {f.name: f.read_bytes() for f in ck.iterdir()} == before
+    loaded, _, _, step = load_checkpoint(ck)
+    assert step == 1
+    for k in first:
+        assert np.array_equal(loaded[k].data, first[k].data), k
+
+    # overwriting the checkpoint just loaded clears the stale temporary
+    save_checkpoint(ck, loaded, cfg, step=2)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ck"]
+    _, _, _, step = load_checkpoint(ck)
+    assert step == 2
+
+
 def test_clone_params_detaches_storage():
     params = init_params(tiny_cfg(), seed=12)
     copy = clone_params(params)

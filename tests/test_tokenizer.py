@@ -143,6 +143,12 @@ def test_kmeans_mse_monotone_nonincreasing():
     assert np.all(diffs <= 1e-12), history
 
 
+@pytest.mark.parametrize("n_codes, iters", [(0, 4), (8, 0)])
+def test_kmeans_rejects_empty_codebook_or_no_iterations(n_codes, iters):
+    with pytest.raises(ValueError):
+        train_codebook(make_images(1, seed=1), n_codes=n_codes, patch=4, iters=iters)
+
+
 def test_kmeans_improves_over_first_iteration():
     imgs = make_images(4, seed=2)
     _, history = train_codebook(imgs, n_codes=16, patch=4, iters=12, seed=0)
