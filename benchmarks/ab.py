@@ -1,0 +1,211 @@
+"""Paired A/B timing of a base revision against the working tree.
+
+    python3 benchmarks/ab.py --base HEAD --pairs 60 --out BENCH_<n>.json
+
+The base revision is exported with ``git archive`` into a temporary
+directory.  One persistent worker process per tree imports that tree's
+``chamtoy`` and builds the same toy model once.  The controller then
+alternates short batches between the two workers, swapping which goes
+first on every pair, so that a slow stretch of a shared host falls on
+both sides of a pair alike:
+
+* ``train``: 5 toy-preset steps (batch 8 x 64) through ``train_loop``,
+  from the same initial parameters every time;
+* ``decode``: 3 image-only ``generate_stream`` requests of one fixed
+  64-code block each, on the untrained toy model.
+
+Each workload reports the median of the per-pair ratios change / base
+(below 1 means the working tree is faster) with a bootstrap interval
+from ``evalkit.bootstrap_ci``.  BLAS and OpenMP run one thread in each
+worker.  The script writes nothing inside the repository except ``--out``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from statistics import median
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+TRAIN_STEPS = 5
+DECODE_SEEDS = (1, 2, 3)
+WORKLOADS = {
+    "train": f"{TRAIN_STEPS} toy-preset train steps (batch 8 x 64) through train_loop",
+    "decode": f"{len(DECODE_SEEDS)} image-only generate_stream requests, one 64-code block each",
+}
+
+
+# ----------------------------------------------------------------------
+# worker: one per tree, driven over stdin / stdout
+# ----------------------------------------------------------------------
+
+
+def worker(tree: Path) -> None:
+    """Answer each workload name read from stdin with one JSON line."""
+    sys.path.insert(0, str(tree / "src"))
+    import numpy as np
+
+    from chamtoy.decoder import DecodePolicy, generate_stream
+    from chamtoy.model import clone_params, init_params, preset
+    from chamtoy.tokenizer import MixedVocab
+    from chamtoy.trainer import OptimConfig, train_loop
+
+    vocab = MixedVocab(n_text=512, n_image=128)
+    cfg = preset("toy", vocab_size=vocab.total)
+    init = init_params(cfg, seed=0)
+    opt_cfg = OptimConfig(lr=1e-3, warmup_steps=2, total_steps=100)
+    rows = np.random.default_rng(0).integers(0, vocab.n_text, size=(TRAIN_STEPS, 8, 65))
+    policies = [DecodePolicy(block_len=64, mode="image-only", max_new_tokens=96, seed=s)
+                for s in DECODE_SEEDS]
+
+    def batch(step, rng):
+        return rows[step, :, :-1], rows[step, :, 1:], np.ones((8, 64))
+
+    def train():
+        params = clone_params(init)
+        start = perf_counter()
+        result = train_loop(params, cfg, opt_cfg, batch, seed=0, end_step=TRAIN_STEPS)
+        return perf_counter() - start, result.rows[-1]["ce"]
+
+    def decode():
+        start = perf_counter()
+        tokens = [list(generate_stream(init, cfg, [vocab.bos], p, vocab))[-1].tokens
+                  for p in policies]
+        return perf_counter() - start, tokens
+
+    jobs = {"train": train, "decode": decode}
+    print(json.dumps({"numpy": np.__version__}), flush=True)
+    for line in sys.stdin:
+        seconds, check = jobs[line.strip()]()
+        print(json.dumps({"seconds": seconds, "check": check}), flush=True)
+
+
+class Worker:
+    def __init__(self, tree: Path):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        self.proc = subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        )
+        self.info = self._read()
+
+    def _read(self) -> dict:
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"worker exited with code {self.proc.wait()}")
+        return json.loads(line)
+
+    def run(self, workload: str) -> dict:
+        self.proc.stdin.write(workload + "\n")
+        self.proc.stdin.flush()
+        return self._read()
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+# ----------------------------------------------------------------------
+# controller
+# ----------------------------------------------------------------------
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def compare(base: Path, pairs: int) -> dict:
+    sys.path.insert(0, str(ROOT / "src"))
+    from chamtoy.evalkit import bootstrap_ci
+
+    workers = {"base": Worker(base), "change": Worker(ROOT)}
+    try:
+        times = {w: {"base": [], "change": []} for w in WORKLOADS}
+        checks = {w: {} for w in WORKLOADS}
+        for w in WORKLOADS:  # one unpaired warm-up batch each
+            for side in workers:
+                workers[side].run(w)
+        for i in range(pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for w in WORKLOADS:
+                for side in order:
+                    reply = workers[side].run(w)
+                    times[w][side].append(reply["seconds"])
+                    checks[w][side] = reply["check"]
+        numpy_version = workers["change"].info["numpy"]
+    finally:
+        for proc in workers.values():
+            proc.close()
+
+    out = {}
+    for w, desc in WORKLOADS.items():
+        ratios = [c / b for b, c in zip(times[w]["base"], times[w]["change"])]
+        ci = bootstrap_ci(ratios, median, n_boot=2000, seed=0)
+        out[w] = {
+            "unit": desc,
+            "ratio": round(median(ratios), 4),
+            "ci95": [round(ci.low, 4), round(ci.high, 4)],
+            "base_ms": round(1000 * median(times[w]["base"]), 2),
+            "change_ms": round(1000 * median(times[w]["change"]), 2),
+        }
+    out["train"]["final_ce"] = checks["train"]
+    out["decode"]["same_tokens"] = checks["decode"]["base"] == checks["decode"]["change"]
+    return {"numpy": numpy_version, "workloads": out}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", default="HEAD", help="git revision to compare against")
+    p.add_argument("--pairs", type=int, default=60)
+    p.add_argument("--out", help="write the result here as JSON")
+    p.add_argument("--worker", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        worker(Path(args.worker))
+        return 0
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
+
+    base_sha = git("rev-parse", args.base)
+    with tempfile.TemporaryDirectory(prefix="chamtoy-ab-") as tmp:
+        export(base_sha, Path(tmp))
+        start = perf_counter()
+        result = compare(Path(tmp), args.pairs)
+    report = {
+        "command": " ".join(["python3", "benchmarks/ab.py", *(argv or sys.argv[1:])]),
+        "base": base_sha,
+        "change": {"head": git("rev-parse", "HEAD"),
+                   "tree": "working tree", "dirty": bool(git("status", "--porcelain", "src"))},
+        "numpy": result["numpy"],
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "blas_threads": 1,
+        "pairs": args.pairs,
+        "seconds": round(perf_counter() - start, 1),
+        "workloads": result["workloads"],
+    }
+    text = json.dumps(report, indent=2)
+    print(text)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -346,6 +346,7 @@ def cmd_train(run: RunConfig, args) -> int:
     opt_cfg = build_optim_config(run)
 
     if args.ablate:
+        _check_seq_len(run, run["model.max_seq"])
         return _run_ablation(run, args, batcher, opt_cfg, vocab, out_dir, seed)
 
     if args.resume:
@@ -359,10 +360,7 @@ def cmd_train(run: RunConfig, args) -> int:
         cfg = build_model_config(run, vocab.total)
         params = init_params(cfg, seed=seed)
         opt_state, start = None, 0
-    if run["train.seq_len"] > cfg.max_seq:
-        raise ConfigError(
-            f"train.seq_len {run['train.seq_len']} exceeds model.max_seq {cfg.max_seq}"
-        )
+    _check_seq_len(run, cfg.max_seq)
 
     result = train_loop(
         params, cfg, opt_cfg, batcher.batch,
@@ -385,6 +383,11 @@ def cmd_train(run: RunConfig, args) -> int:
         )
         return EXIT_DIVERGED
     return EXIT_OK
+
+
+def _check_seq_len(run: RunConfig, max_seq: int) -> None:
+    if run["train.seq_len"] > max_seq:
+        raise ConfigError(f"train.seq_len {run['train.seq_len']} exceeds model.max_seq {max_seq}")
 
 
 def _run_ablation(run, args, batcher, opt_cfg, vocab, out_dir: Path, seed: int) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Tensor, concat, normalize
+from .numerics import Tensor, attend, attention_scores, concat, gated_silu, normalize, rotate_pairs
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
@@ -25,13 +25,9 @@ def layer_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     return normalize(x, gain, eps, center=True)
 
 
-def silu(x: Tensor) -> Tensor:
-    return x * x.sigmoid()
-
-
 def swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
     """Gated feed-forward: down(silu(x @ w_gate) * (x @ w_up))."""
-    return (silu(x @ w_gate) * (x @ w_up)) @ w_down
+    return gated_silu(x @ w_gate, x @ w_up) @ w_down
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -62,7 +58,7 @@ def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 
     x has shape [..., seq, head_dim]; cos/sin rows must cover seq.  Pair i
     maps (x[2i], x[2i+1]) to (x[2i]*cos - x[2i+1]*sin, x[2i]*sin + x[2i+1]*cos),
-    computed as x*C + (x @ P)*S with P the pair-swap permutation.  The
+    computed as x*C + x[..., swap]*S with swap the pair-swap index.  The
     rotation is orthogonal, so vector norms are preserved exactly up to
     rounding.
     """
@@ -71,10 +67,7 @@ def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
         raise ValueError("rotary table shorter than sequence")
     c = np.repeat(cos[:seq], 2, axis=-1)
     s = (sin[:seq, :, None] * np.array([-1.0, 1.0])).reshape(seq, head_dim)
-    # the identity with the two rows of every pair exchanged
-    pairs = np.eye(head_dim).reshape(head_dim // 2, 2, head_dim)
-    swap = pairs[:, ::-1].reshape(head_dim, head_dim)
-    return x * Tensor(c) + (x @ Tensor(swap)) * Tensor(s)
+    return rotate_pairs(x, c, s)
 
 
 def causal_mask(seq: int) -> np.ndarray:
@@ -133,8 +126,7 @@ def attention(
     """
     if n_heads % n_kv_heads != 0:
         raise ValueError("query head count must be a multiple of kv head count")
-    b, s, d = x.shape
-    head_dim = d // n_heads
+    s = x.shape[1]
     offset = 0 if past_kv is None else past_kv[0].shape[2]
     q, k = _rotated_qk(x, wq, wk, n_heads, n_kv_heads, cos, sin, q_gain, k_gain, norm_eps, offset)
     v = split_heads(x @ wv, n_kv_heads)
@@ -144,14 +136,8 @@ def attention(
         v = concat([past_kv[1], v], axis=2)
     kv = (k, v)
 
-    if n_kv_heads != n_heads:
-        k = k.repeat_interleave(n_heads // n_kv_heads, axis=1)
-        v = v.repeat_interleave(n_heads // n_kv_heads, axis=1)
-
     total = k.shape[2]
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(head_dim))
-    probs = scores.softmax(axis=-1, mask=causal_mask(total)[total - s:, :])
-    out = merge_heads(probs @ v) @ wo
+    out = merge_heads(attend(q, k, v, causal_mask(total)[total - s:, :])) @ wo
     return out, kv
 
 
@@ -173,9 +159,8 @@ def attention_logits(
     k_gain: Tensor | None = None,
     norm_eps: float = 1e-5,
 ) -> Tensor:
-    """Pre-softmax attention scores, exposed for norm-growth diagnostics."""
-    head_dim = x.shape[-1] // n_heads
+    """Pre-softmax attention scores [b, n_heads, s, s], exposed for
+    norm-growth diagnostics; the result carries no graph."""
+    b, s = x.shape[:2]
     q, k = _rotated_qk(x, wq, wk, n_heads, n_kv_heads, cos, sin, q_gain, k_gain, norm_eps, 0)
-    if n_kv_heads != n_heads:
-        k = k.repeat_interleave(n_heads // n_kv_heads, axis=1)
-    return (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(head_dim))
+    return Tensor(attention_scores(q.data, k.data).reshape(b, n_heads, s, s))

@@ -319,7 +319,8 @@ def save_checkpoint(
     (tmp / "config.txt").write_text("\n".join(lines) + "\n")
 
     # the previous checkpoint is deleted only once `path` holds the new
-    # one, so a crash between the two renames still leaves it in `old`
+    # one; a crash between the two renames leaves it in `old`, where
+    # load_checkpoint finds it
     if path.exists():
         shutil.rmtree(old, ignore_errors=True)
         path.rename(old)
@@ -331,9 +332,14 @@ def load_checkpoint(path):
     """Read a checkpoint directory back.
 
     Returns (params, cfg, opt_state, step); opt_state/step are None when
-    the checkpoint was saved without them.
+    the checkpoint was saved without them.  When `path` is missing but
+    `<name>.old` exists, a save stopped between its two renames, and the
+    previous checkpoint it left in `<name>.old` is read.
     """
     path = Path(path)
+    old = path.with_name(path.name + ".old")
+    if not path.exists() and old.exists():
+        path = old
     kv: dict[str, str] = {}
     for line in (path / "config.txt").read_text().splitlines():
         if line.strip():

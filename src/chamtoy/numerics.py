@@ -179,45 +179,29 @@ class Tensor:
 
         return self._make(a.data * b.data, (a, b), backward_fn)
 
-    def __neg__(self):
-        a = self
-
-        def backward_fn(g):
-            a._accumulate(-g)
-
-        return self._make(-a.data, (a,), backward_fn)
-
-    def sigmoid(self):
-        a = self
-        # two-branch form avoids overflow for large |x|
-        out_data = np.where(a.data >= 0,
-                            1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                            np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-
-        def backward_fn(g):
-            a._accumulate(g * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (a,), backward_fn)
-
     # ------------------------------------------------------------------
     # matrix product
     # ------------------------------------------------------------------
 
     def __matmul__(self, other):
+        """x @ w for x of shape [..., k] and a 2-d weight w of shape [k, n].
+
+        The leading axes of x fold into the rows of one 2-d GEMM, forward
+        and backward, so the weight gradient is a single x2^T @ g2.
+        """
         other = self._lift(other)
         a, b = self, other
-        if a.ndim < 2 or b.ndim < 2:
-            raise ShapeMismatchError("matmul expects tensors with ndim >= 2")
-        if a.shape[-1] != b.shape[-2]:
-            raise ShapeMismatchError(
-                f"matmul: inner dimensions disagree ({a.shape} @ {b.shape})")
-        out_data = a.data @ b.data
+        if a.ndim == 0 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+            raise ShapeMismatchError(f"matmul expects [..., k] @ [k, n], got {a.shape} @ {b.shape}")
+        a2 = a.data.reshape(-1, b.shape[0])
+        out_data = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
 
         def backward_fn(g):
+            g2 = g.reshape(-1, b.shape[1])
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+                a._accumulate((g2 @ b.data.T).reshape(a.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+                b._accumulate(a2.T @ g2)
 
         return self._make(out_data, (a, b), backward_fn)
 
@@ -249,10 +233,6 @@ class Tensor:
 
         return self._make(out_data, (a,), backward_fn)
 
-    # ------------------------------------------------------------------
-    # softmax family
-    # ------------------------------------------------------------------
-
     def softmax(self, axis=-1, mask=None):
         """Numerically stable softmax along `axis`.
 
@@ -264,47 +244,11 @@ class Tensor:
         """
         axis = self._normalize_axis(axis)
         a = self
-        data = a.data if mask is None else np.where(np.broadcast_to(mask, a.shape), -np.inf, a.data)
-        shifted = data - data.max(axis=axis, keepdims=True)
-        exps = np.exp(shifted)
-        out_data = exps / exps.sum(axis=axis, keepdims=True)
+        out_data = _softmax(a.data, axis, mask)
 
         def backward_fn(g):
             inner = (g * out_data).sum(axis=axis, keepdims=True)
             a._accumulate(out_data * (g - inner))
-
-        return self._make(out_data, (a,), backward_fn)
-
-    def log_softmax(self, axis=-1):
-        axis = self._normalize_axis(axis)
-        a = self
-        m = a.data.max(axis=axis, keepdims=True)
-        shifted = a.data - m
-        exps = np.exp(shifted)
-        sums = exps.sum(axis=axis, keepdims=True)
-        out_data = shifted - np.log(sums)
-        soft = exps / sums
-
-        def backward_fn(g):
-            a._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
-
-        return self._make(out_data, (a,), backward_fn)
-
-    def logsumexp(self, axis=-1, keepdims=False):
-        """log(sum(exp(x))) with max-shift: log Z = m + log sum exp(x - m)."""
-        axis = self._normalize_axis(axis)
-        a = self
-        m = a.data.max(axis=axis, keepdims=True)
-        exps = np.exp(a.data - m)
-        sums = exps.sum(axis=axis, keepdims=True)
-        out_keep = m + np.log(sums)
-        soft = exps / sums
-        out_data = out_keep if keepdims else np.squeeze(out_keep, axis=axis)
-
-        def backward_fn(g):
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(soft * g)
 
         return self._make(out_data, (a,), backward_fn)
 
@@ -331,29 +275,9 @@ class Tensor:
 
         return self._make(a.data.transpose(axes), (a,), backward_fn)
 
-    def swapaxes(self, ax1, ax2):
-        a = self
-
-        def backward_fn(g):
-            a._accumulate(np.swapaxes(g, ax1, ax2))
-
-        return self._make(np.swapaxes(a.data, ax1, ax2), (a,), backward_fn)
-
-    def repeat_interleave(self, repeats: int, axis: int):
-        """Tile each slice along `axis` `repeats` times (GQA head sharing)."""
-        axis = axis % self.ndim
-        a = self
-        out_data = np.repeat(a.data, repeats, axis=axis)
-
-        def backward_fn(g):
-            new_shape = a.shape[:axis] + (a.shape[axis], repeats) + a.shape[axis + 1:]
-            a._accumulate(g.reshape(new_shape).sum(axis=axis + 1))
-
-        return self._make(out_data, (a,), backward_fn)
-
 
 # ----------------------------------------------------------------------
-# free functions used by layers and losses
+# fused nodes and free functions used by layers and losses
 # ----------------------------------------------------------------------
 
 
@@ -384,6 +308,124 @@ def normalize(x: Tensor, gain: Tensor, eps: float, center: bool) -> Tensor:
     return x._make(unit * gain.data, (x, gain), backward_fn)
 
 
+def _softmax(data: np.ndarray, axis: int, mask=None) -> np.ndarray:
+    """Max-shifted softmax of an array; entries where `mask` is True get 0."""
+    if mask is not None:
+        data = np.where(mask, -np.inf, data)
+    exps = data - data.max(axis=axis, keepdims=True)
+    np.exp(exps, out=exps)
+    exps /= exps.sum(axis=axis, keepdims=True)
+    return exps
+
+
+def attention_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """q k^T / sqrt(hd) for [b, h, s, hd] queries and [b, kv, t, hd] keys.
+
+    Query head i reads key head i // (h / kv).  The queries of one group
+    stack as rows against their shared key head, so the result is
+    [b, kv, (h / kv) * s, t] and no key is repeated; its reshape to
+    [b, h, s, t] is a view in query-head order.
+    """
+    b, h, s, hd = q.shape
+    scores = q.reshape(b, k.shape[1], -1, hd) @ k.swapaxes(-1, -2)
+    scores *= 1.0 / np.sqrt(hd)
+    return scores
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
+    """softmax(q k^T / sqrt(hd)) v as one node, over grouped key/value heads.
+
+    Shapes as in `attention_scores`; v is [b, kv, t, hd] and the output
+    [b, h, s, hd].  `mask` is a boolean [s, t] array, True where a query
+    may not look.  The backward is FlashAttention's
+    dS = P * (dP - rowsum(dP * P)) (arXiv 2205.14135), untiled.
+    """
+    b, h, s, hd = q.shape
+    q3 = q.data.reshape(b, k.shape[1], -1, hd)
+    probs = _softmax(attention_scores(q.data, k.data), -1, np.tile(mask, (h // k.shape[1], 1)))
+    out = probs @ v.data
+
+    def backward_fn(g):
+        g3 = g.reshape(out.shape)
+        if v.requires_grad:
+            v._accumulate(probs.swapaxes(-1, -2) @ g3)
+        ds = g3 @ v.data.swapaxes(-1, -2)
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        ds *= 1.0 / np.sqrt(hd)
+        if q.requires_grad:
+            q._accumulate((ds @ k.data).reshape(q.shape))
+        if k.requires_grad:
+            k._accumulate(ds.swapaxes(-1, -2) @ q3)
+
+    return q._make(out.reshape(q.shape), (q, k, v), backward_fn)
+
+
+def gated_silu(a: Tensor, b: Tensor) -> Tensor:
+    """silu(a) * b as one node, the sigmoid from a single exp(-|a|) pass."""
+    e = np.exp(-np.abs(a.data))
+    sig = np.where(a.data >= 0, 1.0, e)
+    e += 1.0
+    sig /= e
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(g * b.data * sig * (1.0 + a.data * (1.0 - sig)))
+        if b.requires_grad:
+            b._accumulate(g * (a.data * sig))
+
+    return a._make(a.data * sig * b.data, (a, b), backward_fn)
+
+
+def rotate_pairs(x: Tensor, c: np.ndarray, s: np.ndarray) -> Tensor:
+    """x*c + x[..., swap]*s as one node, where swap exchanges channels 2i
+    and 2i+1.  swap is its own inverse, so the backward is
+    g*c + (g*s)[..., swap]."""
+    swap = np.arange(x.shape[-1]) ^ 1
+
+    def backward_fn(g):
+        x._accumulate(g * c + (g * s)[..., swap])
+
+    return x._make(x.data * c + x.data[..., swap] * s, (x,), backward_fn)
+
+
+def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
+    """Masked mean cross-entropy plus z_coeff * masked mean(log^2 Z), as one node.
+
+    logits is [..., vocab] with one row per entry of `mask`.  targets None
+    leaves out the cross-entropy; z_coeff 0 leaves out the z term.  One
+    max-shifted exponential feeds both: the log-probability keeps the
+    form shifted - log(sum), so integer logits shifted by an integer give
+    a bit-identical cross-entropy, and log Z is max + log(sum).  Returns
+    the loss node and the two terms as floats.
+    """
+    flat = logits.data.reshape(mask.shape[0], -1)
+    per_row = 1.0 / float(mask.sum())
+    top = flat.max(axis=-1)
+    soft = flat - top[:, None]
+    rows = np.arange(mask.shape[0])
+    picked = None if targets is None else soft[rows, targets]
+    np.exp(soft, out=soft)
+    sums = soft.sum(axis=-1)
+    log_sums = np.log(sums)
+    soft /= sums[:, None]
+    ce = 0.0 if targets is None else float((-(picked - log_sums) * mask).sum() * per_row)
+    log_z = top + log_sums
+    z = float((log_z * log_z * mask).sum() * per_row * z_coeff) if z_coeff else 0.0
+
+    def backward_fn(g):
+        # per row: weight * (softmax - onehot) for the cross-entropy,
+        # weight * 2 z_coeff log Z * softmax for the z term
+        weight = mask * (g * per_row)
+        row = float(targets is not None) + (2.0 * z_coeff * log_z if z_coeff else 0.0)
+        grad = soft * (weight * row)[:, None]
+        if targets is not None:
+            grad[rows, targets] -= weight
+        logits._accumulate(grad.reshape(logits.shape))
+
+    return logits._make(np.array(ce + z), (logits,), backward_fn), ce, z
+
+
 def embedding(weight: Tensor, ids) -> Tensor:
     """Row lookup `weight[ids]`; backward scatter-adds into the table."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -398,25 +440,6 @@ def embedding(weight: Tensor, ids) -> Tensor:
         w._accumulate(full)
 
     return w._make(out_data, (w,), backward_fn)
-
-
-def pick(x: Tensor, idx) -> Tensor:
-    """Select one entry per row of a 2-d tensor: out[i] = x[i, idx[i]]."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if x.ndim != 2 or idx.shape != (x.shape[0],):
-        raise ShapeMismatchError(f"pick: need [n, v] tensor and n indices, got {x.shape} / {idx.shape}")
-    if np.any(idx < 0) or np.any(idx >= x.shape[1]):
-        raise IndexError("pick: index out of range")
-    a = x
-    rows = np.arange(x.shape[0])
-    out_data = a.data[rows, idx]
-
-    def backward_fn(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, idx), g)
-        a._accumulate(full)
-
-    return a._make(out_data, (a,), backward_fn)
 
 
 def concat(tensors, axis=0) -> Tensor:

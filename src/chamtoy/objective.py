@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor, pick
+from .numerics import Tensor, lm_loss
 
 
 @dataclass
@@ -23,28 +23,23 @@ class LossBreakdown:
     n_tokens: int
 
 
-def _flatten(logits: Tensor, targets, mask):
-    if logits.ndim == 3:
-        b, s, v = logits.shape
-        logits = logits.reshape(b * s, v)
-    elif logits.ndim != 2:
+def _rows(logits: Tensor, targets, mask):
+    """Per-row targets (None stays None) and float mask, checked against logits."""
+    if logits.ndim not in (2, 3):
         raise ValueError(f"logits must be rank 2 or 3, got shape {logits.shape}")
-    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
-    if targets.shape[0] != logits.shape[0]:
-        raise ValueError("targets do not match logits rows")
-    if mask is None:
-        mask = np.ones(targets.shape[0], dtype=logits.data.dtype)
-    else:
-        mask = np.asarray(mask, dtype=logits.data.dtype).reshape(-1)
-        if mask.shape[0] != targets.shape[0]:
-            raise ValueError("mask does not match targets")
+    rows = logits.size // logits.shape[-1]
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+        if targets.shape[0] != rows:
+            raise ValueError("targets do not match logits rows")
+        if np.any(targets < 0) or np.any(targets >= logits.shape[-1]):
+            raise IndexError("target id out of vocabulary range")
+    mask = np.ones(rows) if mask is None else np.asarray(mask, dtype=np.float64).reshape(-1)
+    if mask.shape[0] != rows:
+        raise ValueError("mask does not match logits rows")
     if mask.sum() == 0:
         raise ValueError("loss mask selects no tokens")
-    return logits, targets, mask
-
-
-def _masked_mean(per_token: Tensor, mask: np.ndarray) -> Tensor:
-    return (per_token * Tensor(mask)).sum() * (1.0 / float(mask.sum()))
+    return targets, mask
 
 
 def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
@@ -53,30 +48,21 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     Masked positions contribute exactly zero to both the value and the
     gradient, so frozen prompt tokens cannot leak into the update.
     """
-    logits, targets, mask = _flatten(logits, targets, mask)
-    nll = -pick(logits.log_softmax(axis=-1), targets)
-    return _masked_mean(nll, mask)
+    targets, mask = _rows(logits, targets, mask)
+    return lm_loss(logits, targets, mask, 0.0)[0]
 
 
 def z_loss(logits: Tensor, mask=None, coeff: float = 1e-5) -> Tensor:
     """coeff * mean(log^2 Z) over unmasked tokens, Z = sum(exp(logits))."""
-    if mask is None:
-        flat = logits.reshape(-1, logits.shape[-1]) if logits.ndim == 3 else logits
-        mask_arr = np.ones(flat.shape[0], dtype=logits.data.dtype)
-    else:
-        flat, _, mask_arr = _flatten(logits, np.zeros(np.asarray(mask).size), mask)
-    log_z = flat.logsumexp(axis=-1)
-    return _masked_mean(log_z * log_z, mask_arr) * coeff
+    _, mask = _rows(logits, None, mask)
+    return lm_loss(logits, None, mask, coeff)[0]
 
 
 def total_loss(logits: Tensor, targets, mask=None, z_coeff: float = 1e-5) -> LossBreakdown:
-    """Cross-entropy plus normalizer penalty under one shared mask."""
-    flat, targets, mask_arr = _flatten(logits, targets, mask)
-    ce = cross_entropy(flat, targets, mask_arr)
-    zl = z_loss(flat, mask_arr, coeff=z_coeff)
-    return LossBreakdown(
-        total=ce + zl,
-        cross_entropy=ce,
-        z_loss=zl,
-        n_tokens=int(mask_arr.sum()),
-    )
+    """Cross-entropy plus normalizer penalty under one shared mask.
+
+    Only `total` carries the graph; the two parts are plain values.
+    """
+    targets, mask = _rows(logits, targets, mask)
+    total, ce, zl = lm_loss(logits, targets, mask, z_coeff)
+    return LossBreakdown(total, Tensor(ce), Tensor(zl), n_tokens=int(mask.sum()))

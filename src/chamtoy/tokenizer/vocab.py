@@ -82,9 +82,3 @@ class MixedVocab:
         if self.classify(token) is not TokenKind.IMAGE:
             raise ValueError(f"token id {token} is not an image token")
         return token - self.n_text
-
-    def text_ids(self) -> range:
-        return range(0, self.n_text)
-
-    def image_ids(self) -> range:
-        return range(self.n_text, self.n_text + self.n_image)

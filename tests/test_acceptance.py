@@ -40,7 +40,7 @@ from chamtoy.model import (
     model_forward,
     preset,
 )
-from chamtoy.numerics import Tensor, concat, embedding, pick
+from chamtoy.numerics import Tensor, attend, concat, embedding, gated_silu, lm_loss, rotate_pairs
 from chamtoy.objective import cross_entropy, total_loss, z_loss
 from chamtoy.tokenizer import (
     MixedVocab,
@@ -83,21 +83,30 @@ def _op_roster():
 
     mask = np.zeros((3, 4), dtype=bool)
     mask[0, 1] = mask[2, 3] = True
+    causal = np.triu(np.ones((5, 5), dtype=bool), k=1)
+    rows = np.array([1.0, 0.0, 1.0])
+    c, s = np.random.default_rng(0).normal(size=(2, 3, 4))  # rotate_pairs' tables
     return [
         lambda rng: (lambda ts: ts[0] + ts[1], [r(rng, 3, 4), r(rng, 4)]),
         lambda rng: (lambda ts: ts[0] * ts[1], [r(rng, 3, 4), r(rng, 4)]),
-        lambda rng: (lambda ts: ts[0].sigmoid(), [r(rng, 3, 4)]),
+        lambda rng: (lambda ts: gated_silu(ts[0], ts[1]), [r(rng, 3, 4) * 2.0, r(rng, 3, 4)]),
         lambda rng: (lambda ts: ts[0] @ ts[1], [r(rng, 2, 3, 4), r(rng, 4, 5)]),
         lambda rng: (lambda ts: ts[0].sum(axis=-1), [r(rng, 3, 4)]),
         lambda rng: (lambda ts: ts[0].softmax(), [r(rng, 3, 4)]),
         lambda rng: (lambda ts: ts[0].softmax(mask=mask), [r(rng, 3, 4)]),
-        lambda rng: (lambda ts: ts[0].log_softmax(), [r(rng, 3, 4)]),
-        lambda rng: (lambda ts: ts[0].logsumexp(), [r(rng, 3, 4)]),
+        lambda rng: (lambda ts: lm_loss(ts[0], np.array([2, 0, 3]), rows, 0.1)[0], [r(rng, 3, 4)]),
+        lambda rng: (lambda ts: lm_loss(ts[0], None, rows, 0.1)[0], [r(rng, 2, 3, 4)]),
         lambda rng: (lambda ts: ts[0].reshape(6, 2), [r(rng, 3, 4)]),
-        lambda rng: (lambda ts: ts[0].swapaxes(0, 1), [r(rng, 3, 4)]),
-        lambda rng: (lambda ts: ts[0].repeat_interleave(2, axis=0), [r(rng, 3, 4)]),
+        lambda rng: (
+            lambda ts: attend(ts[0], ts[1], ts[2], causal),
+            [r(rng, 1, 4, 5, 2), r(rng, 1, 2, 5, 2), r(rng, 1, 2, 5, 2)],
+        ),
+        lambda rng: (lambda ts: rotate_pairs(ts[0], c, s), [r(rng, 2, 3, 4)]),
         lambda rng: (lambda ts: concat([ts[0], ts[1]], axis=1), [r(rng, 2, 3), r(rng, 2, 2)]),
-        lambda rng: (lambda ts: pick(ts[0], np.array([2, 0, 3])), [r(rng, 3, 4)]),
+        lambda rng: (
+            lambda ts: attend(ts[0], ts[1], ts[2], causal[3:]),
+            [r(rng, 1, 2, 2, 2), r(rng, 1, 1, 5, 2), r(rng, 1, 1, 5, 2)],
+        ),
         lambda rng: (lambda ts: embedding(ts[0], np.array([[1, 3], [0, 0]])), [r(rng, 5, 4)]),
         lambda rng: (lambda ts: rms_norm(ts[0], ts[1]), [r(rng, 3, 4), r(rng, 4)]),
         lambda rng: (lambda ts: layer_norm(ts[0], ts[1]), [r(rng, 2, 3, 4), r(rng, 4)]),

@@ -355,6 +355,11 @@ FAILURE_PATHS = {
         ["train", *TRAIN_SETS, "--set", "train.seq_len=300", "--set", "model.max_seq=256"],
         EXIT_USAGE,
     ),
+    "ablate-seq-len-over-max-seq": (
+        ["train", *TRAIN_SETS, "--ablate", "qknorm", "--set", "train.seq_len=300",
+         "--set", "model.max_seq=256"],
+        EXIT_USAGE,
+    ),
     "missing-judgments": (["eval", "--judgments", "{tmp}/absent.csv"], EXIT_FAILURE),
     "monitor-report-not-a-log": (["monitor-report", "--log", "{corpus}/text.jsonl"], EXIT_FAILURE),
     "sft-no-packable-rows": (["sft", "--set", "train.seq_len=4"], EXIT_FAILURE),

@@ -12,11 +12,10 @@ from chamtoy.layers import (
     merge_heads,
     rms_norm,
     rope_tables,
-    silu,
     split_heads,
     swiglu,
 )
-from chamtoy.numerics import Tensor, normalize
+from chamtoy.numerics import Tensor, gated_silu, normalize, rotate_pairs
 
 from test_numerics import assert_grad_close, check_op_gradient, finite_difference
 
@@ -95,9 +94,10 @@ def test_normalize_matches_composition_and_finite_differences(center, shape):
     check_op_gradient(lambda ts: normalize(ts[0], ts[1], 1e-5, center), [x, g])
 
 
-def test_silu_hand_value():
-    # 1 * sigmoid(1) = 0.7310585786300049
-    assert silu(Tensor([1.0])).data[0] == pytest.approx(0.7310585786300049, abs=1e-12)
+def test_gated_silu_hand_value():
+    # silu(1) * 1 = 1 * sigmoid(1) = 0.7310585786300049
+    out = gated_silu(Tensor([1.0]), Tensor([1.0])).data[0]
+    assert out == pytest.approx(0.7310585786300049, abs=1e-12)
 
 
 def test_swiglu_shapes_and_gradient():
@@ -180,6 +180,20 @@ def test_rope_gradient():
         return float((apply_rope(Tensor(a), cos, sin) * Tensor(w)).sum().data)
 
     assert_grad_close(tensors[0].grad, finite_difference(f, x))
+
+
+@pytest.mark.parametrize("offset", [0, 1, 7, 27])
+def test_rotation_node_matches_permutation_matmul_and_finite_differences(offset):
+    # the composition it replaced: x*C + (x @ P)*S, P the pair-swap matrix
+    cos, sin = rope_tables(6, 40)
+    x = np.random.default_rng(40 + offset).normal(size=(2, 3, 4, 6))
+    c = np.repeat(cos[offset:offset + 4], 2, axis=-1)
+    s = (sin[offset:offset + 4, :, None] * np.array([-1.0, 1.0])).reshape(4, 6)
+    swap = np.eye(6).reshape(3, 2, 6)[:, ::-1].reshape(6, 6)
+    out = apply_rope_at(Tensor(x), cos, sin, offset).data
+    assert np.array_equal(out, x * c + (x @ swap) * s)
+    assert np.array_equal(rotate_pairs(Tensor(x), c, s).data, out)
+    check_op_gradient(lambda ts: apply_rope_at(ts[0], cos, sin, offset), [x])
 
 
 def test_dropout_identity_cases():

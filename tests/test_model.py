@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,39 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["ck"]
     _, _, _, step = load_checkpoint(ck)
     assert step == 2
+
+
+def test_save_stopped_between_renames_loads_previous_checkpoint(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    ck = tmp_path / "ck"
+    first = init_params(cfg, seed=15)
+    opt = {"m": {k: np.full(p.shape, 0.5) for k, p in first.items()},
+           "v": {k: np.full(p.shape, 0.25) for k, p in first.items()}, "t": 3}
+    save_checkpoint(ck, first, cfg, opt_state=opt, step=3)
+    real_rename = Path.rename
+
+    def crash_on_swap_in(self, target):
+        if Path(target) == ck:
+            raise OSError("power lost")
+        return real_rename(self, target)
+
+    # `ck` has moved to `ck.old`; the new save in `ck.tmp` never arrives
+    monkeypatch.setattr(Path, "rename", crash_on_swap_in)
+    with pytest.raises(OSError, match="power lost"):
+        save_checkpoint(ck, init_params(cfg, seed=16), cfg, step=4)
+    monkeypatch.undo()
+    assert not ck.exists() and (tmp_path / "ck.old").is_dir()
+
+    loaded, _, loaded_opt, step = load_checkpoint(ck)
+    assert step == 3 and loaded_opt["t"] == 3
+    for k in first:
+        assert np.array_equal(loaded[k].data, first[k].data), k
+        assert np.array_equal(loaded_opt["m"][k], opt["m"][k]), k
+
+    # the next save puts `ck` back and clears the leftovers
+    save_checkpoint(ck, loaded, cfg, step=4)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ck"]
+    assert load_checkpoint(ck)[3] == 4
 
 
 def test_clone_params_detaches_storage():
