@@ -63,7 +63,6 @@ from .tokenizer.codebook import to_uint8
 from .trainer import (
     DivergenceMonitor,
     OptimConfig,
-    ablation_pair,
     load_log,
     save_log,
     train_loop,
@@ -257,10 +256,6 @@ def _load_tokenizer_dir(tok_dir) -> tuple[BPETokenizer, Codebook, MixedVocab]:
     return tok, book, MixedVocab(n_text=tok.vocab_size, n_image=book.n_codes)
 
 
-def _seed(run: RunConfig) -> int:
-    return run["train.seed"]
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -287,7 +282,7 @@ def cmd_tokenizer_train(run: RunConfig, args) -> int:
             n_codes=run["tokenizer.image_codes"],
             patch=run["tokenizer.patch"],
             iters=run["tokenizer.kmeans_iters"],
-            seed=_seed(run),
+            seed=run["train.seed"],
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -323,14 +318,48 @@ def _build_docs(run: RunConfig, data_dir: Path, tok, book, vocab, rng):
     return docs
 
 
+def _load_init(path, vocab: MixedVocab):
+    """load_checkpoint, refusing a checkpoint built for another vocabulary."""
+    params, cfg, opt_state, step = load_checkpoint(path)
+    if cfg.vocab_size != vocab.total:
+        raise ConfigError(f"checkpoint vocabulary {cfg.vocab_size} != tokenizer vocabulary "
+                          f"{vocab.total}")
+    return params, cfg, opt_state, step or 0
+
+
+def _train_run(run: RunConfig, out_dir: Path, cfg, params, opt_cfg, batch_fn,
+               start: int = 0, opt_state=None):
+    """Train one run and write its checkpoint, loss.csv and
+    effective_config.txt to out_dir; a flagged run gets a note on stderr."""
+    if run["train.seq_len"] > cfg.max_seq:
+        raise ConfigError(f"train.seq_len {run['train.seq_len']} exceeds model.max_seq {cfg.max_seq}")
+    result = train_loop(
+        params, cfg, opt_cfg, batch_fn,
+        seed=run["train.seed"], start_step=start, opt_state=opt_state,
+        halt_on_divergence=run["train.halt_on_divergence"],
+    )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(out_dir / "checkpoint", result.params, cfg,
+                    opt_state=result.opt_state, step=result.final_step)
+    save_log(result.rows, out_dir / "loss.csv")
+    (out_dir / "effective_config.txt").write_text(run.render() + "\n")
+    if result.diverged:
+        print(
+            f"divergence flagged after {result.monitor.diverged_at} monitored steps",
+            file=sys.stderr,
+        )
+    return result
+
+
 def cmd_train(run: RunConfig, args) -> int:
     print(run.render())
+    if args.ablate and args.resume:
+        raise ConfigError("--ablate trains both arms from scratch; drop --resume")
     tok, book, vocab = _load_tokenizer_dir(args.tokenizer_dir)
-    data_dir = Path(args.data_dir)
     out_dir = Path(args.out_dir)
-    seed = _seed(run)
+    seed = run["train.seed"]
 
-    docs = _build_docs(run, data_dir, tok, book, vocab, np.random.default_rng(seed))
+    docs = _build_docs(run, Path(args.data_dir), tok, book, vocab, np.random.default_rng(seed))
     mixture = MixtureSpec(
         stage1=parse_mixture(run["data.stage1"]),
         stage2_extra=parse_mixture(run["data.stage2_extra"]),
@@ -339,74 +368,35 @@ def cmd_train(run: RunConfig, args) -> int:
     if missing:
         raise ConfigError(f"mixture names sources with no documents: {missing}")
 
-    total = run["train.steps"]
     batcher = PretrainBatcher(
-        docs, mixture, total, run["train.batch_size"], run["train.seq_len"]
+        docs, mixture, run["train.steps"], run["train.batch_size"], run["train.seq_len"]
     )
     opt_cfg = build_optim_config(run)
 
     if args.ablate:
-        _check_seq_len(run, run["model.max_seq"])
-        return _run_ablation(run, args, batcher, opt_cfg, vocab, out_dir, seed)
+        # the same seed, data and schedule twice; only QK layer-norm differs
+        flagged = False
+        for label, raw in (("on", "true"), ("off", "false")):
+            arm = replace(run, values=dict(run.values), explicit=set(run.explicit))
+            arm.set("model.qk_norm", raw)
+            cfg = build_model_config(arm, vocab.total)
+            result = _train_run(arm, out_dir / f"qknorm_{label}", cfg,
+                                init_params(cfg, seed=seed), opt_cfg, batcher.batch)
+            print(f"qknorm {label}: final ce {result.rows[-1]['ce']:.4f}, "
+                  f"diverged {result.diverged}")
+            flagged |= result.diverged
+        return EXIT_DIVERGED if flagged else EXIT_OK
 
     if args.resume:
-        params, cfg, opt_state, start = load_checkpoint(args.resume)
-        if cfg.vocab_size != vocab.total:
-            raise ConfigError(
-                f"checkpoint vocabulary {cfg.vocab_size} != tokenizer vocabulary {vocab.total}"
-            )
-        start = start or 0
+        params, cfg, opt_state, start = _load_init(args.resume, vocab)
     else:
         cfg = build_model_config(run, vocab.total)
-        params = init_params(cfg, seed=seed)
-        opt_state, start = None, 0
-    _check_seq_len(run, cfg.max_seq)
-
-    result = train_loop(
-        params, cfg, opt_cfg, batcher.batch,
-        seed=seed, start_step=start, opt_state=opt_state,
-        halt_on_divergence=run["train.halt_on_divergence"],
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / "checkpoint", result.params, cfg,
-                    opt_state=result.opt_state, step=result.final_step)
-    save_log(result.rows, out_dir / "loss.csv")
-    (out_dir / "effective_config.txt").write_text(run.render() + "\n")
-
+        params, opt_state, start = init_params(cfg, seed=seed), None, 0
+    result = _train_run(run, out_dir, cfg, params, opt_cfg, batcher.batch, start, opt_state)
     if result.rows:
         first, last = result.rows[0], result.rows[-1]
         print(f"steps {start}..{result.final_step}: ce {first['ce']:.4f} -> {last['ce']:.4f}")
-    if result.diverged:
-        print(
-            f"divergence flagged after {result.monitor.diverged_at} monitored steps",
-            file=sys.stderr,
-        )
-        return EXIT_DIVERGED
-    return EXIT_OK
-
-
-def _check_seq_len(run: RunConfig, max_seq: int) -> None:
-    if run["train.seq_len"] > max_seq:
-        raise ConfigError(f"train.seq_len {run['train.seq_len']} exceeds model.max_seq {max_seq}")
-
-
-def _run_ablation(run, args, batcher, opt_cfg, vocab, out_dir: Path, seed: int) -> int:
-    if args.ablate != "qknorm":
-        raise ConfigError(f"unknown ablation {args.ablate!r}")
-
-    def make_cfg(qk_norm):
-        inner = RunConfig(values=dict(run.values), explicit=set(run.explicit))
-        inner.values["model.qk_norm"] = qk_norm
-        inner.explicit.add("model.qk_norm")
-        return build_model_config(inner, vocab.total)
-
-    pair = ablation_pair(make_cfg, opt_cfg, batcher.batch, steps=run["train.steps"], seed=seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for label, result in pair.items():
-        save_log(result.rows, out_dir / f"loss_qknorm_{label}.csv")
-        last = result.rows[-1]
-        print(f"qknorm {label}: final ce {last['ce']:.4f}, diverged {bool(result.diverged)}")
-    return EXIT_OK
+    return EXIT_DIVERGED if result.diverged else EXIT_OK
 
 
 def cmd_sft(run: RunConfig, args) -> int:
@@ -418,11 +408,7 @@ def cmd_sft(run: RunConfig, args) -> int:
     print(run.render())
 
     tok, book, vocab = _load_tokenizer_dir(args.tokenizer_dir)
-    params, cfg, _, _ = load_checkpoint(args.init)
-    if cfg.vocab_size != vocab.total:
-        raise ConfigError(
-            f"checkpoint vocabulary {cfg.vocab_size} != tokenizer vocabulary {vocab.total}"
-        )
+    params, cfg, _, _ = _load_init(args.init, vocab)
     cfg = replace(cfg, dropout=run["model.dropout"])
 
     pairs = load_sft_corpus(Path(args.data_dir) / "sft.jsonl")
@@ -432,21 +418,9 @@ def cmd_sft(run: RunConfig, args) -> int:
         print(f"rejected {len(packed.rejections)} oversized examples", file=sys.stderr)
     batcher = SFTBatcher(packed)
 
-    opt_cfg = build_optim_config(run)
-    seed = _seed(run)
     batch_size = run["train.batch_size"]
-    result = train_loop(
-        params, cfg, opt_cfg,
-        lambda step, rng: batcher.batch(batch_size, rng),
-        seed=seed, halt_on_divergence=run["train.halt_on_divergence"],
-    )
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / "checkpoint", result.params, cfg,
-                    opt_state=result.opt_state, step=result.final_step)
-    save_log(result.rows, out_dir / "loss.csv")
-    (out_dir / "effective_config.txt").write_text(run.render() + "\n")
+    result = _train_run(run, Path(args.out_dir), cfg, params, build_optim_config(run),
+                        lambda step, rng: batcher.batch(batch_size, rng))
     print(f"tuned on {len(packed.sequences)} packed rows for {result.final_step} steps")
     return EXIT_DIVERGED if result.diverged else EXIT_OK
 
@@ -463,7 +437,7 @@ def cmd_generate(run: RunConfig, args) -> int:
             mode=run["generate.mode"],
             max_new_tokens=run["generate.max_new_tokens"],
             temperature=run["generate.temperature"],
-            seed=_seed(run),
+            seed=run["train.seed"],
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -506,7 +480,7 @@ def cmd_eval(run: RunConfig, args) -> int:
     print(run.render())
     if not args.judgments and not args.annotations:
         raise ConfigError("eval needs --judgments and/or --annotations")
-    seed = _seed(run)
+    seed = run["train.seed"]
 
     if args.judgments:
         judgments = load_judgments(args.judgments)

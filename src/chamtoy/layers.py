@@ -70,9 +70,10 @@ def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     return rotate_pairs(x, c, s)
 
 
-def causal_mask(seq: int) -> np.ndarray:
-    """Boolean [seq, seq] mask, True strictly above the diagonal."""
-    return np.triu(np.ones((seq, seq), dtype=bool), k=1)
+def causal_mask(seq: int, total: int) -> np.ndarray:
+    """Boolean [seq, total] mask for the last seq of total positions, True
+    where a key lies after its query."""
+    return np.triu(np.ones((seq, total), dtype=bool), k=total - seq + 1)
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -137,7 +138,7 @@ def attention(
     kv = (k, v)
 
     total = k.shape[2]
-    out = merge_heads(attend(q, k, v, causal_mask(total)[total - s:, :])) @ wo
+    out = merge_heads(attend(q, k, v, causal_mask(s, total))) @ wo
     return out, kv
 
 

@@ -218,10 +218,41 @@ def test_train_ablation_pair(corpus_dir, tokenizer_dir, tmp_path):
         "--ablate", "qknorm", *sets,
     ])
     assert code == EXIT_OK
-    on = load_log(out / "loss_qknorm_on.csv")
-    off = load_log(out / "loss_qknorm_off.csv")
+    on = load_log(out / "qknorm_on" / "loss.csv")
+    off = load_log(out / "qknorm_off" / "loss.csv")
     assert len(on) == len(off) == 3
     assert any(a["ce"] != b["ce"] for a, b in zip(on, off))
+    _, cfg, _, _ = load_checkpoint(out / "qknorm_off" / "checkpoint")
+    assert cfg.qk_norm is False
+
+
+def test_divergence_exits_3_with_note_on_every_training_command(
+    corpus_dir, tokenizer_dir, pretrain_dir, tmp_path
+):
+    # a cold 200-step run is flagged near step 100 (see the README's
+    # divergence section); halting keeps each ablation arm short
+    sets = [s if s != "train.steps=6" else "train.steps=200" for s in TRAIN_SETS]
+    out = subprocess.run(
+        [sys.executable, "-m", "chamtoy.cli", "train", "--data-dir", str(corpus_dir),
+         "--tokenizer-dir", str(tokenizer_dir), "--out-dir", str(tmp_path / "ablate"),
+         "--ablate", "qknorm", *sets, "--set", "train.halt_on_divergence=true"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == EXIT_DIVERGED, out.stderr
+    assert "divergence flagged after" in out.stderr
+    for arm in ("qknorm_on", "qknorm_off"):
+        assert len(load_log(tmp_path / "ablate" / arm / "loss.csv")) == 101
+
+    out = subprocess.run(
+        [sys.executable, "-m", "chamtoy.cli", "sft", "--data-dir", str(corpus_dir),
+         "--tokenizer-dir", str(tokenizer_dir), "--init", str(pretrain_dir / "checkpoint"),
+         "--out-dir", str(tmp_path / "sft"), "--set", "train.steps=200",
+         "--set", "train.batch_size=2", "--set", "train.seq_len=32",
+         "--set", "optim.lr=1e-3"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == EXIT_DIVERGED, out.stderr
+    assert "divergence flagged after" in out.stderr
 
 
 def test_train_rejects_bad_mixture(corpus_dir, tokenizer_dir, tmp_path):
@@ -360,6 +391,10 @@ FAILURE_PATHS = {
          "--set", "model.max_seq=256"],
         EXIT_USAGE,
     ),
+    "ablate-with-resume": (
+        ["train", *TRAIN_SETS, "--ablate", "qknorm", "--resume", "{tmp}/absent"], EXIT_USAGE,
+    ),
+    "sft-seq-len-over-max-seq": (["sft", "--set", "train.seq_len=300"], EXIT_USAGE),
     "missing-judgments": (["eval", "--judgments", "{tmp}/absent.csv"], EXIT_FAILURE),
     "monitor-report-not-a-log": (["monitor-report", "--log", "{corpus}/text.jsonl"], EXIT_FAILURE),
     "sft-no-packable-rows": (["sft", "--set", "train.seq_len=4"], EXIT_FAILURE),

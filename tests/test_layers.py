@@ -215,10 +215,13 @@ def test_dropout_scaling_and_rate():
 
 
 def test_causal_mask_shape_and_diagonal():
-    m = causal_mask(4)
+    m = causal_mask(4, 4)
     assert m.shape == (4, 4)
     assert not m.diagonal().any()
     assert m[0, 3] and not m[3, 0]
+    # the rows a KV-cached step needs, built without the full square
+    for s, t in ((1, 100), (3, 7), (4, 4)):
+        assert np.array_equal(causal_mask(s, t), causal_mask(t, t)[t - s:])
 
 
 def test_split_merge_heads_roundtrip():
