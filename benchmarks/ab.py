@@ -2,22 +2,39 @@
 
     python3 benchmarks/ab.py --base HEAD --pairs 60 --out BENCH_<n>.json
 
-The base revision is exported with ``git archive`` into a temporary
-directory.  One persistent worker process per tree imports that tree's
-``chamtoy`` and builds the same toy model once.  The controller then
-alternates short batches between the two workers, swapping which goes
-first on every pair, so that a slow stretch of a shared host falls on
-both sides of a pair alike:
+The base revision's ``src/`` is exported with ``git archive`` and the
+working tree's ``src/`` is copied, into two sibling temporary
+directories whose paths have equal length.  One worker process per tree
+imports that tree's ``chamtoy`` and builds the same toy model once.  The
+controller then alternates short batches between the two workers,
+swapping which goes first on every pair, so that a slow stretch of a
+shared host falls on both sides of a pair alike:
 
 * ``train``: 5 toy-preset steps (batch 8 x 64) through ``train_loop``,
   from the same initial parameters every time;
 * ``decode``: 3 image-only ``generate_stream`` requests of one fixed
   64-code block each, on the untrained toy model.
 
-Each workload reports the median of the per-pair ratios change / base
-(below 1 means the working tree is faster) with a bootstrap interval
-from ``evalkit.bootstrap_ci``.  BLAS and OpenMP run one thread in each
+A process's memory layout depends on the size of its environment and
+arguments (Mytkowicz et al., ASPLOS 2009), and one layout can run the
+same code several percent faster than another.  So both workers are
+restarted every ``GENERATION`` pairs, each generation with an
+environment padded by a length drawn from a seeded generator, and the
+two workers of a generation get equal environments.  Each workload
+reports the median over generations of the per-generation median ratio
+change / base (below 1 means the working tree is faster), with a
+bootstrap interval over those generation ratios from
+``evalkit.bootstrap_ci``, so that layout luck shared by the pairs of
+one generation is counted once.  BLAS and OpenMP run one thread in each
 worker.  The script writes nothing inside the repository except ``--out``.
+
+A/A check: in a clean checkout the working tree equals ``HEAD``, so
+``python3 benchmarks/ab.py --base HEAD`` compares a tree with itself, and
+both intervals should cover 1.00.  Run it from two checkouts whose
+paths differ in length; before the equal-length copies and the
+generations, the train ratio of such a run followed the checkout's path
+length (0.89-0.95 from one path, 1.08-1.10 from a path one character
+longer).
 """
 
 from __future__ import annotations
@@ -26,6 +43,8 @@ import argparse
 import json
 import os
 import platform
+import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -34,6 +53,9 @@ from statistics import median
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+GENERATION = 6  # pairs between worker restarts
+PAD_SEED = 0
+PAD_MAX = 4096  # bytes of environment padding, one page of layout offsets
 TRAIN_STEPS = 5
 DECODE_SEEDS = (1, 2, 3)
 WORKLOADS = {
@@ -88,10 +110,11 @@ def worker(tree: Path) -> None:
 
 
 class Worker:
-    def __init__(self, tree: Path):
+    def __init__(self, tree: Path, pad: int):
         env = dict(os.environ)
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = "1"
+        env["AB_LAYOUT_PAD"] = "x" * pad  # read by nobody; shifts the process layout
         self.proc = subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
@@ -125,42 +148,53 @@ def git(*args: str) -> str:
 
 
 def export(rev: str, dest: Path) -> None:
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
                              check=True, capture_output=True).stdout
+    dest.mkdir()
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def compare(base: Path, pairs: int) -> dict:
+def compare(trees: dict, pairs: int) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     from chamtoy.evalkit import bootstrap_ci
 
-    workers = {"base": Worker(base), "change": Worker(ROOT)}
-    try:
-        times = {w: {"base": [], "change": []} for w in WORKLOADS}
-        checks = {w: {} for w in WORKLOADS}
-        for w in WORKLOADS:  # one unpaired warm-up batch each
-            for side in workers:
-                workers[side].run(w)
-        for i in range(pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for w in WORKLOADS:
-                for side in order:
-                    reply = workers[side].run(w)
-                    times[w][side].append(reply["seconds"])
-                    checks[w][side] = reply["check"]
-        numpy_version = workers["change"].info["numpy"]
-    finally:
-        for proc in workers.values():
-            proc.close()
+    pads = random.Random(PAD_SEED)
+    times = {w: {"base": [], "change": []} for w in WORKLOADS}
+    generations = {w: [] for w in WORKLOADS}  # per-generation median ratios
+    checks = {w: {} for w in WORKLOADS}
+    for first in range(0, pairs, GENERATION):
+        pad = pads.randrange(PAD_MAX)
+        workers = {side: Worker(tree, pad) for side, tree in trees.items()}
+        try:
+            for w in WORKLOADS:  # one unpaired warm-up batch each
+                for side in workers:
+                    workers[side].run(w)
+            ratios = {w: [] for w in WORKLOADS}
+            for i in range(first, min(first + GENERATION, pairs)):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for w in WORKLOADS:
+                    pair = {}
+                    for side in order:
+                        reply = workers[side].run(w)
+                        pair[side] = reply["seconds"]
+                        times[w][side].append(reply["seconds"])
+                        checks[w][side] = reply["check"]
+                    ratios[w].append(pair["change"] / pair["base"])
+            numpy_version = workers["change"].info["numpy"]
+        finally:
+            for proc in workers.values():
+                proc.close()
+        for w in WORKLOADS:
+            generations[w].append(median(ratios[w]))
 
     out = {}
     for w, desc in WORKLOADS.items():
-        ratios = [c / b for b, c in zip(times[w]["base"], times[w]["change"])]
-        ci = bootstrap_ci(ratios, median, n_boot=2000, seed=0)
+        ci = bootstrap_ci(generations[w], median, n_boot=2000, seed=0)
         out[w] = {
             "unit": desc,
-            "ratio": round(median(ratios), 4),
+            "ratio": round(median(generations[w]), 4),
             "ci95": [round(ci.low, 4), round(ci.high, 4)],
+            "generation_ratios": [round(r, 4) for r in generations[w]],
             "base_ms": round(1000 * median(times[w]["base"]), 2),
             "change_ms": round(1000 * median(times[w]["change"]), 2),
         }
@@ -179,14 +213,18 @@ def main(argv=None) -> int:
     if args.worker:
         worker(Path(args.worker))
         return 0
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2")
+    if args.pairs < 2 * GENERATION:
+        p.error(f"--pairs must be at least {2 * GENERATION}")
 
     base_sha = git("rev-parse", args.base)
     with tempfile.TemporaryDirectory(prefix="chamtoy-ab-") as tmp:
-        export(base_sha, Path(tmp))
+        # sibling names of equal length, so both workers get equal-length paths
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "tree"}
+        export(base_sha, trees["base"])
+        shutil.copytree(ROOT / "src", trees["change"] / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
         start = perf_counter()
-        result = compare(Path(tmp), args.pairs)
+        result = compare(trees, args.pairs)
     report = {
         "command": " ".join(["python3", "benchmarks/ab.py", *(argv or sys.argv[1:])]),
         "base": base_sha,
@@ -197,6 +235,7 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(),
         "blas_threads": 1,
         "pairs": args.pairs,
+        "pairs_per_generation": GENERATION,
         "seconds": round(perf_counter() - start, 1),
         "workloads": result["workloads"],
     }

@@ -154,11 +154,16 @@ class RunConfig:
         if key not in self.explicit:
             self.values[key] = value
 
-    def render(self) -> str:
+    def render(self, cfg=None) -> str:
+        """Key-value lines; model.* values come from cfg, the model that ran, if given."""
         lines = ["# effective configuration"]
         for key in sorted(self.values):
             v = self.values[key]
-            if isinstance(v, bool):
+            if cfg is not None and key.startswith("model."):
+                v = getattr(cfg, key[len("model."):], v)  # model.preset is no field
+            if isinstance(v, NormStrategy):
+                v = v.value
+            elif isinstance(v, bool):
                 v = "true" if v else "false"
             lines.append(f"{key} {v}")
         return "\n".join(lines)
@@ -261,6 +266,15 @@ def _load_tokenizer_dir(tok_dir) -> tuple[BPETokenizer, Codebook, MixedVocab]:
 # ----------------------------------------------------------------------
 
 
+def _load_captions(run: RunConfig, data_dir: Path):
+    """(caption, fitted image) pairs from data_dir/captions.jsonl."""
+    size = run["tokenizer.image_size"]
+    return [
+        (caption, prepare_image(read_pixmap(data_dir / rel), size, mode=run["data.image_fit"]))
+        for caption, rel in load_caption_corpus(data_dir / "captions.jsonl")
+    ]
+
+
 def cmd_tokenizer_train(run: RunConfig, args) -> int:
     print(run.render())
     data_dir = Path(args.data_dir)
@@ -268,17 +282,13 @@ def cmd_tokenizer_train(run: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     texts = load_text_corpus(data_dir / "text.jsonl")
-    captions = load_caption_corpus(data_dir / "captions.jsonl")
+    captions = _load_captions(run, data_dir)
 
     size = run["tokenizer.image_size"]
-    images = [
-        prepare_image(read_pixmap(data_dir / rel), size, mode=run["data.image_fit"])
-        for _, rel in captions
-    ]
     try:
         tok = train_bpe(texts + [c for c, _ in captions], run["tokenizer.vocab_size"])
         book, history = train_codebook(
-            images,
+            [image for _, image in captions],
             n_codes=run["tokenizer.image_codes"],
             patch=run["tokenizer.patch"],
             iters=run["tokenizer.kmeans_iters"],
@@ -304,17 +314,11 @@ def _build_docs(run: RunConfig, data_dir: Path, tok, book, vocab, rng):
         docs["text"] = [
             build_text_sequence(tok.encode(t), vocab) for t in load_text_corpus(text_path)
         ]
-    cap_path = data_dir / "captions.jsonl"
-    if cap_path.exists():
-        size = run["tokenizer.image_size"]
-        caps = []
-        for caption, rel in load_caption_corpus(cap_path):
-            img = prepare_image(read_pixmap(data_dir / rel), size, mode=run["data.image_fit"])
-            seq, _ = build_caption_sequence(
-                tok.encode(caption), encode_image(img, book), vocab, rng
-            )
-            caps.append(seq)
-        docs["captions"] = caps
+    if (data_dir / "captions.jsonl").exists():
+        docs["captions"] = [
+            build_caption_sequence(tok.encode(caption), encode_image(image, book), vocab, rng)[0]
+            for caption, image in _load_captions(run, data_dir)
+        ]
     return docs
 
 
@@ -342,7 +346,7 @@ def _train_run(run: RunConfig, out_dir: Path, cfg, params, opt_cfg, batch_fn,
     save_checkpoint(out_dir / "checkpoint", result.params, cfg,
                     opt_state=result.opt_state, step=result.final_step)
     save_log(result.rows, out_dir / "loss.csv")
-    (out_dir / "effective_config.txt").write_text(run.render() + "\n")
+    (out_dir / "effective_config.txt").write_text(run.render(cfg) + "\n")
     if result.diverged:
         print(
             f"divergence flagged after {result.monitor.diverged_at} monitored steps",
@@ -375,12 +379,11 @@ def cmd_train(run: RunConfig, args) -> int:
 
     if args.ablate:
         # the same seed, data and schedule twice; only QK layer-norm differs
+        base = build_model_config(run, vocab.total)
         flagged = False
-        for label, raw in (("on", "true"), ("off", "false")):
-            arm = replace(run, values=dict(run.values), explicit=set(run.explicit))
-            arm.set("model.qk_norm", raw)
-            cfg = build_model_config(arm, vocab.total)
-            result = _train_run(arm, out_dir / f"qknorm_{label}", cfg,
+        for label in ("on", "off"):
+            cfg = replace(base, qk_norm=label == "on")
+            result = _train_run(run, out_dir / f"qknorm_{label}", cfg,
                                 init_params(cfg, seed=seed), opt_cfg, batcher.batch)
             print(f"qknorm {label}: final ce {result.rows[-1]['ce']:.4f}, "
                   f"diverged {result.diverged}")
@@ -446,6 +449,9 @@ def cmd_generate(run: RunConfig, args) -> int:
     if run["generate.append_sep"]:
         # instruction-tuned checkpoints saw prompt SEP answer during training
         prompt.append(vocab.sep)
+    if len(prompt) >= cfg.max_seq:
+        raise ConfigError(f"prompt of {len(prompt)} tokens leaves no room under "
+                          f"model.max_seq {cfg.max_seq}")
     fin = None
     for event in generate_stream(params, cfg, prompt, policy, vocab):
         if isinstance(event, Finished):

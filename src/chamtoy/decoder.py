@@ -118,8 +118,6 @@ def advance_state(
 
 
 def _sample(logits: np.ndarray, legal: np.ndarray, temperature: float, rng, offset: int) -> int:
-    if not legal.any():
-        raise ValueError("no legal token to sample")
     if not np.isfinite(logits[legal]).all():
         raise DecodeError(offset, "non-finite logit for a legal token")
     masked = np.where(legal, logits, -np.inf)
@@ -163,7 +161,7 @@ class ImageEnd:
 
 @dataclass(frozen=True)
 class Finished:
-    reason: str  # "eos", "max_tokens", "image_complete", "exhausted"
+    reason: str  # "eos", "max_tokens", "image_complete"
     tokens: tuple[int, ...]
 
 
@@ -187,11 +185,14 @@ def _decode(cfg: ModelConfig, prompt, policy: DecodePolicy, vocab: MixedVocab, n
     next_logits(tokens) returns the logits for the position after
     tokens[-1]; it is called only when a token is sampled, never for a
     forced EOI.  The prompt is validated through the machine first, so an
-    ill-formed prompt fails before any model work.
+    ill-formed prompt, or one that leaves no room under cfg.max_seq, fails
+    before any model work.
     """
     prompt = [int(t) for t in prompt]
     if not prompt:
         raise ValueError("prompt must contain at least one token (BOS works)")
+    if len(prompt) >= cfg.max_seq:
+        raise ValueError(f"prompt of {len(prompt)} tokens leaves no room under max_seq {cfg.max_seq}")
     state = _prompt_state(prompt, policy, vocab)
     rng = np.random.default_rng(policy.seed)
 
@@ -205,8 +206,8 @@ def _decode(cfg: ModelConfig, prompt, policy: DecodePolicy, vocab: MixedVocab, n
             tok = vocab.eoi  # forced: no sampling, no rng draw
         else:
             legal = legal_mask(state, policy, vocab)
-            if not legal.any():
-                reason = "image_complete" if policy.mode == "image-only" else "exhausted"
+            if not legal.any():  # image-only, its block already in the prompt
+                reason = "image_complete"
                 break
             tok = _sample(next_logits(tokens), legal, policy.temperature, rng, len(tokens))
 

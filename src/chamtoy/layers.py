@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Tensor, attend, attention_scores, concat, gated_silu, normalize, rotate_pairs
+from .numerics import Tensor, attend, attention_scores, gated_silu, normalize, rotate_pairs
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
@@ -123,7 +123,9 @@ def attention(
 
     past_kv carries rotated key/value tensors from earlier positions; the
     new tokens are appended and the full (k, v) pair is returned alongside
-    the output so callers can decode incrementally.
+    the output so callers can decode incrementally.  The cache carries no
+    graph in any mode, so no gradient flows through it: training never
+    passes one, and decoding runs on frozen parameter views.
     """
     if n_heads % n_kv_heads != 0:
         raise ValueError("query head count must be a multiple of kv head count")
@@ -133,13 +135,12 @@ def attention(
     v = split_heads(x @ wv, n_kv_heads)
 
     if past_kv is not None:
-        k = concat([past_kv[0], k], axis=2)
-        v = concat([past_kv[1], v], axis=2)
-    kv = (k, v)
+        k = Tensor(np.concatenate([past_kv[0].data, k.data], axis=2))
+        v = Tensor(np.concatenate([past_kv[1].data, v.data], axis=2))
 
     total = k.shape[2]
     out = merge_heads(attend(q, k, v, causal_mask(s, total))) @ wo
-    return out, kv
+    return out, (Tensor(k.data), Tensor(v.data))
 
 
 def apply_rope_at(x: Tensor, cos: np.ndarray, sin: np.ndarray, offset: int) -> Tensor:

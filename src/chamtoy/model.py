@@ -210,10 +210,8 @@ def model_forward(
     decoding.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     if ids.ndim != 2:
-        raise ValueError("token ids must be a 1-d or 2-d int array")
+        raise ValueError("token ids must be a 2-d [batch, seq] int array")
     cached = 0 if past_kv is None else past_kv[0][0].shape[2]
     if cached + ids.shape[1] > cfg.max_seq:
         raise ValueError(
@@ -256,13 +254,12 @@ def _config_from_map(kv: dict[str, str]) -> ModelConfig:
         raw = kv[f"model.{f.name}"]
         if f.name == "norm_strategy":
             kwargs[f.name] = NormStrategy(raw)
-        elif f.type == "bool" or isinstance(f.default, bool):
+        elif f.type == "bool":
             kwargs[f.name] = raw == "true"
-        elif f.type == "int" or isinstance(f.default, int):
+        elif f.type == "int":
             kwargs[f.name] = int(raw)
         else:
             kwargs[f.name] = float(raw)
-    kwargs["vocab_size"] = int(kv["model.vocab_size"])
     return ModelConfig(**kwargs)
 
 

@@ -51,8 +51,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -97,21 +95,14 @@ class Tensor:
         else:
             self.grad += grad
 
-    def backward(self, grad=None) -> None:
-        """Run one reverse pass from this tensor through its DAG.
+    def backward(self) -> None:
+        """Run one reverse pass from this scalar tensor through its DAG.
 
         Every node is visited exactly once, in reverse topological order,
         so gradients along multiple paths accumulate by summation.
         """
-        if grad is None:
-            if self.data.ndim != 0 and self.data.size != 1:
-                raise ValueError("backward() without a gradient requires a scalar output")
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
-            if grad.shape != self.data.shape:
-                raise ShapeMismatchError(
-                    f"seed gradient shape {grad.shape} != tensor shape {self.data.shape}")
+        if self.data.ndim != 0 and self.data.size != 1:
+            raise ValueError("backward() requires a scalar output")
 
         order = []
         visited = set()
@@ -129,7 +120,7 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -257,8 +248,6 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a = self
 
         def backward_fn(g):
@@ -440,17 +429,3 @@ def embedding(weight: Tensor, ids) -> Tensor:
         w._accumulate(full)
 
     return w._make(out_data, (w,), backward_fn)
-
-
-def concat(tensors, axis=0) -> Tensor:
-    tensors = [Tensor._lift(t) for t in tensors]
-    axis = axis % tensors[0].ndim
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-
-    def backward_fn(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t._accumulate(piece)
-
-    return tensors[0]._make(out_data, tensors, backward_fn)

@@ -202,7 +202,6 @@ def train_loop(
     opt_state: dict | None = None,
     monitor: DivergenceMonitor | None = None,
     halt_on_divergence: bool = False,
-    rows: list[dict] | None = None,
 ) -> TrainResult:
     """Run optimization steps [start_step, end_step).
 
@@ -213,8 +212,7 @@ def train_loop(
         opt_state = init_opt_state(params)
     if monitor is None:
         monitor = DivergenceMonitor()
-    if rows is None:
-        rows = []
+    rows = []
     if end_step is None:
         end_step = opt_cfg.total_steps
 

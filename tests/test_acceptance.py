@@ -40,7 +40,7 @@ from chamtoy.model import (
     model_forward,
     preset,
 )
-from chamtoy.numerics import Tensor, attend, concat, embedding, gated_silu, lm_loss, rotate_pairs
+from chamtoy.numerics import Tensor, attend, embedding, gated_silu, lm_loss, rotate_pairs
 from chamtoy.objective import cross_entropy, total_loss, z_loss
 from chamtoy.tokenizer import (
     MixedVocab,
@@ -102,7 +102,6 @@ def _op_roster():
             [r(rng, 1, 4, 5, 2), r(rng, 1, 2, 5, 2), r(rng, 1, 2, 5, 2)],
         ),
         lambda rng: (lambda ts: rotate_pairs(ts[0], c, s), [r(rng, 2, 3, 4)]),
-        lambda rng: (lambda ts: concat([ts[0], ts[1]], axis=1), [r(rng, 2, 3), r(rng, 2, 2)]),
         lambda rng: (
             lambda ts: attend(ts[0], ts[1], ts[2], causal[3:]),
             [r(rng, 1, 2, 2, 2), r(rng, 1, 1, 5, 2), r(rng, 1, 1, 5, 2)],

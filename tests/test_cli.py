@@ -224,6 +224,45 @@ def test_train_ablation_pair(corpus_dir, tokenizer_dir, tmp_path):
     assert any(a["ce"] != b["ce"] for a, b in zip(on, off))
     _, cfg, _, _ = load_checkpoint(out / "qknorm_off" / "checkpoint")
     assert cfg.qk_norm is False
+    assert "model.qk_norm false" in (out / "qknorm_off" / "effective_config.txt").read_text()
+
+
+def model_lines(path):
+    return {line for line in path.read_text().splitlines() if line.startswith("model.")}
+
+
+def assert_records_checkpoint_model(out):
+    """effective_config.txt's model.* lines are those of the saved model."""
+    recorded = model_lines(out / "effective_config.txt")
+    assert {l for l in recorded if not l.startswith("model.preset ")} <= model_lines(
+        out / "checkpoint" / "config.txt")
+    return recorded
+
+
+def test_effective_config_records_preset_model(corpus_dir, tokenizer_dir, tmp_path):
+    out = tmp_path / "llama"
+    sets = [s if s != "train.steps=6" else "train.steps=3" for s in TRAIN_SETS]
+    code = main([
+        "train", "--data-dir", str(corpus_dir), "--tokenizer-dir", str(tokenizer_dir),
+        "--out-dir", str(out), *sets, "--set", "model.preset=llama2-recipe",
+    ])
+    assert code == EXIT_OK
+    recorded = assert_records_checkpoint_model(out)
+    assert {"model.preset llama2-recipe", "model.norm_strategy pre_norm",
+            "model.qk_norm false", "model.z_coeff 0.0"} <= recorded
+
+
+def test_effective_config_records_resumed_model(corpus_dir, tokenizer_dir, tmp_path):
+    small = ["--set", "model.d_model=32", "--set", "model.n_layers=1"]
+    sets = [s if s != "train.steps=6" else "train.steps=3" for s in TRAIN_SETS]
+    args = ["train", "--data-dir", str(corpus_dir), "--tokenizer-dir", str(tokenizer_dir)]
+    assert main([*args, "--out-dir", str(tmp_path / "a"), *sets, *small]) == EXIT_OK
+    sets = [s if s != "train.steps=6" else "train.steps=5" for s in TRAIN_SETS]
+    code = main([*args, "--out-dir", str(tmp_path / "b"), *sets,
+                 "--resume", str(tmp_path / "a" / "checkpoint")])
+    assert code == EXIT_OK
+    recorded = assert_records_checkpoint_model(tmp_path / "b")
+    assert {"model.d_model 32", "model.n_layers 1"} <= recorded
 
 
 def test_divergence_exits_3_with_note_on_every_training_command(
@@ -382,6 +421,7 @@ FAILURE_PATHS = {
     "patch-5": (["tokenizer-train", "--set", "tokenizer.patch=5"], EXIT_USAGE),
     "max-new-tokens-0": (["generate", "--set", "generate.max_new_tokens=0"], EXIT_USAGE),
     "max-new-tokens-neg": (["generate", "--set", "generate.max_new_tokens=-3"], EXIT_USAGE),
+    "prompt-over-max-seq": (["generate", "--prompt", "0123456789" * 60], EXIT_USAGE),
     "seq-len-over-max-seq": (
         ["train", *TRAIN_SETS, "--set", "train.seq_len=300", "--set", "model.max_seq=256"],
         EXIT_USAGE,

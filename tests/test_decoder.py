@@ -287,6 +287,22 @@ def test_decode_builds_no_autograd_graph(monkeypatch):
         assert not any(t.requires_grad or t._parents for t in outputs)
 
 
+def test_prompt_with_no_room_rejected_before_any_forward(monkeypatch):
+    params, cfg = tiny_model(seed=7)
+    calls = []
+    patch_forward(monkeypatch, lambda logits, aux: calls.append(logits.shape))
+    for n in (cfg.max_seq, cfg.max_seq + 5):
+        prompt = [VOCAB.bos] + [5] * (n - 1)
+        for drive in both_drivers(params, cfg, prompt, policy(mode="text-only")):
+            with pytest.raises(ValueError, match="no room under max_seq"):
+                drive()
+    assert calls == []
+    # one position left: one token, then the context is full
+    prompt = [VOCAB.bos] + [5] * (cfg.max_seq - 2)
+    fin = generate_fused(params, cfg, prompt, policy(mode="text-only"), VOCAB)
+    assert len(fin.tokens) == cfg.max_seq
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         DecodePolicy(block_len=4, mode="images")

@@ -137,11 +137,27 @@ def test_kv_cache_matches_full_forward():
     assert np.max(np.abs(stacked - full.data)) <= 1e-8
 
 
+def test_kv_cache_carries_no_graph():
+    # trainable parameters, so any node built from them would record a graph
+    cfg = tiny_cfg(n_kv_heads=1)
+    params = init_params(cfg, seed=5)
+    ids = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(1, 5))
+    _, prefill = model_forward(params, cfg, ids[:, :4])
+    _, step = model_forward(params, cfg, ids[:, 4:], past_kv=prefill["kv"])
+    for aux in (prefill, step):
+        for t in (t for pair in aux["kv"] for t in pair):
+            assert t.requires_grad is False
+            assert t._parents == ()
+    assert step["kv"][0][0].shape[2] == 5
+
+
 def test_sequence_length_guard():
     cfg = tiny_cfg(max_seq=8)
     params = init_params(cfg, seed=6)
     with pytest.raises(ValueError):
         model_forward(params, cfg, np.zeros((1, 9), dtype=int))
+    with pytest.raises(ValueError):
+        model_forward(params, cfg, np.zeros(4, dtype=int))
 
 
 def test_dropout_only_active_in_training():

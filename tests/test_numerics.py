@@ -5,7 +5,6 @@ from chamtoy.numerics import (
     ShapeMismatchError,
     Tensor,
     attend,
-    concat,
     embedding,
     gated_silu,
     lm_loss,
@@ -146,6 +145,12 @@ def test_matmul_inner_mismatch_raises():
         Tensor(np.ones((2, 3))) @ Tensor(np.ones((4, 2)))
 
 
+def test_backward_requires_scalar_output():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with pytest.raises(ValueError):
+        (x * 2.0).backward()
+
+
 def test_empty_axis_reduction_rejected():
     with pytest.raises(ShapeMismatchError):
         Tensor(np.ones((0, 3))).sum(axis=0)
@@ -240,13 +245,6 @@ def test_embedding_rejects_out_of_range():
     table = Tensor(np.zeros((4, 3)))
     with pytest.raises(IndexError):
         embedding(table, [4])
-
-
-def test_concat_gradient():
-    rng = np.random.default_rng(23)
-    a = rng.normal(size=(2, 3))
-    b = rng.normal(size=(4, 3))
-    check_op_gradient(lambda ts: concat(ts, axis=0), [a, b])
 
 
 def test_grad_shape_matches_data():
