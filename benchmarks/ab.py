@@ -20,7 +20,9 @@ arguments (Mytkowicz et al., ASPLOS 2009), and one layout can run the
 same code several percent faster than another.  So both workers are
 restarted every ``GENERATION`` pairs, each generation with an
 environment padded by a length drawn from a seeded generator, and the
-two workers of a generation get equal environments.  Each workload
+two workers of a generation get equal environments.  Both workers of a
+generation are also pinned to one CPU, drawn from the same generator,
+so that neither side keeps a faster or quieter CPU to itself.  Each workload
 reports the median over generations of the per-generation median ratio
 change / base (below 1 means the working tree is faster), with a
 bootstrap interval over those generation ratios from
@@ -34,7 +36,9 @@ both intervals should cover 1.00.  Run it from two checkouts whose
 paths differ in length; before the equal-length copies and the
 generations, the train ratio of such a run followed the checkout's path
 length (0.89-0.95 from one path, 1.08-1.10 from a path one character
-longer).
+longer).  Swapping the sides of an A/B run (``--base`` the change, the
+working tree the base) should invert its ratios; without the shared CPU
+the working-tree side read 3-6% slower on train in both directions.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 GENERATION = 6  # pairs between worker restarts
-PAD_SEED = 0
+LAYOUT_SEED = 0
 PAD_MAX = 4096  # bytes of environment padding, one page of layout offsets
 TRAIN_STEPS = 5
 DECODE_SEEDS = (1, 2, 3)
@@ -110,7 +114,7 @@ def worker(tree: Path) -> None:
 
 
 class Worker:
-    def __init__(self, tree: Path, pad: int):
+    def __init__(self, tree: Path, pad: int, cpu: int):
         env = dict(os.environ)
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = "1"
@@ -119,6 +123,7 @@ class Worker:
             [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
         )
+        os.sched_setaffinity(self.proc.pid, {cpu})
         self.info = self._read()
 
     def _read(self) -> dict:
@@ -158,13 +163,14 @@ def compare(trees: dict, pairs: int) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     from chamtoy.evalkit import bootstrap_ci
 
-    pads = random.Random(PAD_SEED)
+    layout = random.Random(LAYOUT_SEED)
+    cpus = sorted(os.sched_getaffinity(0))
     times = {w: {"base": [], "change": []} for w in WORKLOADS}
     generations = {w: [] for w in WORKLOADS}  # per-generation median ratios
     checks = {w: {} for w in WORKLOADS}
     for first in range(0, pairs, GENERATION):
-        pad = pads.randrange(PAD_MAX)
-        workers = {side: Worker(tree, pad) for side, tree in trees.items()}
+        pad, cpu = layout.randrange(PAD_MAX), layout.choice(cpus)
+        workers = {side: Worker(tree, pad, cpu) for side, tree in trees.items()}
         try:
             for w in WORKLOADS:  # one unpaired warm-up batch each
                 for side in workers:
@@ -173,13 +179,11 @@ def compare(trees: dict, pairs: int) -> dict:
             for i in range(first, min(first + GENERATION, pairs)):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for w in WORKLOADS:
-                    pair = {}
                     for side in order:
                         reply = workers[side].run(w)
-                        pair[side] = reply["seconds"]
                         times[w][side].append(reply["seconds"])
                         checks[w][side] = reply["check"]
-                    ratios[w].append(pair["change"] / pair["base"])
+                    ratios[w].append(times[w]["change"][-1] / times[w]["base"][-1])
             numpy_version = workers["change"].info["numpy"]
         finally:
             for proc in workers.values():
