@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,10 @@ from .data import (
     load_sft_corpus,
     load_text_corpus,
     pack_sft,
+    parse_image_fit,
     prepare_image,
 )
-from .decoder import DecodePolicy, detokenize_mixed, generate_stream, Finished
+from .decoder import DecodePolicy, check_prompt, detokenize_mixed, generate_stream, Finished
 from .evalkit import (
     bootstrap_ci,
     format_summary_table,
@@ -43,9 +44,12 @@ from .evalkit import (
     summarize_judgments,
 )
 from .model import (
-    NormStrategy,
+    FIELD_PARSERS,
+    ModelConfig,
+    config_text,
     init_params,
     load_checkpoint,
+    parse_bool,
     preset,
     save_checkpoint,
 )
@@ -80,28 +84,13 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw in ("true", "1", "yes"):
-        return True
-    if raw in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 # key -> (type converter, default)
 SCHEMA: dict[str, tuple] = {
     "model.preset": (str, "toy"),
-    "model.d_model": (int, 64),
-    "model.n_layers": (int, 2),
-    "model.n_heads": (int, 4),
-    "model.n_kv_heads": (int, 4),
-    "model.ffn_hidden": (int, 128),
-    "model.max_seq": (int, 256),
-    "model.dropout": (float, 0.0),
-    "model.qk_norm": (_parse_bool, True),
-    "model.z_coeff": (float, 1e-5),
-    "model.norm_strategy": (str, "post_norm_reorder"),
-    "model.norm_eps": (float, 1e-5),
+    # one key per ModelConfig field but vocab_size, which the tokenizer sets,
+    # parsed and defaulted as the field declares
+    **{f"model.{f.name}": (FIELD_PARSERS[f.type], f.default)
+       for f in fields(ModelConfig) if f.name != "vocab_size"},
     "optim.lr": (float, 1e-4),
     "optim.beta1": (float, 0.9),
     "optim.beta2": (float, 0.95),
@@ -115,10 +104,10 @@ SCHEMA: dict[str, tuple] = {
     "train.batch_size": (int, 8),
     "train.seq_len": (int, 64),
     "train.seed": (int, -1),
-    "train.halt_on_divergence": (_parse_bool, False),
+    "train.halt_on_divergence": (parse_bool, False),
     "data.stage1": (str, "text:0.75,captions:0.25"),
     "data.stage2_extra": (str, "captions:0.25"),
-    "data.image_fit": (str, "crop"),
+    "data.image_fit": (parse_image_fit, "crop"),
     "tokenizer.vocab_size": (int, 320),
     "tokenizer.image_codes": (int, 256),
     "tokenizer.patch": (int, 4),
@@ -127,7 +116,7 @@ SCHEMA: dict[str, tuple] = {
     "generate.mode": (str, "unconstrained"),
     "generate.max_new_tokens": (int, 96),
     "generate.temperature": (float, 1.0),
-    "generate.append_sep": (_parse_bool, False),
+    "generate.append_sep": (parse_bool, False),
 }
 
 
@@ -161,11 +150,7 @@ class RunConfig:
             v = self.values[key]
             if cfg is not None and key.startswith("model."):
                 v = getattr(cfg, key[len("model."):], v)  # model.preset is no field
-            if isinstance(v, NormStrategy):
-                v = v.value
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            lines.append(f"{key} {v}")
+            lines.append(f"{key} {config_text(v)}")
         return "\n".join(lines)
 
 
@@ -212,44 +197,20 @@ def parse_mixture(raw: str) -> dict[str, float]:
 
 
 def build_model_config(run: RunConfig, vocab_size: int):
-    kw = dict(
-        d_model=run["model.d_model"],
-        n_layers=run["model.n_layers"],
-        n_heads=run["model.n_heads"],
-        ffn_hidden=run["model.ffn_hidden"],
-        max_seq=run["model.max_seq"],
-        norm_eps=run["model.norm_eps"],
-    )
-    # recipe knobs follow the preset unless the user pinned them
-    for name in ("dropout", "qk_norm", "z_coeff", "n_kv_heads"):
-        key = f"model.{name}"
-        if key in run.explicit:
-            kw[name] = run[key]
-    if "model.norm_strategy" in run.explicit:
-        try:
-            kw["norm_strategy"] = NormStrategy(run["model.norm_strategy"])
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+    # only the model.* keys the user pinned; preset() lets them beat the recipe
+    pinned = {key[len("model."):]: run[key] for key in run.explicit
+              if key.startswith("model.") and key != "model.preset"}
     try:
-        return preset(run["model.preset"], vocab_size=vocab_size, **kw)
+        return preset(run["model.preset"], vocab_size=vocab_size, **pinned)
     except (KeyError, ValueError) as e:
         raise ConfigError(str(e)) from e
 
 
 def build_optim_config(run: RunConfig) -> OptimConfig:
+    # the optim.* keys are OptimConfig's fields but total_steps, which is train.steps
+    knobs = {f.name: run[f"optim.{f.name}"] for f in fields(OptimConfig) if f.name != "total_steps"}
     try:
-        return OptimConfig(
-            lr=run["optim.lr"],
-            beta1=run["optim.beta1"],
-            beta2=run["optim.beta2"],
-            eps=run["optim.eps"],
-            weight_decay=run["optim.weight_decay"],
-            clip_norm=run["optim.clip_norm"],
-            warmup_steps=run["optim.warmup_steps"],
-            total_steps=run["train.steps"],
-            schedule=run["optim.schedule"],
-            final_lr_fraction=run["optim.final_lr_fraction"],
-        )
+        return OptimConfig(total_steps=run["train.steps"], **knobs)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -434,6 +395,10 @@ def cmd_generate(run: RunConfig, args) -> int:
     params, cfg, _, _ = load_checkpoint(args.checkpoint)
     size = run["tokenizer.image_size"]
 
+    prompt = [vocab.bos] + tok.encode(args.prompt)
+    if run["generate.append_sep"]:
+        # instruction-tuned checkpoints saw prompt SEP answer during training
+        prompt.append(vocab.sep)
     try:
         policy = DecodePolicy(
             block_len=book.tokens_per_image(size, size),
@@ -442,16 +407,9 @@ def cmd_generate(run: RunConfig, args) -> int:
             temperature=run["generate.temperature"],
             seed=run["train.seed"],
         )
+        check_prompt(cfg, prompt, policy, vocab)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-
-    prompt = [vocab.bos] + tok.encode(args.prompt)
-    if run["generate.append_sep"]:
-        # instruction-tuned checkpoints saw prompt SEP answer during training
-        prompt.append(vocab.sep)
-    if len(prompt) >= cfg.max_seq:
-        raise ConfigError(f"prompt of {len(prompt)} tokens leaves no room under "
-                          f"model.max_seq {cfg.max_seq}")
     fin = None
     for event in generate_stream(params, cfg, prompt, policy, vocab):
         if isinstance(event, Finished):

@@ -228,6 +228,13 @@ def load_sft_corpus(path) -> list[tuple[str, str]]:
 # ----------------------------------------------------------------------
 
 
+def parse_image_fit(mode: str) -> str:
+    """mode, if it names one of prepare_image's resize modes."""
+    if mode not in ("crop", "pad"):
+        raise ValueError(f"unknown resize mode {mode!r}")
+    return mode
+
+
 def prepare_image(img: np.ndarray, size: int, mode: str = "crop") -> np.ndarray:
     """Force an image to size x size by center-cropping or zero-padding.
 
@@ -236,8 +243,7 @@ def prepare_image(img: np.ndarray, size: int, mode: str = "crop") -> np.ndarray:
     """
     img = np.asarray(img)
     h, w = img.shape[:2]
-    if mode not in ("crop", "pad"):
-        raise ValueError(f"unknown resize mode {mode!r}")
+    parse_image_fit(mode)
     if mode == "pad" and (h > size or w > size):
         raise ValueError(f"image {h}x{w} larger than target {size} in pad mode")
 

@@ -165,12 +165,26 @@ class Finished:
     tokens: tuple[int, ...]
 
 
-def _prompt_state(prompt, policy, vocab) -> DecodeState:
+def _block_fits(n_tokens: int, policy: DecodePolicy, cfg: ModelConfig) -> bool:
+    """Whether BOI, block_len codes and EOI fit after n_tokens under max_seq."""
+    return n_tokens + policy.block_len + 2 <= cfg.max_seq
+
+
+def check_prompt(cfg: ModelConfig, prompt, policy: DecodePolicy, vocab: MixedVocab) -> DecodeState:
+    """The machine state after prompt; ValueError if it is empty, ill-formed, or leaves
+    no room under max_seq: no position at all, or, image-only, none for its block."""
+    if not prompt:
+        raise ValueError("prompt must contain at least one token (BOS works)")
+    if len(prompt) >= cfg.max_seq:
+        raise ValueError(f"prompt of {len(prompt)} tokens leaves no room under max_seq {cfg.max_seq}")
     state = DecodeState()
     for i, tok in enumerate(prompt):
         state = advance_state(state, int(tok), policy, vocab, i)
     if state.in_image:
         raise DecodeError(len(prompt) - 1, "prompt ends inside an image block")
+    if policy.mode == "image-only" and state.blocks_done == 0 and not _block_fits(len(prompt), policy, cfg):
+        raise ValueError(f"prompt of {len(prompt)} tokens leaves no room for a "
+                         f"{policy.block_len}-code image block under max_seq {cfg.max_seq}")
     return state
 
 
@@ -184,16 +198,12 @@ def _decode(cfg: ModelConfig, prompt, policy: DecodePolicy, vocab: MixedVocab, n
 
     next_logits(tokens) returns the logits for the position after
     tokens[-1]; it is called only when a token is sampled, never for a
-    forced EOI.  The prompt is validated through the machine first, so an
+    forced EOI.  The prompt is validated by check_prompt first, so an
     ill-formed prompt, or one that leaves no room under cfg.max_seq, fails
-    before any model work.
+    before any model work.  BOI is sampled only while its whole block fits.
     """
     prompt = [int(t) for t in prompt]
-    if not prompt:
-        raise ValueError("prompt must contain at least one token (BOS works)")
-    if len(prompt) >= cfg.max_seq:
-        raise ValueError(f"prompt of {len(prompt)} tokens leaves no room under max_seq {cfg.max_seq}")
-    state = _prompt_state(prompt, policy, vocab)
+    state = check_prompt(cfg, prompt, policy, vocab)
     rng = np.random.default_rng(policy.seed)
 
     tokens = list(prompt)
@@ -206,6 +216,8 @@ def _decode(cfg: ModelConfig, prompt, policy: DecodePolicy, vocab: MixedVocab, n
             tok = vocab.eoi  # forced: no sampling, no rng draw
         else:
             legal = legal_mask(state, policy, vocab)
+            if not _block_fits(len(tokens), policy, cfg):
+                legal[vocab.boi] = False
             if not legal.any():  # image-only, its block already in the prompt
                 reason = "image_complete"
                 break

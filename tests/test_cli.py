@@ -14,6 +14,7 @@ from chamtoy.cli import (
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
+    SCHEMA,
     build_model_config,
     main,
     make_run_config,
@@ -56,6 +57,24 @@ def test_bad_value_rejected():
         run_args("train.steps=abc")
     with pytest.raises(ConfigError):
         run_args("model.qk_norm=maybe")
+
+
+def test_schema_keys_are_fixed():
+    # model.* and optim.* keys derive from the config dataclasses; a new
+    # field must not become a CLI knob unnoticed
+    assert sorted(SCHEMA) == [
+        "data.image_fit", "data.stage1", "data.stage2_extra",
+        "generate.append_sep", "generate.max_new_tokens", "generate.mode", "generate.temperature",
+        "model.d_model", "model.dropout", "model.ffn_hidden", "model.max_seq", "model.n_heads",
+        "model.n_kv_heads", "model.n_layers", "model.norm_eps", "model.norm_strategy",
+        "model.preset", "model.qk_norm", "model.z_coeff",
+        "optim.beta1", "optim.beta2", "optim.clip_norm", "optim.eps", "optim.final_lr_fraction",
+        "optim.lr", "optim.schedule", "optim.warmup_steps", "optim.weight_decay",
+        "tokenizer.image_codes", "tokenizer.image_size", "tokenizer.kmeans_iters",
+        "tokenizer.patch", "tokenizer.vocab_size",
+        "train.batch_size", "train.halt_on_divergence", "train.seed", "train.seq_len",
+        "train.steps",
+    ]
 
 
 def test_set_overrides_config_file(tmp_path):
@@ -422,6 +441,13 @@ FAILURE_PATHS = {
     "max-new-tokens-0": (["generate", "--set", "generate.max_new_tokens=0"], EXIT_USAGE),
     "max-new-tokens-neg": (["generate", "--set", "generate.max_new_tokens=-3"], EXIT_USAGE),
     "prompt-over-max-seq": (["generate", "--prompt", "0123456789" * 60], EXIT_USAGE),
+    # 221 prompt tokens leave 35 of 256 positions, short of a 66-token image block
+    "image-only-prompt-without-room-for-block": (
+        ["generate", "--set", "generate.mode=image-only", "--prompt", "0123456789" * 22],
+        EXIT_USAGE,
+    ),
+    "generate-bad-norm-strategy": (["generate", "--set", "model.norm_strategy=bogus"], EXIT_USAGE),
+    "bad-image-fit": (["tokenizer-train", "--set", "data.image_fit=bogus"], EXIT_USAGE),
     "seq-len-over-max-seq": (
         ["train", *TRAIN_SETS, "--set", "train.seq_len=300", "--set", "model.max_seq=256"],
         EXIT_USAGE,

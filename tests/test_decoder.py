@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -392,3 +394,33 @@ def test_detokenize_stops_at_eos(round_trip_kit):
     stream = [VOCAB.bos] + ids + [VOCAB.eos, VOCAB.pad, VOCAB.pad]
     parts = detokenize_mixed(stream, tok, book, VOCAB, image_size=8)
     assert parts == [("text", "the")]
+
+
+def test_boi_is_legal_only_while_its_block_fits():
+    # 31 prompt tokens under max_seq 40 leave 9 positions: one short of
+    # BOI, 8 codes and EOI, so no block may open; BOI is made likely
+    params, cfg = tiny_model(seed=1)
+    cfg = replace(cfg, max_seq=40)
+    params["lm_head"].data[:, VOCAB.boi] += 0.5
+    prompt = [VOCAB.bos] + [5] * 30
+    for seed in range(30):
+        pol = policy(block_len=8, seed=seed)
+        _, fin = collect(params, cfg, prompt, pol)
+        assert fin.tokens == generate_fused(params, cfg, prompt, pol, VOCAB).tokens, f"seed {seed}"
+        assert fin.reason == "max_tokens" and len(fin.tokens) == cfg.max_seq
+        assert VOCAB.boi not in fin.tokens[len(prompt):]
+
+
+def test_image_only_prompt_without_room_for_its_block_rejected(monkeypatch):
+    params, cfg = tiny_model(seed=7)
+    calls = []
+    patch_forward(monkeypatch, lambda logits, aux: calls.append(logits.shape))
+    pol = policy(mode="image-only")
+    # BOI, BLOCK codes and EOI need BLOCK + 2 positions after the prompt
+    prompt = [VOCAB.bos] + [5] * (cfg.max_seq - BLOCK - 2)
+    for drive in both_drivers(params, cfg, prompt, pol):
+        with pytest.raises(ValueError, match="no room for a 4-code image block"):
+            drive()
+    assert calls == []
+    fin = generate_fused(params, cfg, prompt[:-1], pol, VOCAB)
+    assert fin.reason == "image_complete" and len(fin.tokens) == cfg.max_seq

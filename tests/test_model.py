@@ -188,6 +188,17 @@ def test_presets_encode_the_recipe_table():
     with pytest.raises(KeyError):
         preset("8b-recipe", vocab_size=64)
 
+    post, pre = NormStrategy.POST_NORM_REORDER, NormStrategy.PRE_NORM
+    table = {  # name: (dropout, z_coeff, qk_norm, norm_strategy, n_kv_heads)
+        "toy": (0.0, 1e-5, True, post, 4),
+        "7b-recipe": (0.1, 1e-5, True, post, 4),
+        "34b-recipe": (0.0, 1e-5, True, post, 2),
+        "llama2-recipe": (0.0, 0.0, False, pre, 4),
+    }
+    for name, knobs in table.items():
+        cfg = preset(name, vocab_size=64)
+        assert (cfg.dropout, cfg.z_coeff, cfg.qk_norm, cfg.norm_strategy, cfg.n_kv_heads) == knobs, name
+
 
 def test_qk_norm_flag_controls_gain_params():
     with_norm = init_params(tiny_cfg(qk_norm=True), seed=8)
@@ -234,6 +245,32 @@ def test_checkpoint_version_guard(tmp_path):
     cfgfile.write_text(cfgfile.read_text().replace("format_version 1", "format_version 99"))
     with pytest.raises(ValueError):
         load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_config_values_parse_strictly(tmp_path):
+    cfg = tiny_cfg()
+    save_checkpoint(tmp_path / "ck", init_params(cfg, seed=11), cfg)
+    cfgfile = tmp_path / "ck" / "config.txt"
+    text = cfgfile.read_text()
+    assert "model.qk_norm true\n" in text
+    cfgfile.write_text(text.replace("model.qk_norm true", "model.qk_norm maybe"))
+    with pytest.raises(ValueError, match="expected a boolean, got 'maybe'"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_with_legacy_rope_base_line_loads(tmp_path):
+    # checkpoints written while ModelConfig had a rope_base field carry its line
+    cfg = tiny_cfg()
+    params = init_params(cfg, seed=11)
+    save_checkpoint(tmp_path / "ck", params, cfg, step=3)
+    cfgfile = tmp_path / "ck" / "config.txt"
+    cfgfile.write_text(cfgfile.read_text().replace(
+        "model.norm_eps 1e-05\n", "model.norm_eps 1e-05\nmodel.rope_base 10000.0\n"))
+    assert "model.rope_base 10000.0" in cfgfile.read_text()
+    loaded, cfg2, _, step = load_checkpoint(tmp_path / "ck")
+    assert cfg2 == cfg and step == 3
+    for k in params:
+        assert np.array_equal(loaded[k].data, params[k].data), k
 
 
 def test_checkpoint_params_must_match_config(tmp_path):
