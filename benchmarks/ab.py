@@ -4,23 +4,38 @@
 
 The base revision's ``src/`` is exported with ``git archive`` and the
 working tree's ``src/`` is copied, into two sibling temporary
-directories whose paths have equal length.  One worker process per tree
-imports that tree's ``chamtoy`` and builds the same toy model once.  The
-controller then alternates short batches between the two workers,
-swapping which goes first on every pair, so that a slow stretch of a
-shared host falls on both sides of a pair alike:
+directories whose paths have equal length.  Each workload gets one
+worker process per tree, which imports that tree's ``chamtoy`` and
+builds the same inputs once.  The controller then alternates short
+batches between the two workers of a workload, swapping which goes
+first on every pair, so that a slow stretch of a shared host falls on
+both sides of a pair alike:
 
 * ``train``: 5 toy-preset steps (batch 8 x 64) through ``train_loop``,
   from the same initial parameters every time;
 * ``decode``: 3 image-only ``generate_stream`` requests of one fixed
-  64-code block each, on the untrained toy model.
+  64-code block each, on the untrained toy model;
+* ``fit``: the tokenizer and evaluation arithmetic of one perfbench
+  ``train`` unit, on ``build_synthetic_corpus(seed=0)`` at its sizes
+  (600 text lines, 120 captions, 120 instruction pairs): ``train_bpe``
+  and ``train_codebook`` at the CLI defaults, ``encode`` of every
+  document and ``encode_image`` of every caption image, and one
+  1000-resample bootstrap of Krippendorff's alpha over 80 items with 3
+  annotators each.  Its check, a digest of the merges, the codebook and
+  every id plus the alpha interval, must match on both sides.
+
+Workloads do not share a worker, so that one workload's heap does not
+carry into another's timings: while ``fit`` ran in the train workers,
+two runs on a change that leaves the train step alone read train 0.985
+[0.970, 0.997] and 0.976 [0.955, 0.992], and without ``fit`` 1.012
+[0.970, 1.034].
 
 A process's memory layout depends on the size of its environment and
 arguments (Mytkowicz et al., ASPLOS 2009), and one layout can run the
-same code several percent faster than another.  So both workers are
+same code several percent faster than another.  So all workers are
 restarted every ``GENERATION`` pairs, each generation with an
 environment padded by a length drawn from a seeded generator, and the
-two workers of a generation get equal environments.  Both workers of a
+workers of a generation get equal environments.  The workers of a
 generation are also pinned to one CPU, drawn from the same generator,
 so that neither side keeps a faster or quieter CPU to itself.  Each workload
 reports the median over generations of the per-generation median ratio
@@ -32,7 +47,7 @@ worker.  The script writes nothing inside the repository except ``--out``.
 
 A/A check: in a clean checkout the working tree equals ``HEAD``, so
 ``python3 benchmarks/ab.py --base HEAD`` compares a tree with itself, and
-both intervals should cover 1.00.  Run it from two checkouts whose
+every interval should cover 1.00.  Run it from two checkouts whose
 paths differ in length; before the equal-length copies and the
 generations, the train ratio of such a run followed the checkout's path
 length (0.89-0.95 from one path, 1.08-1.10 from a path one character
@@ -44,6 +59,7 @@ the working-tree side read 3-6% slower on train in both directions.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -62,9 +78,13 @@ LAYOUT_SEED = 0
 PAD_MAX = 4096  # bytes of environment padding, one page of layout offsets
 TRAIN_STEPS = 5
 DECODE_SEEDS = (1, 2, 3)
+FIT_CORPUS = {"n_text": 600, "n_captions": 120, "n_sft": 120, "seed": 0}
+ALPHA_ITEMS, ALPHA_ANNOTATORS, ALPHA_BOOT = 80, 3, 1000
 WORKLOADS = {
     "train": f"{TRAIN_STEPS} toy-preset train steps (batch 8 x 64) through train_loop",
     "decode": f"{len(DECODE_SEEDS)} image-only generate_stream requests, one 64-code block each",
+    "fit": "train_bpe, train_codebook and encode of every document of a 600-line, "
+           f"120-caption corpus, and a {ALPHA_BOOT}-resample alpha bootstrap",
 }
 
 
@@ -78,7 +98,9 @@ def worker(tree: Path) -> None:
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
 
+    from chamtoy import data, tokenizer
     from chamtoy.decoder import DecodePolicy, generate_stream
+    from chamtoy.evalkit import bootstrap_ci, krippendorff_alpha
     from chamtoy.model import clone_params, init_params, preset
     from chamtoy.tokenizer import MixedVocab
     from chamtoy.trainer import OptimConfig, train_loop
@@ -106,7 +128,37 @@ def worker(tree: Path) -> None:
                   for p in policies]
         return perf_counter() - start, tokens
 
-    jobs = {"train": train, "decode": decode}
+    corpus = tree / "corpus"
+    data.build_synthetic_corpus(corpus, **FIT_CORPUS)
+    texts = data.load_text_corpus(corpus / "text.jsonl")
+    captions = data.load_caption_corpus(corpus / "captions.jsonl")
+    images = [data.prepare_image(tokenizer.read_pixmap(corpus / rel), 32, mode="crop")
+              for _, rel in captions]
+    documents = texts + [c for c, _ in captions] + [
+        part for pair in data.load_sft_corpus(corpus / "sft.jsonl") for part in pair]
+    rng = np.random.default_rng(0)
+    by_item = []
+    for _ in range(ALPHA_ITEMS):
+        truth = int(rng.integers(3))
+        by_item.append([(a, truth if rng.random() < 0.7 else int(rng.integers(3)))
+                        for a in range(ALPHA_ANNOTATORS)])
+
+    def alpha_stat(sample):
+        return krippendorff_alpha([(i, a, label) for i, item in enumerate(sample)
+                                   for a, label in item])
+
+    def fit():
+        start = perf_counter()
+        tok = tokenizer.train_bpe(texts + [c for c, _ in captions], 320)
+        book, _ = tokenizer.train_codebook(images, n_codes=256, patch=4, iters=10, seed=0)
+        ids = [tok.encode(d) for d in documents] + [
+            tokenizer.encode_image(img, book).tolist() for img in images]
+        ci = bootstrap_ci(by_item, alpha_stat, n_boot=ALPHA_BOOT, seed=0)
+        seconds = perf_counter() - start
+        digest = hashlib.sha256(repr((tok.merges, ids)).encode() + book.codes.tobytes())
+        return seconds, [digest.hexdigest(), round(ci.low, 9), round(ci.high, 9)]
+
+    jobs = {"train": train, "decode": decode, "fit": fit}
     print(json.dumps({"numpy": np.__version__}), flush=True)
     for line in sys.stdin:
         seconds, check = jobs[line.strip()]()
@@ -170,21 +222,21 @@ def compare(trees: dict, pairs: int) -> dict:
     checks = {w: {} for w in WORKLOADS}
     for first in range(0, pairs, GENERATION):
         pad, cpu = layout.randrange(PAD_MAX), layout.choice(cpus)
-        workers = {side: Worker(tree, pad, cpu) for side, tree in trees.items()}
+        workers = {(w, side): Worker(tree, pad, cpu)
+                   for w in WORKLOADS for side, tree in trees.items()}
         try:
-            for w in WORKLOADS:  # one unpaired warm-up batch each
-                for side in workers:
-                    workers[side].run(w)
+            for (w, _), proc in workers.items():  # one unpaired warm-up batch each
+                proc.run(w)
             ratios = {w: [] for w in WORKLOADS}
             for i in range(first, min(first + GENERATION, pairs)):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for w in WORKLOADS:
                     for side in order:
-                        reply = workers[side].run(w)
+                        reply = workers[w, side].run(w)
                         times[w][side].append(reply["seconds"])
                         checks[w][side] = reply["check"]
                     ratios[w].append(times[w]["change"][-1] / times[w]["base"][-1])
-            numpy_version = workers["change"].info["numpy"]
+            numpy_version = workers["train", "change"].info["numpy"]
         finally:
             for proc in workers.values():
                 proc.close()
@@ -204,6 +256,8 @@ def compare(trees: dict, pairs: int) -> dict:
         }
     out["train"]["final_ce"] = checks["train"]
     out["decode"]["same_tokens"] = checks["decode"]["base"] == checks["decode"]["change"]
+    out["fit"]["check"] = checks["fit"]["change"]
+    out["fit"]["same_check"] = checks["fit"]["base"] == checks["fit"]["change"]
     return {"numpy": numpy_version, "workloads": out}
 
 

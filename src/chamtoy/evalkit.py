@@ -2,8 +2,8 @@
 inter-annotator agreement, and bootstrap confidence intervals.
 
 Win rate counts a tie as half a win: (wins + 0.5 * ties) / total.
-Agreement is Krippendorff's alpha for nominal labels, computed from the
-coincidence matrix over pairable items only.
+Agreement is Krippendorff's alpha for nominal labels over pairable items
+only, computed in closed form from per-item label counts.
 """
 
 from __future__ import annotations
@@ -63,33 +63,31 @@ def krippendorff_alpha(ratings) -> float:
     Items with fewer than two labels cannot be paired and are dropped.
     If every pairable label is identical the expected disagreement is
     zero; that is perfect agreement, alpha = 1.
+
+    Closed form over the label counts n_uc of each pairable item u (m_u
+    labels): summing the coincidence matrix gives n_c = sum_u n_uc and the
+    observed disagreement D_o * n = sum_u (m_u^2 - sum_c n_uc^2) / (m_u - 1).
     """
-    by_item: dict[object, list[object]] = defaultdict(list)
-    seen_pairs = set()
-    for item, annotator, label in ratings:
-        if (item, annotator) in seen_pairs:
-            raise ValueError(f"duplicate rating by {annotator!r} on {item!r}")
-        seen_pairs.add((item, annotator))
-        by_item[item].append(label)
+    ratings = list(ratings)
+    if len({(item, annotator) for item, annotator, _ in ratings}) != len(ratings):
+        seen = set()
+        for item, annotator, _ in ratings:
+            if (item, annotator) in seen:
+                raise ValueError(f"duplicate rating by {annotator!r} on {item!r}")
+            seen.add((item, annotator))
 
-    coincidence: Counter = Counter()
-    for labels in by_item.values():
-        m = len(labels)
-        if m < 2:
-            continue
-        for i, a in enumerate(labels):
-            for j, b in enumerate(labels):
-                if i != j:
-                    coincidence[(a, b)] += 1.0 / (m - 1)
-
+    m = Counter(item for item, _, _ in ratings)
+    cells = Counter((item, label) for item, _, label in ratings if m[item] > 1)
     n_by_label: Counter = Counter()
-    for (a, _), w in coincidence.items():
-        n_by_label[a] += w
+    same = defaultdict(int)  # sum_c n_uc^2 per item
+    for (item, label), count in cells.items():
+        n_by_label[label] += count
+        same[item] += count * count
     n = sum(n_by_label.values())
     if n == 0:
         raise ValueError("no pairable items: every item has fewer than two labels")
 
-    observed = sum(w for (a, b), w in coincidence.items() if a != b) / n
+    observed = sum((m[u] * m[u] - sq) / (m[u] - 1) for u, sq in same.items()) / n
     sq = sum(v * v for v in n_by_label.values())
     expected = (n * n - sq) / (n * (n - 1))
     if expected == 0.0:

@@ -102,15 +102,20 @@ def train_codebook(
     empty clusters keep their previous centroid instead of being reseeded.
     When fewer distinct patches exist than requested codes the spare rows
     are jittered duplicates, so the codebook always has full rank count.
+    Only the distinct patches are assigned.  A weighted bincount sums each
+    cluster in data order and divides by its count, as members.mean(axis=0)
+    does, so the codes equal per-cluster means bit for bit.
     """
     if n_codes < 1 or iters < 1:
         raise ValueError(f"need at least one code and one iteration, got {n_codes} and {iters}")
-    all_patches = [extract_patches(img, patch) for img in images]
+    if len(images) == 0:
+        raise ValueError("no images to fit")
     channels = 1 if np.asarray(images[0]).ndim == 2 else np.asarray(images[0]).shape[2]
-    data = np.concatenate(all_patches, axis=0)
+    data = np.concatenate([extract_patches(img, patch) for img in images], axis=0)
+    dim = data.shape[1]
     rng = np.random.default_rng(seed)
 
-    distinct = np.unique(data, axis=0)
+    distinct, inverse = np.unique(data, axis=0, return_inverse=True)
     if len(distinct) >= n_codes:
         centers = distinct[rng.choice(len(distinct), size=n_codes, replace=False)]
     else:
@@ -122,14 +127,16 @@ def train_codebook(
 
     history = []
     for _ in range(iters):
-        d2 = _sq_dists(data, centers)
-        assign = np.argmin(d2, axis=1)
-        for j in range(n_codes):
-            members = data[assign == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
-        mse = float(np.mean(np.sum((data - centers[assign]) ** 2, axis=1)))
-        history.append(mse)
+        assign = np.argmin(_sq_dists(distinct, centers), axis=1)[inverse.reshape(-1)]
+        counts = np.bincount(assign, minlength=n_codes)
+        filled = np.flatnonzero(counts)
+        if dim > 1:
+            cells = (assign[:, None] * dim + np.arange(dim)).ravel()
+            sums = np.bincount(cells, weights=data.ravel(), minlength=centers.size)
+            centers[filled] = sums.reshape(centers.shape)[filled] / counts[filled, None]
+        else:  # numpy means a single column by pairwise summation instead
+            centers[filled] = [data[assign == j].mean(axis=0) for j in filled]
+        history.append(float(np.mean(np.sum((data - centers[assign]) ** 2, axis=1))))
     return Codebook(codes=centers, patch=patch, channels=channels), history
 
 

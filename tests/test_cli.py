@@ -157,6 +157,15 @@ def corpus_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def no_captions_dir(corpus_dir, tmp_path_factory):
+    """The corpus's text lines with an empty captions.jsonl."""
+    d = tmp_path_factory.mktemp("no-captions")
+    (d / "text.jsonl").write_bytes((corpus_dir / "text.jsonl").read_bytes())
+    (d / "captions.jsonl").write_text("")
+    return d
+
+
+@pytest.fixture(scope="module")
 def tokenizer_dir(corpus_dir, tmp_path_factory):
     d = tmp_path_factory.mktemp("tok")
     code = main([
@@ -431,13 +440,18 @@ def test_generate_bad_mode_is_usage_error(pretrain_dir, tokenizer_dir):
     assert code == EXIT_USAGE
 
 
-# One row per documented failure path: argv (with {corpus}, {tok}, {ckpt}
-# and {tmp} filled in from the fixtures) and the exit code it must give.
+# One row per documented failure path: argv (with {corpus}, {no_captions}, {tok},
+# {ckpt} and {tmp} filled in from the fixtures) and the exit code it must give.
 FAILURE_PATHS = {
     "kmeans-iters-0": (["tokenizer-train", "--set", "tokenizer.kmeans_iters=0"], EXIT_USAGE),
     "image-codes-0": (["tokenizer-train", "--set", "tokenizer.image_codes=0"], EXIT_USAGE),
     "vocab-size-10": (["tokenizer-train", "--set", "tokenizer.vocab_size=10"], EXIT_USAGE),
     "patch-5": (["tokenizer-train", "--set", "tokenizer.patch=5"], EXIT_USAGE),
+    # token ids are code points, and training needs one more for a separator
+    "vocab-size-beyond-code-points": (
+        ["tokenizer-train", "--set", "tokenizer.vocab_size=2000000"], EXIT_USAGE,
+    ),
+    "no-captions": (["tokenizer-train", "--data-dir", "{no_captions}"], EXIT_USAGE),
     "max-new-tokens-0": (["generate", "--set", "generate.max_new_tokens=0"], EXIT_USAGE),
     "max-new-tokens-neg": (["generate", "--set", "generate.max_new_tokens=-3"], EXIT_USAGE),
     "prompt-over-max-seq": (["generate", "--prompt", "0123456789" * 60], EXIT_USAGE),
@@ -477,10 +491,12 @@ COMMAND_ARGS = {
 
 
 @pytest.mark.parametrize("case", FAILURE_PATHS)
-def test_failure_paths_exit_codes(case, corpus_dir, tokenizer_dir, pretrain_dir, tmp_path):
+def test_failure_paths_exit_codes(case, corpus_dir, no_captions_dir, tokenizer_dir, pretrain_dir,
+                                  tmp_path):
     argv, expected = FAILURE_PATHS[case]
-    dirs = dict(corpus=corpus_dir, tok=tokenizer_dir, ckpt=pretrain_dir / "checkpoint", tmp=tmp_path)
-    # the row's own --set comes last, so it overrides a shared default
+    dirs = dict(corpus=corpus_dir, no_captions=no_captions_dir, tok=tokenizer_dir,
+                ckpt=pretrain_dir / "checkpoint", tmp=tmp_path)
+    # the row's own options come last, so they override a shared default
     argv = [argv[0], *COMMAND_ARGS.get(argv[0], []), *argv[1:]]
     out = subprocess.run(
         [sys.executable, "-m", "chamtoy.cli", *(a.format(**dirs) for a in argv)],

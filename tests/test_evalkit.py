@@ -1,5 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chamtoy.evalkit import (
     BootstrapResult,
@@ -137,6 +142,21 @@ def test_alpha_three_annotators():
     # two-item hand case: alpha = 0
     ratings = [("i1", "r1", "A"), ("i1", "r2", "A"), ("i1", "r3", "B")]
     assert krippendorff_alpha(ratings) == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.sampled_from("pqrs"), st.sampled_from("ABC")),
+                max_size=30))
+def test_alpha_matches_coincidence_reference(ratings):
+    # small item, annotator and label sets: duplicates, unpairable items
+    # and single-label inputs all come up
+    try:
+        expected = reference.alpha(ratings)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            krippendorff_alpha(ratings)
+        return
+    assert krippendorff_alpha(ratings) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 # ----------------------------------------------------------------------

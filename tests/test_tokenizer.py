@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from chamtoy.tokenizer import (
     train_codebook,
     write_pixmap,
 )
+from chamtoy.tokenizer.bpe import MAX_VOCAB
 from chamtoy.tokenizer.codebook import to_uint8
 from chamtoy.tokenizer.vocab import SPECIALS
 
@@ -97,7 +99,51 @@ def test_bpe_load_rejects_garbage(tmp_path):
 @given(st.text(max_size=80))
 def test_bpe_roundtrip_property(text):
     tok = _shared_tokenizer()
-    assert tok.decode(tok.encode(text)) == text
+    ids = tok.encode(text)
+    assert tok.decode(ids) == text
+    assert ids == reference.bpe_encode(tok.merges, text)
+
+
+# few distinct characters, one- to four-byte, so pairs repeat and tie often
+_CHARS = st.sampled_from(["a", "b", " ", "\u00e9", "\u65e5", "\U0001f642"]) | st.characters()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.text(_CHARS, max_size=40), max_size=6), st.integers(256, 330))
+def test_bpe_matches_pair_recount_reference(texts, vocab_size):
+    tok = train_bpe(texts, vocab_size)
+    merges = reference.bpe_train(texts, vocab_size)
+    assert tok.merges == merges
+    for text in texts + ["aaaaa", "a" * 9, ""]:
+        assert tok.encode(text) == reference.bpe_encode(merges, text)
+
+
+def test_bpe_matches_reference_on_a_word_corpus():
+    rng = np.random.default_rng(0)
+    words = ["the", "cat", "sat", "on", "a", "mat", "caf\u00e9", "\u65e5\u672c"]
+    texts = [" ".join(rng.choice(words, size=8)) for _ in range(400)]
+    tok = train_bpe(texts, vocab_size=320)
+    merges = reference.bpe_train(texts, vocab_size=320)
+    assert tok.merges == merges and len(merges) == 64
+    for text in texts[:40]:
+        assert tok.encode(text) == reference.bpe_encode(merges, text)
+
+
+def test_bpe_rejects_vocab_beyond_code_points():
+    with pytest.raises(ValueError, match=str(MAX_VOCAB)):
+        train_bpe(["abab"], vocab_size=MAX_VOCAB + 1)
+    with pytest.raises(ValueError, match=str(MAX_VOCAB)):
+        BPETokenizer([(0, 0)] * (MAX_VOCAB - 255))
+    assert train_bpe(["abab"], vocab_size=MAX_VOCAB).merges == [(97, 98)]
+
+
+def test_bpe_ids_in_the_surrogate_range():
+    # every byte pair but "ab" and "ba", then "ab" itself as id 0xD805
+    filler = [(a, b) for a in range(256) for b in range(256) if (a, b) not in {(97, 98), (98, 97)}]
+    n_filler = 0xD805 - 256
+    tok = BPETokenizer(filler[:n_filler] + [(97, 98)])
+    assert tok.encode("abab") == [0xD805, 0xD805]
+    assert tok.decode([0xD805, 97]) == "aba"
 
 
 _TOK_CACHE = {}
@@ -183,6 +229,47 @@ def test_codebook_pads_when_patches_repeat():
     assert book.n_codes == 4
     assert np.isfinite(book.codes).all()
     assert history[-1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_codebook_rejects_no_images():
+    with pytest.raises(ValueError, match="no images"):
+        train_codebook([], n_codes=4, patch=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_codebook_matches_mask_loop_reference(data):
+    # images tiled from a small bank of patches: duplicate-heavy, with fewer
+    # distinct patches than codes (the jitter path) whenever the bank is small
+    patch = data.draw(st.sampled_from([1, 2, 4]), label="patch")
+    channels = data.draw(st.sampled_from([1, 3]), label="channels")
+    bank = data.draw(st.integers(1, 30), label="distinct patches")
+    n_codes = data.draw(st.integers(1, 24), label="n_codes")
+    iters = data.draw(st.integers(1, 5), label="iters")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    tiles = rng.integers(0, 256, size=(bank, patch, patch, channels)).astype(np.uint8)
+    grid = 8 // patch
+    images = []
+    for _ in range(data.draw(st.integers(1, 3), label="images")):
+        pick = tiles[rng.integers(0, bank, size=(grid, grid))]  # [gh, gw, p, p, c]
+        img = pick.transpose(0, 2, 1, 3, 4).reshape(8, 8, channels)
+        images.append(img[:, :, 0] if channels == 1 else img)
+    book, history = train_codebook(images, n_codes=n_codes, patch=patch, iters=iters, seed=seed)
+    codes, ref_history = reference.lloyd(images, n_codes, patch, iters, seed)
+    assert np.array_equal(book.codes, codes)
+    assert history == ref_history
+
+
+def test_codebook_matches_reference_when_clusters_go_empty():
+    # 32 distinct patches for 40 codes: the jittered spares lose every
+    # member to the patches they copy, iteration after iteration
+    imgs = make_images(2, seed=11)
+    book, history = train_codebook(imgs, n_codes=40, patch=4, iters=6, seed=3)
+    codes, ref_history = reference.lloyd(imgs, 40, 4, 6, 3)
+    used = np.unique(np.concatenate([encode_image(img, book) for img in imgs]))
+    assert len(used) == 32
+    assert np.array_equal(book.codes, codes) and history == ref_history
 
 
 def test_codebook_rgb_images():
