@@ -129,8 +129,7 @@ def bootstrap_ci(
     n = len(items)
     stats = []
     skipped = 0
-    for _ in range(n_boot):
-        idx = rng.integers(0, n, size=n)
+    for idx in rng.integers(0, n, size=(n_boot, n)):
         sample = [items[i] for i in idx]
         try:
             value = stat_fn(sample)

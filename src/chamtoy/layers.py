@@ -66,7 +66,7 @@ def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     if cos.shape[0] < seq:
         raise ValueError("rotary table shorter than sequence")
     c = np.repeat(cos[:seq], 2, axis=-1)
-    s = (sin[:seq, :, None] * np.array([-1.0, 1.0])).reshape(seq, head_dim)
+    s = (sin[:seq, :, None] * np.array([-1.0, 1.0], dtype=sin.dtype)).reshape(seq, head_dim)
     return rotate_pairs(x, c, s)
 
 

@@ -116,13 +116,14 @@ def count_params(params: dict[str, Tensor]) -> int:
     return sum(t.size for t in params.values())
 
 
-_ROPE_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_ROPE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _rope(cfg: ModelConfig):
-    key = (cfg.head_dim, cfg.max_seq)
+def _rope(cfg: ModelConfig, dtype):
+    """RoPE tables in the compute dtype, so rotating keeps activations in it."""
+    key = (cfg.head_dim, cfg.max_seq, np.dtype(dtype))
     if key not in _ROPE_CACHE:
-        _ROPE_CACHE[key] = rope_tables(cfg.head_dim, cfg.max_seq)
+        _ROPE_CACHE[key] = tuple(t.astype(dtype) for t in rope_tables(cfg.head_dim, cfg.max_seq))
     return _ROPE_CACHE[key]
 
 
@@ -141,7 +142,7 @@ def block_forward(
     was added to the stream) and the updated kv pair for this layer.
     """
     pre = f"layers.{layer}"
-    cos, sin = _rope(cfg)
+    cos, sin = _rope(cfg, x.data.dtype)
     q_gain = params.get(f"{pre}.attn.q_gain")
     k_gain = params.get(f"{pre}.attn.k_gain")
 

@@ -6,11 +6,14 @@ parents and a backward closure, and :meth:`Tensor.backward` walks the
 resulting DAG once in reverse topological order, accumulating gradients
 into every node that requires them.
 
-Every tensor holds float64, for deterministic desk-scale testing; it is
-also the dtype of the checkpoint format.
+A tensor holds float64, the dtype of parameters, checkpoints, decode and
+every gradient check, unless it is built from a float32 array: the training
+step computes in float32, and every op keeps the dtype of its inputs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,7 +54,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        keep = isinstance(data, np.ndarray) and data.dtype == np.float32
+        self.data = data if keep else np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
@@ -317,7 +321,7 @@ def attention_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """
     b, h, s, hd = q.shape
     scores = q.reshape(b, k.shape[1], -1, hd) @ k.swapaxes(-1, -2)
-    scores *= 1.0 / np.sqrt(hd)
+    scores *= 1.0 / math.sqrt(hd)
     return scores
 
 
@@ -341,7 +345,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
         ds = g3 @ v.data.swapaxes(-1, -2)
         ds -= (ds * probs).sum(axis=-1, keepdims=True)
         ds *= probs
-        ds *= 1.0 / np.sqrt(hd)
+        ds *= 1.0 / math.sqrt(hd)
         if q.requires_grad:
             q._accumulate((ds @ k.data).reshape(q.shape))
         if k.requires_grad:
@@ -389,6 +393,7 @@ def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
     the loss node and the two terms as floats.
     """
     flat = logits.data.reshape(mask.shape[0], -1)
+    mask = mask.astype(flat.dtype, copy=False)
     per_row = 1.0 / float(mask.sum())
     top = flat.max(axis=-1)
     soft = flat - top[:, None]
@@ -405,14 +410,15 @@ def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
     def backward_fn(g):
         # per row: weight * (softmax - onehot) for the cross-entropy,
         # weight * 2 z_coeff log Z * softmax for the z term
-        weight = mask * (g * per_row)
+        # g as a Python float, so a 0-d g cannot set the gradient's dtype
+        weight = mask * (float(g) * per_row)
         row = float(targets is not None) + (2.0 * z_coeff * log_z if z_coeff else 0.0)
         grad = soft * (weight * row)[:, None]
         if targets is not None:
             grad[rows, targets] -= weight
         logits._accumulate(grad.reshape(logits.shape))
 
-    return logits._make(np.array(ce + z), (logits,), backward_fn), ce, z
+    return logits._make(np.array(ce + z, dtype=flat.dtype), (logits,), backward_fn), ce, z
 
 
 def embedding(weight: Tensor, ids) -> Tensor:

@@ -221,26 +221,32 @@ def train_loop(
         rng = step_rng(seed, step)
         inputs, targets, mask = batch_fn(step, rng)
 
-        for p in params.values():
-            p.zero_grad()
-        logits, aux = model_forward(
-            params, model_cfg, inputs, rng=rng, training=True
-        )
-        breakdown = total_loss(logits, targets, mask=mask, z_coeff=model_cfg.z_coeff)
-        breakdown.total.backward()
+        # non-finite values are the monitor's to flag, not numpy's to warn about
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # forward and backward in float32 on copies of the float64 master
+            # weights; clipping, AdamW and the monitor work in float64
+            leaves = {k: Tensor(p.data.astype(np.float32), requires_grad=True)
+                      for k, p in params.items()}
+            logits, aux = model_forward(leaves, model_cfg, inputs, rng=rng, training=True)
+            breakdown = total_loss(logits, targets, mask=mask, z_coeff=model_cfg.z_coeff)
+            breakdown.total.backward()
+            for k, p in params.items():
+                g = leaves[k].grad
+                p.grad = None if g is None else g.astype(np.float64)
 
-        grad_norm = clip_global_norm(params, opt_cfg.clip_norm)
-        lr = lr_at(step, opt_cfg)
-        adamw_step(params, opt_state, lr, opt_cfg)
+            grad_norm = clip_global_norm(params, opt_cfg.clip_norm)
+            lr = lr_at(step, opt_cfg)
+            adamw_step(params, opt_state, lr, opt_cfg)
+            hidden = aux["hidden"].data.astype(np.float64)
+            output_rms = float(np.sqrt(np.mean(hidden * hidden)))
 
-        hidden = aux["hidden"].data
         row = {
             "step": step,
             "ce": float(breakdown.cross_entropy.data),
             "z_loss": float(breakdown.z_loss.data),
             "lr": lr,
             "grad_norm": grad_norm,
-            "output_rms": float(np.sqrt(np.mean(hidden * hidden))),
+            "output_rms": output_rms,
         }
         diverged = monitor.observe(row)
         row["diverged"] = int(diverged)

@@ -322,6 +322,20 @@ def test_divergence_exits_3_with_note_on_every_training_command(
     assert "divergence flagged after" in out.stderr
 
 
+def test_non_finite_divergence_prints_only_the_note(corpus_dir, tokenizer_dir, tmp_path):
+    # overflow in the step is the monitor's to report; numpy must not warn
+    out = subprocess.run(
+        [sys.executable, "-m", "chamtoy.cli", "train", "--data-dir", str(corpus_dir),
+         "--tokenizer-dir", str(tokenizer_dir), "--out-dir", str(tmp_path / "run"),
+         "--set", "tokenizer.image_codes=64", "--set", "train.batch_size=2",
+         "--set", "train.seq_len=32", "--set", "optim.lr=1e200",
+         "--set", "optim.warmup_steps=1", "--set", "train.steps=5"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == EXIT_DIVERGED
+    assert out.stderr == "divergence flagged after 1 monitored steps\n"
+
+
 def test_train_rejects_bad_mixture(corpus_dir, tokenizer_dir, tmp_path):
     code = main([
         "train", "--data-dir", str(corpus_dir),

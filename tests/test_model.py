@@ -120,6 +120,28 @@ def test_end_to_end_gradient_directional():
     assert abs(analytic - numeric) / denom < 1e-3
 
 
+@pytest.mark.parametrize("name", ["toy", "7b-recipe", "34b-recipe", "llama2-recipe"])
+def test_float32_gradients_agree_with_float64(name):
+    # training computes in float32; each parameter's gradient must stay
+    # within 1e-4 relative (L2) error of the float64 one
+    cfg = preset(name, 300)
+    params = init_params(cfg, seed=1)
+    ids = np.random.default_rng(2).integers(0, cfg.vocab_size, size=(4, 33))
+    mask = np.ones((4, 32))
+    mask[0, :5] = 0.0
+    grads = {}
+    for dtype in (np.float64, np.float32):
+        leaves = {k: Tensor(p.data.astype(dtype), requires_grad=True) for k, p in params.items()}
+        logits, _ = model_forward(leaves, cfg, ids[:, :-1], rng=np.random.default_rng(3),
+                                  training=True)
+        total_loss(logits, ids[:, 1:], mask=mask, z_coeff=cfg.z_coeff).total.backward()
+        grads[dtype] = {k: t.grad for k, t in leaves.items()}
+    for k, ref in grads[np.float64].items():
+        assert grads[np.float32][k].dtype == np.float32, k
+        err = np.linalg.norm(grads[np.float32][k] - ref) / np.linalg.norm(ref)
+        assert err <= 1e-4, (k, err)
+
+
 def test_kv_cache_matches_full_forward():
     cfg = tiny_cfg(n_kv_heads=1)
     params = init_params(cfg, seed=5)

@@ -6,9 +6,11 @@ from chamtoy.model import (
     ModelConfig,
     init_params,
     load_checkpoint,
+    preset,
     save_checkpoint,
 )
 from chamtoy.numerics import Tensor
+from chamtoy.objective import total_loss
 from chamtoy.trainer import (
     LOG_FIELDS,
     DivergenceMonitor,
@@ -337,3 +339,45 @@ def test_ablation_pair_differs_only_in_flag():
     assert "layers.0.attn.q_gain" not in pair["off"].params
     # same data and init: step-0 losses match until the flag matters
     assert pair["on"].rows[0]["ce"] != pair["off"].rows[0]["ce"]
+
+
+def test_step_computes_in_float32_and_keeps_float64_masters(tmp_path, monkeypatch):
+    # a float64 operand anywhere in the step would promote the graph
+    # downstream of it and give back the float32 saving
+    losses = []
+
+    def recording_total_loss(*args, **kwargs):
+        losses.append(total_loss(*args, **kwargs))
+        return losses[-1]
+
+    monkeypatch.setattr("chamtoy.trainer.total_loss", recording_total_loss)
+    cfg = preset("toy", 48)
+    _, opt, batch_fn = tiny_setup()
+    result = train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, seed=5, end_step=1)
+
+    nodes, seen, stack = [], set(), [losses[0].total]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    leaves = [n for n in nodes if not n._parents]
+    assert len(leaves) == len(result.params)
+    for node in nodes:
+        assert node.data.dtype == np.float32, node
+    for leaf in leaves:
+        assert leaf.grad.dtype == np.float32, leaf
+
+    for k, p in result.params.items():
+        for arr in (p.data, p.grad, result.opt_state["m"][k], result.opt_state["v"][k]):
+            assert arr.dtype == np.float64, k
+    # the masters keep digits that float32 would round away
+    assert any(not np.array_equal(p.data, p.data.astype(np.float32)) for p in result.params.values())
+    save_checkpoint(tmp_path / "ck", result.params, cfg, opt_state=result.opt_state, step=1)
+    for line in (tmp_path / "ck" / "manifest.txt").read_text().splitlines():
+        assert line.split(" ")[2] == "float64"
+    loaded, _, opt_state, _ = load_checkpoint(tmp_path / "ck")
+    for k, p in result.params.items():
+        assert np.array_equal(loaded[k].data, p.data)
+        assert np.array_equal(opt_state["v"][k], result.opt_state["v"][k])
