@@ -35,10 +35,12 @@ from .data import (
 )
 from .decoder import DecodePolicy, check_prompt, detokenize_mixed, generate_stream, Finished
 from .evalkit import (
+    alpha_from_counts,
     bootstrap_ci,
     format_summary_table,
     judgment_win_rate,
     krippendorff_alpha,
+    label_counts,
     load_annotations,
     load_judgments,
     summarize_judgments,
@@ -91,15 +93,11 @@ SCHEMA: dict[str, tuple] = {
     # parsed and defaulted as the field declares
     **{f"model.{f.name}": (FIELD_PARSERS[f.type], f.default)
        for f in fields(ModelConfig) if f.name != "vocab_size"},
-    "optim.lr": (float, 1e-4),
-    "optim.beta1": (float, 0.9),
-    "optim.beta2": (float, 0.95),
-    "optim.eps": (float, 1e-5),
-    "optim.weight_decay": (float, 0.1),
-    "optim.clip_norm": (float, 1.0),
+    # likewise OptimConfig's fields but total_steps, which is train.steps; runs
+    # here are hundreds of steps, so warmup is 40 steps against the recipe's 4000
+    **{f"optim.{f.name}": (FIELD_PARSERS[f.type], f.default)
+       for f in fields(OptimConfig) if f.name != "total_steps"},
     "optim.warmup_steps": (int, 40),
-    "optim.schedule": (str, "exp-decay"),
-    "optim.final_lr_fraction": (float, 0.01),
     "train.steps": (int, 400),
     "train.batch_size": (int, 8),
     "train.seq_len": (int, 64),
@@ -207,8 +205,7 @@ def build_model_config(run: RunConfig, vocab_size: int):
 
 
 def build_optim_config(run: RunConfig) -> OptimConfig:
-    # the optim.* keys are OptimConfig's fields but total_steps, which is train.steps
-    knobs = {f.name: run[f"optim.{f.name}"] for f in fields(OptimConfig) if f.name != "total_steps"}
+    knobs = {key[len("optim."):]: run[key] for key in SCHEMA if key.startswith("optim.")}
     try:
         return OptimConfig(total_steps=run["train.steps"], **knobs)
     except ValueError as e:
@@ -441,6 +438,8 @@ def cmd_generate(run: RunConfig, args) -> int:
 
 
 def cmd_eval(run: RunConfig, args) -> int:
+    if args.bootstrap < 1:
+        raise ConfigError(f"--bootstrap must be at least 1, got {args.bootstrap}")
     print(run.render())
     if not args.judgments and not args.annotations:
         raise ConfigError("eval needs --judgments and/or --annotations")
@@ -460,20 +459,8 @@ def cmd_eval(run: RunConfig, args) -> int:
     if args.annotations:
         ratings = load_annotations(args.annotations)
         alpha = krippendorff_alpha(ratings)
-        by_item: dict[str, list] = {}
-        for item, annotator, label in ratings:
-            by_item.setdefault(item, []).append((annotator, label))
-        items = list(by_item.values())
-
-        def alpha_stat(sample):
-            triples = [
-                (i, annotator, label)
-                for i, ratings_i in enumerate(sample)
-                for annotator, label in ratings_i
-            ]
-            return krippendorff_alpha(triples)
-
-        ci = bootstrap_ci(items, alpha_stat, n_boot=args.bootstrap, seed=seed)
+        ci = bootstrap_ci(label_counts(ratings), alpha_from_counts,
+                          n_boot=args.bootstrap, seed=seed)
         print(
             f"krippendorff alpha {alpha:.3f} [{ci.low:.3f}, {ci.high:.3f}] "
             f"({ci.n_used} resamples, {ci.skipped} skipped)"

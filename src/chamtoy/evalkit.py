@@ -3,7 +3,8 @@ inter-annotator agreement, and bootstrap confidence intervals.
 
 Win rate counts a tie as half a win: (wins + 0.5 * ties) / total.
 Agreement is Krippendorff's alpha for nominal labels over pairable items
-only, computed in closed form from per-item label counts.
+only, computed in closed form from a per-item label-count table; a
+bootstrap resamples that table's rows.
 """
 
 from __future__ import annotations
@@ -57,10 +58,22 @@ def majority_vote(answers) -> object:
 # ----------------------------------------------------------------------
 
 
-def krippendorff_alpha(ratings) -> float:
-    """Nominal-scale alpha over (item, annotator, label) triples.
+def label_counts(ratings) -> np.ndarray:
+    """Label counts [items, labels] of (item, annotator, label) triples.
+    Items and labels are numbered in first-appearance order, so resampling
+    rows draws the items that resampling grouped ratings would."""
+    items: dict = {}
+    labels: dict = {}
+    u = [items.setdefault(item, len(items)) for item, _, _ in ratings]
+    c = [labels.setdefault(label, len(labels)) for _, _, label in ratings]
+    flat = np.asarray(u, dtype=np.intp) * len(labels) + np.asarray(c, dtype=np.intp)
+    return np.bincount(flat, minlength=len(items) * len(labels)).reshape(len(items), len(labels))
 
-    Items with fewer than two labels cannot be paired and are dropped.
+
+def alpha_from_counts(rows) -> float:
+    """Nominal-scale alpha from per-item label-count rows (label_counts).
+
+    Rows with fewer than two labels cannot be paired and are dropped.
     If every pairable label is identical the expected disagreement is
     zero; that is perfect agreement, alpha = 1.
 
@@ -68,6 +81,22 @@ def krippendorff_alpha(ratings) -> float:
     labels): summing the coincidence matrix gives n_c = sum_u n_uc and the
     observed disagreement D_o * n = sum_u (m_u^2 - sum_c n_uc^2) / (m_u - 1).
     """
+    counts = np.asarray(rows)
+    m = counts.sum(axis=1)
+    counts, m = counts[m > 1], m[m > 1]
+    n_c = counts.sum(axis=0)
+    n = int(n_c.sum())
+    if n == 0:
+        raise ValueError("no pairable items: every item has fewer than two labels")
+    observed = float(((m * m - (counts * counts).sum(axis=1)) / (m - 1)).sum()) / n
+    expected = (n * n - int((n_c * n_c).sum())) / (n * (n - 1))
+    if expected == 0.0:
+        return 1.0
+    return 1.0 - observed / expected
+
+
+def krippendorff_alpha(ratings) -> float:
+    """alpha_from_counts over the label counts of (item, annotator, label) triples."""
     ratings = list(ratings)
     if len({(item, annotator) for item, annotator, _ in ratings}) != len(ratings):
         seen = set()
@@ -75,24 +104,7 @@ def krippendorff_alpha(ratings) -> float:
             if (item, annotator) in seen:
                 raise ValueError(f"duplicate rating by {annotator!r} on {item!r}")
             seen.add((item, annotator))
-
-    m = Counter(item for item, _, _ in ratings)
-    cells = Counter((item, label) for item, _, label in ratings if m[item] > 1)
-    n_by_label: Counter = Counter()
-    same = defaultdict(int)  # sum_c n_uc^2 per item
-    for (item, label), count in cells.items():
-        n_by_label[label] += count
-        same[item] += count * count
-    n = sum(n_by_label.values())
-    if n == 0:
-        raise ValueError("no pairable items: every item has fewer than two labels")
-
-    observed = sum((m[u] * m[u] - sq) / (m[u] - 1) for u, sq in same.items()) / n
-    sq = sum(v * v for v in n_by_label.values())
-    expected = (n * n - sq) / (n * (n - 1))
-    if expected == 0.0:
-        return 1.0
-    return 1.0 - observed / expected
+    return alpha_from_counts(label_counts(ratings))
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +135,8 @@ def bootstrap_ci(
     items = list(items)
     if not items:
         raise ValueError("cannot bootstrap an empty item list")
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be at least 1, got {n_boot}")
     if not 0 < coverage < 1:
         raise ValueError("coverage must be in (0, 1)")
     rng = np.random.default_rng(seed)

@@ -232,8 +232,9 @@ def parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-# ModelConfig field annotation -> parser of its text form
-FIELD_PARSERS = {"int": int, "float": float, "bool": parse_bool, "NormStrategy": NormStrategy}
+# config dataclass field annotation -> parser of its text form
+FIELD_PARSERS = {"int": int, "float": float, "str": str, "bool": parse_bool,
+                 "NormStrategy": NormStrategy}
 
 
 def config_text(value) -> str:

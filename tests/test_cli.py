@@ -490,6 +490,10 @@ FAILURE_PATHS = {
     ),
     "sft-seq-len-over-max-seq": (["sft", "--set", "train.seq_len=300"], EXIT_USAGE),
     "missing-judgments": (["eval", "--judgments", "{tmp}/absent.csv"], EXIT_FAILURE),
+    # checked before the judgments file is read
+    "bootstrap-0": (["eval", "--judgments", "{tmp}/absent.csv", "--bootstrap", "0"], EXIT_USAGE),
+    "bootstrap-neg": (["eval", "--judgments", "{tmp}/absent.csv", "--bootstrap", "-3"],
+                      EXIT_USAGE),
     "monitor-report-not-a-log": (["monitor-report", "--log", "{corpus}/text.jsonl"], EXIT_FAILURE),
     "sft-no-packable-rows": (["sft", "--set", "train.seq_len=4"], EXIT_FAILURE),
 }
@@ -556,6 +560,13 @@ def test_eval_judgments_and_annotations(tmp_path, capsys):
 
 def test_eval_without_inputs_is_usage_error():
     assert main(["eval"]) == EXIT_USAGE
+
+
+def test_eval_bootstrap_below_one_prints_nothing(tmp_path, capsys):
+    judg = tmp_path / "judgments.csv"
+    write_judgments(judg)
+    assert main(["eval", "--judgments", str(judg), "--bootstrap", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_eval_missing_file_fails(tmp_path):

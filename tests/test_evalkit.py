@@ -3,17 +3,19 @@ import re
 import numpy as np
 import pytest
 import reference
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chamtoy.evalkit import (
     BootstrapResult,
     Judgment,
     WinRateSummary,
+    alpha_from_counts,
     bootstrap_ci,
     format_summary_table,
     judgment_win_rate,
     krippendorff_alpha,
+    label_counts,
     load_annotations,
     load_judgments,
     majority_vote,
@@ -144,12 +146,15 @@ def test_alpha_three_annotators():
     assert krippendorff_alpha(ratings) == pytest.approx(0.0, abs=1e-12)
 
 
+# small item, annotator and label sets: duplicates, unpairable items and
+# single-label inputs all come up
+RATINGS = st.lists(st.tuples(st.integers(0, 6), st.sampled_from("pqrs"), st.sampled_from("ABC")),
+                   max_size=30)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 6), st.sampled_from("pqrs"), st.sampled_from("ABC")),
-                max_size=30))
+@given(RATINGS)
 def test_alpha_matches_coincidence_reference(ratings):
-    # small item, annotator and label sets: duplicates, unpairable items
-    # and single-label inputs all come up
     try:
         expected = reference.alpha(ratings)
     except ValueError as e:
@@ -157,6 +162,77 @@ def test_alpha_matches_coincidence_reference(ratings):
             krippendorff_alpha(ratings)
         return
     assert krippendorff_alpha(ratings) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_label_counts_rows_follow_first_appearance():
+    ratings = [
+        ("i2", "r1", "B"), ("i1", "r1", "A"), ("i2", "r2", "A"),
+        ("i3", "r1", "C"), ("i1", "r2", "A"), ("i3", "r2", "B"),
+    ]
+    counts = label_counts(ratings)
+    # items i2, i1, i3; labels B, A, C
+    assert counts.tolist() == [[1, 1, 0], [0, 2, 0], [1, 0, 1]]
+    assert counts.dtype.kind == "i"
+
+
+def test_alpha_from_counts_edge_cases_match_triples():
+    unpairable = [("i1", "r1", "A"), ("i2", "r2", "B")]
+    for stat in (krippendorff_alpha, lambda r: alpha_from_counts(label_counts(r))):
+        with pytest.raises(ValueError, match="no pairable items"):
+            stat(unpairable)
+    identical = [("i1", "r1", "A"), ("i1", "r2", "A"), ("i2", "r1", "A"), ("i2", "r2", "A"),
+                 ("i3", "r1", "A")]
+    assert alpha_from_counts(label_counts(identical)) == krippendorff_alpha(identical) == 1.0
+    # any sequence of rows, as a bootstrap resample hands them over
+    rows = list(label_counts(identical))
+    assert alpha_from_counts(rows) == 1.0
+
+
+def _recorded_bootstrap(items, stat):
+    """Every resample's value (None where stat raised) and the result,
+    or the error message when the whole bootstrap failed."""
+    values = []
+
+    def record(sample):
+        try:
+            value = stat(sample)
+        except ValueError:
+            values.append(None)
+            raise
+        values.append(value)
+        return value
+
+    try:
+        result = bootstrap_ci(items, record, n_boot=8, seed=3)
+    except ValueError as e:
+        result = str(e)
+    return values, result
+
+
+@settings(max_examples=200, deadline=None)
+@given(RATINGS)
+def test_count_table_bootstrap_matches_triples_bootstrap(ratings):
+    # one rating per (item, annotator), as krippendorff_alpha demands
+    ratings = [(i, a, label) for (i, a), label in {(i, a): label for i, a, label in ratings}.items()]
+    assume(ratings)
+    by_item: dict = {}
+    for item, annotator, label in ratings:
+        by_item.setdefault(item, []).append((annotator, label))
+
+    def renumbered_alpha(sample):
+        return reference.alpha([(i, annotator, label) for i, item in enumerate(sample)
+                                for annotator, label in item])
+
+    got, got_result = _recorded_bootstrap(label_counts(ratings), alpha_from_counts)
+    want, want_result = _recorded_bootstrap(list(by_item.values()), renumbered_alpha)
+    assert [v is None for v in got] == [v is None for v in want]
+    for g, w in zip(got, want):
+        if w is not None:
+            assert g == pytest.approx(w, rel=0, abs=1e-12)
+    if isinstance(want_result, str):
+        assert got_result == want_result
+    else:
+        assert (got_result.n_used, got_result.skipped) == (want_result.n_used, want_result.skipped)
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +284,9 @@ def test_bootstrap_validation():
         bootstrap_ci([], lambda s: 0.0)
     with pytest.raises(ValueError):
         bootstrap_ci([1], lambda s: 0.0, coverage=1.5)
+    for n_boot in (0, -3):
+        with pytest.raises(ValueError, match="n_boot"):
+            bootstrap_ci([1], lambda s: 0.0, n_boot=n_boot)
 
 
 # ----------------------------------------------------------------------

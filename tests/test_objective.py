@@ -106,7 +106,7 @@ def test_gradient_descent_on_ce_reaches_target():
     # a few steps of plain gradient descent should raise the target prob
     logits = Tensor(np.zeros((1, 4)), requires_grad=True)
     for _ in range(50):
-        logits.zero_grad()
+        logits.grad = None
         loss = cross_entropy(logits, [2])
         loss.backward()
         logits.data -= 1.0 * logits.grad
