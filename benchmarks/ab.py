@@ -21,8 +21,9 @@ both sides of a pair alike:
   and ``train_codebook`` at the CLI defaults, ``encode`` of every
   document and ``encode_image`` of every caption image, and one
   1000-resample bootstrap of Krippendorff's alpha over 80 items with 3
-  annotators each.  Its check, a digest of the merges, the codebook and
-  every id plus the alpha interval, must match on both sides.
+  annotators each, run as ``chamtoy eval --annotations`` through
+  ``cli.main``.  Its check, a digest of the merges, the codebook and
+  every id plus the alpha line ``eval`` prints, must match on both sides.
 
 Workloads do not share a worker, so that one workload's heap does not
 carry into another's timings: while ``fit`` ran in the train workers,
@@ -59,7 +60,9 @@ the working-tree side read 3-6% slower on train in both directions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -98,9 +101,8 @@ def worker(tree: Path) -> None:
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
 
-    from chamtoy import data, tokenizer
+    from chamtoy import cli, data, tokenizer
     from chamtoy.decoder import DecodePolicy, generate_stream
-    from chamtoy.evalkit import bootstrap_ci, krippendorff_alpha
     from chamtoy.model import clone_params, init_params, preset
     from chamtoy.tokenizer import MixedVocab
     from chamtoy.trainer import OptimConfig, train_loop
@@ -137,15 +139,15 @@ def worker(tree: Path) -> None:
     documents = texts + [c for c, _ in captions] + [
         part for pair in data.load_sft_corpus(corpus / "sft.jsonl") for part in pair]
     rng = np.random.default_rng(0)
-    by_item = []
-    for _ in range(ALPHA_ITEMS):
+    annotations = corpus / "annotations.csv"
+    lines = ["item_id,annotator_id,label"]
+    for item in range(ALPHA_ITEMS):
         truth = int(rng.integers(3))
-        by_item.append([(a, truth if rng.random() < 0.7 else int(rng.integers(3)))
-                        for a in range(ALPHA_ANNOTATORS)])
-
-    def alpha_stat(sample):
-        return krippendorff_alpha([(i, a, label) for i, item in enumerate(sample)
-                                   for a, label in item])
+        lines += [f"i{item},a{a},{truth if rng.random() < 0.7 else int(rng.integers(3))}"
+                  for a in range(ALPHA_ANNOTATORS)]
+    annotations.write_text("\n".join(lines) + "\n")
+    eval_argv = ["eval", "--annotations", str(annotations), "--bootstrap", str(ALPHA_BOOT),
+                 "--seed", "0"]
 
     def fit():
         start = perf_counter()
@@ -153,10 +155,13 @@ def worker(tree: Path) -> None:
         book, _ = tokenizer.train_codebook(images, n_codes=256, patch=4, iters=10, seed=0)
         ids = [tok.encode(d) for d in documents] + [
             tokenizer.encode_image(img, book).tolist() for img in images]
-        ci = bootstrap_ci(by_item, alpha_stat, n_boot=ALPHA_BOOT, seed=0)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = cli.main(eval_argv)
         seconds = perf_counter() - start
         digest = hashlib.sha256(repr((tok.merges, ids)).encode() + book.codes.tobytes())
-        return seconds, [digest.hexdigest(), round(ci.low, 9), round(ci.high, 9)]
+        alpha = [line for line in printed.getvalue().splitlines() if "alpha" in line]
+        return seconds, [digest.hexdigest(), code, alpha]
 
     jobs = {"train": train, "decode": decode, "fit": fit}
     print(json.dumps({"numpy": np.__version__}), flush=True)

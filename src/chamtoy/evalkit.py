@@ -143,8 +143,10 @@ def bootstrap_ci(
     n = len(items)
     stats = []
     skipped = 0
-    for idx in rng.integers(0, n, size=(n_boot, n)):
-        sample = [items[i] for i in idx]
+    # rows as lists of Python ints, which index a list without the
+    # conversion every numpy integer needs
+    for idx in rng.integers(0, n, size=(n_boot, n)).tolist():
+        sample = list(map(items.__getitem__, idx))
         try:
             value = stat_fn(sample)
         except ValueError:
@@ -202,8 +204,9 @@ def load_judgments(path) -> list[Judgment]:
 
 
 def _tally(judgments) -> WinRateSummary:
-    c = Counter(j.result for j in judgments)
-    return WinRateSummary(wins=c["win"], ties=c["tie"], losses=c["loss"])
+    results = [j.result for j in judgments]
+    return WinRateSummary(wins=results.count("win"), ties=results.count("tie"),
+                          losses=results.count("loss"))
 
 
 def summarize_judgments(judgments) -> dict:

@@ -62,12 +62,30 @@ def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     rotation is orthogonal, so vector norms are preserved exactly up to
     rounding.
     """
-    seq, head_dim = x.shape[-2:]
-    if cos.shape[0] < seq:
-        raise ValueError("rotary table shorter than sequence")
-    c = np.repeat(cos[:seq], 2, axis=-1)
-    s = (sin[:seq, :, None] * np.array([-1.0, 1.0], dtype=sin.dtype)).reshape(seq, head_dim)
-    return rotate_pairs(x, c, s)
+    return apply_rope_at(x, cos, sin, 0)
+
+
+_ROTATIONS: dict[tuple[int, int], tuple] = {}
+
+
+def _rotation(cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full-width tables C = cos repeated per pair and S = (-sin, sin)
+    interleaved, for `rotate_pairs`, built once per pair of tables.
+
+    The model holds one pair of tables per (head_dim, max_seq, dtype), so
+    a run builds C and S once per dtype instead of on every call.  Entries
+    are keyed by identity and keep their tables alive, so an id is never
+    reused while its entry lives; the tables are never written.
+    """
+    key = (id(cos), id(sin))
+    entry = _ROTATIONS.get(key)
+    if entry is None:
+        if len(_ROTATIONS) >= 16:
+            _ROTATIONS.clear()
+        c = np.repeat(cos, 2, axis=-1)
+        s = (sin[..., None] * np.array([-1.0, 1.0], dtype=sin.dtype)).reshape(c.shape)
+        entry = _ROTATIONS[key] = (cos, sin, c, s)
+    return entry[2], entry[3]
 
 
 def causal_mask(seq: int, total: int) -> np.ndarray:
@@ -146,7 +164,10 @@ def attention(
 def apply_rope_at(x: Tensor, cos: np.ndarray, sin: np.ndarray, offset: int) -> Tensor:
     """Rotary rotation for tokens whose absolute positions start at offset."""
     seq = x.shape[-2]
-    return apply_rope(x, cos[offset:offset + seq], sin[offset:offset + seq])
+    if cos.shape[0] < offset + seq:
+        raise ValueError("rotary table shorter than sequence")
+    c, s = _rotation(cos, sin)
+    return rotate_pairs(x, c[offset:offset + seq], s[offset:offset + seq])
 
 
 def attention_logits(

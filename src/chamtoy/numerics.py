@@ -13,6 +13,7 @@ step computes in float32, and every op keeps the dtype of its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -275,27 +276,46 @@ def normalize(x: Tensor, gain: Tensor, eps: float, center: bool) -> Tensor:
     """gain * h / sqrt(mean(h^2) + eps) over the last axis, as one node.
 
     h is x minus its mean over the last axis when `center` is set (layer
-    norm) and x itself otherwise (RMS norm).  `gain` broadcasts from the
-    trailing end, so a per-channel gain may meet any leading shape.
+    norm) and x itself otherwise (RMS norm).  `gain` holds one value per
+    channel of the last axis and meets any leading shape.
+
+    Every row sum, forward and backward, is a GEMV against a cached ones
+    vector: over the QK norm's 16-wide rows numpy's ``sum(-1)`` is several
+    times slower than the matrix-vector product.  The gain gradient is one
+    more GEMV, a ones row over the flattened rows.  A strided x (the
+    split-heads view of the QK norm) is copied to C order first, so that no
+    pass of the node or of its consumers mixes two memory layouts.
     """
-    # means as sum * (1/n), the rounding of the Tensor composition this replaced
-    scale = 1.0 / x.shape[-1]
-    h = x.data - x.data.sum(axis=-1, keepdims=True) * scale if center else x.data
-    inv = ((h * h).sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
-    unit = h * inv
+    n = x.shape[-1]
+    scale = 1.0 / n
+    ones = _ones(n, x.data.dtype)
+    xd = np.ascontiguousarray(x.data)
+    h = xd - ((xd @ ones) * scale)[..., None] if center else xd
+    inv = (((h * h) @ ones) * scale + eps) ** -0.5
+    unit = h * inv[..., None]
 
     def backward_fn(g):
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * unit, gain.shape))
+            rows = (g * unit).reshape(-1, n)
+            gain._accumulate(_ones(rows.shape[0], rows.dtype) @ rows)
         if x.requires_grad:
-            g_unit = g * gain.data
-            inner = (g_unit * unit).sum(axis=-1, keepdims=True) * scale
-            g_h = inv * (g_unit - unit * inner)
+            g_h = g * gain.data
+            inner = (((g_h * unit) @ ones) * scale)[..., None]
+            g_h -= unit * inner
+            g_h *= inv[..., None]
             if center:
-                g_h -= g_h.sum(axis=-1, keepdims=True) * scale
+                g_h -= ((g_h @ ones) * scale)[..., None]
             x._accumulate(g_h)
 
     return x._make(unit * gain.data, (x, gain), backward_fn)
+
+
+@functools.lru_cache(maxsize=32)
+def _ones(n: int, dtype) -> np.ndarray:
+    """A read-only ones vector, the right operand of a GEMV row sum."""
+    ones = np.ones(n, dtype=dtype)
+    ones.flags.writeable = False
+    return ones
 
 
 def _softmax(data: np.ndarray, axis: int, mask=None) -> np.ndarray:
@@ -327,34 +347,67 @@ def attend(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
 
     Shapes as in `attention_scores`; v is [b, kv, t, hd] and the output
     [b, h, s, hd].  `mask` is a boolean [s, t] array, True where a query
-    may not look.  The backward is FlashAttention's
-    dS = P * (dP - rowsum(dP * P)) (arXiv 2205.14135), untiled.
+    may not look.
+
+    The scores are held keys-major, k (q / sqrt(hd))^T of shape
+    [b, kv, t, g * s] with g = h / kv, so the softmax's max and sum reduce
+    across rows of g * s queries, which numpy does several times faster
+    than along each query's row of t keys.  Masked scores are set to -inf
+    in place, and no mask work is done when no key is masked (a decode
+    step).  The exponentials stay unnormalized: the output and the
+    upstream gradient, rows of hd values, are divided by each query's sum
+    instead.
+
+    The backward is FlashAttention's dS = P * (dP - D) (arXiv 2205.14135),
+    untiled.  D = rowsum(dP * P) is one einsum over the keys axis, with no
+    temporary of the scores' size.  FlashAttention's rowsum(dO * O) is
+    equal in exact arithmetic, but only rowsum(dP * P) cancels dP - D
+    exactly when a query sees a single key, whose score gradient is then
+    exactly zero.
     """
     b, h, s, hd = q.shape
-    q3 = q.data.reshape(b, k.shape[1], -1, hd)
-    probs = _softmax(attention_scores(q.data, k.data), -1, np.tile(mask, (h // k.shape[1], 1)))
-    out = probs @ v.data
+    kv = k.shape[1]
+    scale = 1.0 / math.sqrt(hd)
+    q3 = q.data.reshape(b, kv, -1, hd)
+    exps = k.data @ (q3 * scale).swapaxes(-1, -2)
+    if mask.any():
+        np.copyto(exps, -np.inf, where=np.tile(mask.T, (1, h // kv)))
+    exps -= exps.max(axis=-2, keepdims=True)
+    np.exp(exps, out=exps)
+    sums = exps.sum(axis=-2)
+    out = exps.swapaxes(-1, -2) @ v.data
+    out /= sums[..., None]
 
     def backward_fn(g):
-        g3 = g.reshape(out.shape)
+        # dO / sum, so that products with the unnormalized exps carry P
+        g3 = g.reshape(out.shape) / sums[..., None]
         if v.requires_grad:
-            v._accumulate(probs.swapaxes(-1, -2) @ g3)
-        ds = g3 @ v.data.swapaxes(-1, -2)
-        ds -= (ds * probs).sum(axis=-1, keepdims=True)
-        ds *= probs
-        ds *= 1.0 / math.sqrt(hd)
+            v._accumulate(exps @ g3)
+        ds = v.data @ g3.swapaxes(-1, -2)
+        ds -= (np.einsum("...tr,...tr->...r", ds, exps) / sums)[..., None, :]
+        ds *= exps
         if q.requires_grad:
-            q._accumulate((ds @ k.data).reshape(q.shape))
+            gq = ds.swapaxes(-1, -2) @ k.data
+            gq *= scale
+            q._accumulate(gq.reshape(q.shape))
         if k.requires_grad:
-            k._accumulate(ds.swapaxes(-1, -2) @ q3)
+            gk = ds @ q3
+            gk *= scale
+            k._accumulate(gk)
 
     return q._make(out.reshape(q.shape), (q, k, v), backward_fn)
 
 
 def gated_silu(a: Tensor, b: Tensor) -> Tensor:
-    """silu(a) * b as one node, the sigmoid from a single exp(-|a|) pass."""
+    """silu(a) * b as one node, the sigmoid from a single exp(-|a|) pass.
+
+    sigmoid(a) = max(e, [a >= 0]) / (1 + e) with e = exp(-|a|): the
+    numerator is 1 where a >= 0 and e elsewhere, picked by a max against
+    the 0/1 sign indicator instead of a masked select, which numpy runs
+    an order of magnitude slower on an unpredictable sign pattern.
+    """
     e = np.exp(-np.abs(a.data))
-    sig = np.where(a.data >= 0, 1.0, e)
+    sig = np.maximum(e, a.data >= 0)
     e += 1.0
     sig /= e
 
@@ -370,13 +423,16 @@ def gated_silu(a: Tensor, b: Tensor) -> Tensor:
 def rotate_pairs(x: Tensor, c: np.ndarray, s: np.ndarray) -> Tensor:
     """x*c + x[..., swap]*s as one node, where swap exchanges channels 2i
     and 2i+1.  swap is its own inverse, so the backward is
-    g*c + (g*s)[..., swap]."""
+    g*c + (g*s)[..., swap].  A strided x (split heads with no QK norm) is
+    copied to C order first, the layout the gather returns, so that the
+    sum does not mix two layouts."""
     swap = np.arange(x.shape[-1]) ^ 1
+    xd = np.ascontiguousarray(x.data)
 
     def backward_fn(g):
         x._accumulate(g * c + (g * s)[..., swap])
 
-    return x._make(x.data * c + x.data[..., swap] * s, (x,), backward_fn)
+    return x._make(xd * c + xd[..., swap] * s, (x,), backward_fn)
 
 
 def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
@@ -399,7 +455,6 @@ def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
     np.exp(soft, out=soft)
     sums = soft.sum(axis=-1)
     log_sums = np.log(sums)
-    soft /= sums[:, None]
     ce = 0.0 if targets is None else float((-(picked - log_sums) * mask).sum() * per_row)
     log_z = top + log_sums
     z = float((log_z * log_z * mask).sum() * per_row * z_coeff) if z_coeff else 0.0
@@ -410,7 +465,8 @@ def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
         # g as a Python float, so a 0-d g cannot set the gradient's dtype
         weight = mask * (float(g) * per_row)
         row = float(targets is not None) + (2.0 * z_coeff * log_z if z_coeff else 0.0)
-        grad = soft * (weight * row)[:, None]
+        # soft holds the unnormalized exponentials: 1 / sums turns them into the softmax
+        grad = soft * (weight * row / sums)[:, None]
         if targets is not None:
             grad[rows, targets] -= weight
         logits._accumulate(grad.reshape(logits.shape))

@@ -249,6 +249,32 @@ def test_bootstrap_is_deterministic():
     assert a != c
 
 
+def _bootstrap_reference(items, stat_fn, n_boot, seed):
+    """bootstrap_ci's interval with each draw indexed by numpy integers."""
+    rng = np.random.default_rng(seed)
+    stats = [float(stat_fn([items[i] for i in idx]))
+             for idx in rng.integers(0, len(items), size=(n_boot, len(items)))]
+    tail = 100.0 * (1.0 - 0.95) / 2.0
+    low, high = np.percentile(stats, [tail, 100.0 - tail])
+    return float(low), float(high)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_bootstrap_intervals_match_numpy_indexing_bit_for_bit(seed):
+    rng = np.random.default_rng(100 + seed)
+    judgments = [Judgment(f"i{k}", ("win", "tie", "loss")[rng.integers(3)], "c", "m")
+                 for k in range(120)]
+    ratings = [(i, a, int(rng.integers(3))) for i in range(60) for a in range(3)]
+    for items, stat in ((judgments, judgment_win_rate),
+                        (list(label_counts(ratings)), alpha_from_counts),
+                        (list(rng.normal(size=40)), lambda s: float(np.mean(s)))):
+        got = bootstrap_ci(items, stat, n_boot=300, seed=seed)
+        assert (got.low, got.high) == _bootstrap_reference(items, stat, 300, seed)
+    overall = summarize_judgments(judgments)["overall"]
+    counts = {r: sum(j.result == r for j in judgments) for r in ("win", "tie", "loss")}
+    assert (overall.wins, overall.ties, overall.losses) == (counts["win"], counts["tie"], counts["loss"])
+
+
 def test_bootstrap_brackets_the_point_estimate():
     items = list(np.random.default_rng(1).normal(loc=3.0, size=200))
     res = bootstrap_ci(items, lambda s: float(np.mean(s)), n_boot=500, seed=0)

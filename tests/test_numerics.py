@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chamtoy.layers import causal_mask
 from chamtoy.numerics import (
     ShapeMismatchError,
     Tensor,
@@ -8,6 +9,8 @@ from chamtoy.numerics import (
     embedding,
     gated_silu,
     lm_loss,
+    normalize,
+    rotate_pairs,
 )
 from chamtoy.objective import cross_entropy, total_loss, z_loss
 
@@ -351,3 +354,112 @@ def test_lm_loss_matches_composition_and_finite_differences():
     t = Tensor(logits, requires_grad=True)
     lm_loss(t, targets, mask, 0.1)[0].backward()
     assert np.all(t.grad[mask == 0.0] == 0.0)
+
+
+# ----------------------------------------------------------------------
+# kernels at the edges: float32 against float64, decode shape, layout
+# ----------------------------------------------------------------------
+
+
+def _rope_rows(rng, seq, hd):
+    angles = rng.uniform(0.0, 6.0, size=(seq, hd // 2))
+    c = np.repeat(np.cos(angles), 2, axis=-1)
+    s = (np.sin(angles)[:, :, None] * np.array([-1.0, 1.0])).reshape(seq, hd)
+    return c, s
+
+
+def _kernel_cases(scale):
+    """(name, op, float64 inputs) for each rewritten node; `scale`
+    multiplies the inputs, so the same cases run at +-800."""
+    rng = np.random.default_rng(61)
+    b, h, kv, s, hd = 2, 4, 2, 5, 4
+    causal = causal_mask(s, s)
+    c, sn = _rope_rows(rng, s, hd)
+    targets = rng.integers(0, 7, size=6)
+    rows = np.array([1.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+
+    def r(*shape):
+        return rng.normal(size=shape) * scale
+
+    return [
+        ("attend", lambda ts: attend(ts[0], ts[1], ts[2], causal),
+         [r(b, h, s, hd), r(b, kv, s, hd), r(b, kv, s, hd)]),
+        ("attend-decode", lambda ts: attend(ts[0], ts[1], ts[2], causal_mask(1, 6)),
+         [r(b, h, 1, hd), r(b, kv, 6, hd), r(b, kv, 6, hd)]),
+        ("rms-norm", lambda ts: normalize(ts[0], ts[1], 1e-5, False), [r(3, 5, 8), r(8)]),
+        ("qk-norm", lambda ts: normalize(ts[0], ts[1], 1e-5, True),
+         [r(b, s, h, hd).transpose(0, 2, 1, 3), r(hd)]),
+        ("gated-silu", lambda ts: gated_silu(ts[0], ts[1]), [r(3, 4, 6), r(3, 4, 6)]),
+        # the tables in the compute dtype, as the model caches them
+        ("rotate-pairs", lambda ts: rotate_pairs(ts[0], *(t.astype(ts[0].data.dtype) for t in (c, sn))),
+         [r(b, h, s, hd)]),
+        ("lm-loss", lambda ts: lm_loss(ts[0], targets, rows, 0.1)[0], [r(2, 3, 7)]),
+    ]
+
+
+def _forward_backward(op, arrays, dtype):
+    """The node's output and its inputs' gradients under fixed output weights."""
+    tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+    out = op(tensors)
+    weights = np.random.default_rng(62).normal(size=(out.size, 1)).astype(dtype)
+    # reduced by a GEMM: a full Tensor.sum() of float32 data is a float64 node
+    (out.reshape(1, -1) @ Tensor(weights)).backward()
+    return [out.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("case", _kernel_cases(1.0), ids=lambda case: case[0])
+def test_float32_kernels_match_float64(case):
+    name, op, arrays = case
+    wide = _forward_backward(op, arrays, np.float64)
+    narrow = _forward_backward(op, arrays, np.float32)
+    for got, want in zip(narrow, wide):
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - want)) <= 1e-5 * max(1.0, np.max(np.abs(want))), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_take_inputs_of_800_without_warnings(dtype):
+    # pyproject turns every RuntimeWarning (overflow, invalid) into an error
+    for name, op, arrays in _kernel_cases(800.0):
+        for got in _forward_backward(op, arrays, dtype):
+            assert np.all(np.isfinite(got)), name
+
+
+def test_attend_decode_step_matches_composition_and_finite_differences():
+    # one query per head over a cache of 6 keys: no key is masked
+    rng = np.random.default_rng(63)
+    q = rng.normal(size=(2, 4, 1, 3))
+    k, v = rng.normal(size=(2, 2, 6, 3)), rng.normal(size=(2, 2, 6, 3))
+    mask = causal_mask(1, 6)
+    assert not mask.any()
+    out = attend(Tensor(q), Tensor(k), Tensor(v), mask).data
+    assert np.max(np.abs(out - _attend_ref(q, k, v, mask))) <= 1e-12
+    check_op_gradient(lambda ts: attend(ts[0], ts[1], ts[2], mask), [q, k, v])
+
+
+def test_attend_outputs_do_not_depend_on_later_queries():
+    # keys-major scores stack the queries of a kv group as columns: each
+    # query's softmax must read its own column and its own mask row
+    rng = np.random.default_rng(64)
+    q = rng.normal(size=(2, 4, 7, 4))
+    k, v = rng.normal(size=(2, 2, 7, 4)), rng.normal(size=(2, 2, 7, 4))
+    full = attend(Tensor(q), Tensor(k), Tensor(v), causal_mask(7, 7)).data
+    for p in range(1, 7):
+        part = attend(Tensor(q[:, :, :p]), Tensor(k[:, :, :p]), Tensor(v[:, :, :p]),
+                      causal_mask(p, p)).data
+        assert np.max(np.abs(part - full[:, :, :p])) <= 1e-12, p
+
+
+def test_attend_single_visible_key_gets_exactly_zero_score_gradient():
+    # a query that sees one key has softmax 1 whatever its score, so no key
+    # may get a gradient through it; D = rowsum(dO * O) misses this by
+    # rounding on most draws, D = rowsum(dP * P) cancels exactly
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        hd = (2, 4, 16)[seed % 3]
+        q, k, v = (rng.normal(size=(1, 2, 3, hd)) for _ in range(3))
+        tk = Tensor(k, requires_grad=True)
+        w = np.zeros((1, 2, 3, hd))
+        w[:, :, 0] = rng.normal(size=hd)
+        (attend(Tensor(q), tk, Tensor(v), causal_mask(3, 3)) * Tensor(w)).sum().backward()
+        assert np.all(tk.grad == 0.0), seed
