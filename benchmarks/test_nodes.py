@@ -27,7 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from chamtoy.layers import causal_mask, rope_tables  # noqa: E402
+from chamtoy.layers import causal_mask  # noqa: E402
 from chamtoy.model import init_params, preset  # noqa: E402
 from chamtoy.numerics import (  # noqa: E402
     Tensor, attend, embedding, gated_silu, lm_loss, normalize, rotate_pairs,
@@ -54,9 +54,10 @@ def _heads(rng):
 
 
 def _rope():
-    cos, sin = rope_tables(HD, S)
-    c = np.repeat(cos, 2, axis=-1).astype(F32)
-    s = (sin[:, :, None] * np.array([-1.0, 1.0])).reshape(S, HD).astype(F32)
+    """rotate_pairs' two [S, HD] tables.  Only their shape and dtype matter
+    to the timing, so they are drawn here rather than taken from a
+    revision's own rotary tables, whose layout may change."""
+    c, s = _rng().uniform(-1.0, 1.0, size=(2, S, HD)).astype(F32)
     return c, s
 
 

@@ -6,9 +6,12 @@ explicitly so the model module can own naming and checkpointing.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
-from .numerics import Tensor, attend, attention_scores, gated_silu, normalize, rotate_pairs
+from .numerics import Tensor, attend, gated_silu, normalize, rotate_pairs
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
@@ -40,52 +43,26 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     return x * Tensor(keep)
 
 
-def rope_tables(head_dim: int, max_len: int, base: float = 10000.0):
-    """Cosine/sine tables for rotary position embeddings.
+@functools.lru_cache(maxsize=16)
+def rope_tables(head_dim: int, max_len: int, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """Rotary tables C and S of shape [max_len, head_dim] for `apply_rope_at`.
 
-    Frequencies follow base^(-2i/head_dim) for pair index i; returns two
-    float arrays of shape [max_len, head_dim // 2].
+    Pair i at position p turns by p * 10000^(-2i/head_dim).  C holds that
+    angle's cosine in both channels of the pair and S its sine, negated in
+    the first, so x*C + x[..., swap]*S maps (x[2i], x[2i+1]) to
+    (x[2i]*cos - x[2i+1]*sin, x[2i]*sin + x[2i+1]*cos).  The angles are
+    computed in float64 and the tables cast once to `dtype`; they are
+    cached per argument and read-only.
     """
     if head_dim % 2 != 0:
         raise ValueError("rotary embeddings need an even head dimension")
-    inv_freq = base ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
+    inv_freq = 10000.0 ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
     angles = np.arange(max_len, dtype=np.float64)[:, None] * inv_freq[None, :]
-    return np.cos(angles), np.sin(angles)
-
-
-def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotate consecutive channel pairs of x by position-dependent angles.
-
-    x has shape [..., seq, head_dim]; cos/sin rows must cover seq.  Pair i
-    maps (x[2i], x[2i+1]) to (x[2i]*cos - x[2i+1]*sin, x[2i]*sin + x[2i+1]*cos),
-    computed as x*C + x[..., swap]*S with swap the pair-swap index.  The
-    rotation is orthogonal, so vector norms are preserved exactly up to
-    rounding.
-    """
-    return apply_rope_at(x, cos, sin, 0)
-
-
-_ROTATIONS: dict[tuple[int, int], tuple] = {}
-
-
-def _rotation(cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full-width tables C = cos repeated per pair and S = (-sin, sin)
-    interleaved, for `rotate_pairs`, built once per pair of tables.
-
-    The model holds one pair of tables per (head_dim, max_seq, dtype), so
-    a run builds C and S once per dtype instead of on every call.  Entries
-    are keyed by identity and keep their tables alive, so an id is never
-    reused while its entry lives; the tables are never written.
-    """
-    key = (id(cos), id(sin))
-    entry = _ROTATIONS.get(key)
-    if entry is None:
-        if len(_ROTATIONS) >= 16:
-            _ROTATIONS.clear()
-        c = np.repeat(cos, 2, axis=-1)
-        s = (sin[..., None] * np.array([-1.0, 1.0], dtype=sin.dtype)).reshape(c.shape)
-        entry = _ROTATIONS[key] = (cos, sin, c, s)
-    return entry[2], entry[3]
+    c = np.repeat(np.cos(angles), 2, axis=-1).astype(dtype)
+    s = np.repeat(np.sin(angles), 2, axis=-1).astype(dtype)
+    s[:, 0::2] *= -1
+    c.flags.writeable = s.flags.writeable = False
+    return c, s
 
 
 def causal_mask(seq: int, total: int) -> np.ndarray:
@@ -106,7 +83,7 @@ def merge_heads(x: Tensor) -> Tensor:
     return x.transpose(0, 2, 1, 3).reshape(b, s, n * hd)
 
 
-def _rotated_qk(x, wq, wk, n_heads, n_kv_heads, cos, sin, q_gain, k_gain, norm_eps, offset):
+def _rotated_qk(x, wq, wk, n_heads, n_kv_heads, rope_c, rope_s, q_gain, k_gain, norm_eps, offset):
     """Split-head queries and keys, layer-normalized when gains are given,
     then rotated for positions starting at offset."""
     q = split_heads(x @ wq, n_heads)
@@ -115,7 +92,7 @@ def _rotated_qk(x, wq, wk, n_heads, n_kv_heads, cos, sin, q_gain, k_gain, norm_e
         q = layer_norm(q, q_gain, eps=norm_eps)
     if k_gain is not None:
         k = layer_norm(k, k_gain, eps=norm_eps)
-    return apply_rope_at(q, cos, sin, offset), apply_rope_at(k, cos, sin, offset)
+    return apply_rope_at(q, rope_c, rope_s, offset), apply_rope_at(k, rope_c, rope_s, offset)
 
 
 def attention(
@@ -126,8 +103,8 @@ def attention(
     wo: Tensor,
     n_heads: int,
     n_kv_heads: int,
-    cos: np.ndarray,
-    sin: np.ndarray,
+    rope_c: np.ndarray,
+    rope_s: np.ndarray,
     q_gain: Tensor | None = None,
     k_gain: Tensor | None = None,
     norm_eps: float = 1e-5,
@@ -149,7 +126,8 @@ def attention(
         raise ValueError("query head count must be a multiple of kv head count")
     s = x.shape[1]
     offset = 0 if past_kv is None else past_kv[0].shape[2]
-    q, k = _rotated_qk(x, wq, wk, n_heads, n_kv_heads, cos, sin, q_gain, k_gain, norm_eps, offset)
+    q, k = _rotated_qk(x, wq, wk, n_heads, n_kv_heads, rope_c, rope_s, q_gain, k_gain,
+                      norm_eps, offset)
     v = split_heads(x @ wv, n_kv_heads)
 
     if past_kv is not None:
@@ -161,12 +139,13 @@ def attention(
     return out, (Tensor(k.data), Tensor(v.data))
 
 
-def apply_rope_at(x: Tensor, cos: np.ndarray, sin: np.ndarray, offset: int) -> Tensor:
-    """Rotary rotation for tokens whose absolute positions start at offset."""
+def apply_rope_at(x: Tensor, c: np.ndarray, s: np.ndarray, offset: int) -> Tensor:
+    """Rotate x [..., seq, head_dim] by `rope_tables`' rows for the absolute
+    positions offset .. offset + seq - 1.  The rotation is orthogonal, so
+    vector norms are preserved up to rounding."""
     seq = x.shape[-2]
-    if cos.shape[0] < offset + seq:
+    if c.shape[0] < offset + seq:
         raise ValueError("rotary table shorter than sequence")
-    c, s = _rotation(cos, sin)
     return rotate_pairs(x, c[offset:offset + seq], s[offset:offset + seq])
 
 
@@ -176,8 +155,8 @@ def attention_logits(
     wk: Tensor,
     n_heads: int,
     n_kv_heads: int,
-    cos: np.ndarray,
-    sin: np.ndarray,
+    rope_c: np.ndarray,
+    rope_s: np.ndarray,
     q_gain: Tensor | None = None,
     k_gain: Tensor | None = None,
     norm_eps: float = 1e-5,
@@ -185,5 +164,10 @@ def attention_logits(
     """Pre-softmax attention scores [b, n_heads, s, s], exposed for
     norm-growth diagnostics; the result carries no graph."""
     b, s = x.shape[:2]
-    q, k = _rotated_qk(x, wq, wk, n_heads, n_kv_heads, cos, sin, q_gain, k_gain, norm_eps, 0)
-    return Tensor(attention_scores(q.data, k.data).reshape(b, n_heads, s, s))
+    q, k = _rotated_qk(x, wq, wk, n_heads, n_kv_heads, rope_c, rope_s, q_gain, k_gain, norm_eps, 0)
+    hd = q.shape[-1]
+    # query head i reads key head i // (n_heads / n_kv_heads): a group's
+    # queries stack as rows against their shared key head
+    scores = q.data.reshape(b, n_kv_heads, -1, hd) @ k.data.swapaxes(-1, -2)
+    scores *= 1.0 / math.sqrt(hd)
+    return Tensor(scores.reshape(b, n_heads, s, s))

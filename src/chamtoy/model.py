@@ -116,17 +116,6 @@ def count_params(params: dict[str, Tensor]) -> int:
     return sum(t.size for t in params.values())
 
 
-_ROPE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _rope(cfg: ModelConfig, dtype):
-    """RoPE tables in the compute dtype, so rotating keeps activations in it."""
-    key = (cfg.head_dim, cfg.max_seq, np.dtype(dtype))
-    if key not in _ROPE_CACHE:
-        _ROPE_CACHE[key] = tuple(t.astype(dtype) for t in rope_tables(cfg.head_dim, cfg.max_seq))
-    return _ROPE_CACHE[key]
-
-
 def block_forward(
     x: Tensor,
     params: dict[str, Tensor],
@@ -142,7 +131,7 @@ def block_forward(
     was added to the stream) and the updated kv pair for this layer.
     """
     pre = f"layers.{layer}"
-    cos, sin = _rope(cfg, x.data.dtype)
+    rope_c, rope_s = rope_tables(cfg.head_dim, cfg.max_seq, x.data.dtype)
     q_gain = params.get(f"{pre}.attn.q_gain")
     k_gain = params.get(f"{pre}.attn.k_gain")
 
@@ -151,7 +140,7 @@ def block_forward(
             inp,
             params[f"{pre}.attn.wq"], params[f"{pre}.attn.wk"],
             params[f"{pre}.attn.wv"], params[f"{pre}.attn.wo"],
-            cfg.n_heads, cfg.n_kv_heads, cos, sin,
+            cfg.n_heads, cfg.n_kv_heads, rope_c, rope_s,
             q_gain=q_gain, k_gain=k_gain, norm_eps=cfg.norm_eps,
             past_kv=past_kv,
         )

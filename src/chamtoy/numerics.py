@@ -55,8 +55,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None):
-        keep = isinstance(data, np.ndarray) and data.dtype == np.float32
-        self.data = data if keep else np.asarray(data, dtype=np.float64)
+        # a float32 scalar (a full reduction) stays float32 as well
+        keep = isinstance(data, (np.ndarray, np.float32)) and data.dtype == np.float32
+        self.data = np.asarray(data) if keep else np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
@@ -328,26 +329,12 @@ def _softmax(data: np.ndarray, axis: int, mask=None) -> np.ndarray:
     return exps
 
 
-def attention_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """q k^T / sqrt(hd) for [b, h, s, hd] queries and [b, kv, t, hd] keys.
-
-    Query head i reads key head i // (h / kv).  The queries of one group
-    stack as rows against their shared key head, so the result is
-    [b, kv, (h / kv) * s, t] and no key is repeated; its reshape to
-    [b, h, s, t] is a view in query-head order.
-    """
-    b, h, s, hd = q.shape
-    scores = q.reshape(b, k.shape[1], -1, hd) @ k.swapaxes(-1, -2)
-    scores *= 1.0 / math.sqrt(hd)
-    return scores
-
-
 def attend(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
     """softmax(q k^T / sqrt(hd)) v as one node, over grouped key/value heads.
 
-    Shapes as in `attention_scores`; v is [b, kv, t, hd] and the output
-    [b, h, s, hd].  `mask` is a boolean [s, t] array, True where a query
-    may not look.
+    q is [b, h, s, hd], k and v are [b, kv, t, hd] and the output is
+    [b, h, s, hd]; query head i reads key head i // (h / kv).  `mask` is
+    a boolean [s, t] array, True where a query may not look.
 
     The scores are held keys-major, k (q / sqrt(hd))^T of shape
     [b, kv, t, g * s] with g = h / kv, so the softmax's max and sum reduce

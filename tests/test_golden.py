@@ -98,7 +98,7 @@ def run_stage(work: Path, stage, env) -> dict:
                                           cwd=work, env=env, stdout=out, stderr=err))
     record = {}
     for (name, _, out_dir), proc in zip(stage, procs):
-        entry = {"exit": proc.wait(),
+        entry = {"exit": proc.wait(timeout=300),
                  "stdout": sha256((logs / f"{name}.out").read_bytes()),
                  "stderr": sha256((logs / f"{name}.err").read_bytes())}
         if out_dir is not None:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from chamtoy.layers import (
-    apply_rope,
     apply_rope_at,
     attention,
     attention_logits,
@@ -122,47 +121,54 @@ def test_swiglu_shapes_and_gradient():
 
 
 def test_rope_preserves_norms():
-    cos, sin = rope_tables(8, 32)
+    c, s = rope_tables(8, 32)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(1, 2, 16, 8))
-    out = apply_rope(Tensor(x), cos, sin).data
+    out = apply_rope_at(Tensor(x), c, s, 0).data
     assert np.allclose(
         np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-10
     )
 
 
 def test_rope_position_zero_is_identity():
-    cos, sin = rope_tables(6, 4)
+    c, s = rope_tables(6, 4)
     x = np.random.default_rng(6).normal(size=(1, 1, 1, 6))
-    out = apply_rope(Tensor(x), cos, sin).data
+    out = apply_rope_at(Tensor(x), c, s, 0).data
     assert np.allclose(out, x, atol=1e-12)
 
 
 def test_rope_dot_products_depend_only_on_relative_position():
-    cos, sin = rope_tables(8, 64)
+    rope_c, rope_s = rope_tables(8, 64)
     rng = np.random.default_rng(7)
     q = rng.normal(size=8)
     k = rng.normal(size=8)
 
     def dot_at(m, n):
-        qm = apply_rope_at(Tensor(q.reshape(1, 1, 1, 8)), cos, sin, m).data.ravel()
-        kn = apply_rope_at(Tensor(k.reshape(1, 1, 1, 8)), cos, sin, n).data.ravel()
+        qm = apply_rope_at(Tensor(q.reshape(1, 1, 1, 8)), rope_c, rope_s, m).data.ravel()
+        kn = apply_rope_at(Tensor(k.reshape(1, 1, 1, 8)), rope_c, rope_s, n).data.ravel()
         return float(qm @ kn)
 
     assert dot_at(3, 1) == pytest.approx(dot_at(13, 11), abs=1e-10)
     assert dot_at(5, 5) == pytest.approx(dot_at(40, 40), abs=1e-10)
 
 
+def reference_angles(positions, head_dim):
+    """RoFormer's angles: position p turns pair i by p * 10000^(-2i/head_dim)."""
+    return np.stack([positions * 10000.0 ** (-2 * i / head_dim)
+                     for i in range(head_dim // 2)], axis=-1)
+
+
 def test_rope_rotates_adjacent_channel_pairs():
     # the interleaved layout is part of the checkpoint format: a rotate-half
     # layout passes the norm and relative-position tests but not this one
-    cos, sin = rope_tables(8, 32)
+    rope_c, rope_s = rope_tables(8, 32)
     rng = np.random.default_rng(10)
     x = rng.normal(size=(2, 3, 5, 8))
     for offset in (0, 1, 7, 27):
-        out = apply_rope_at(Tensor(x), cos, sin, offset).data
-        c = cos[offset:offset + 5]
-        s = sin[offset:offset + 5]
+        out = apply_rope_at(Tensor(x), rope_c, rope_s, offset).data
+        angles = reference_angles(np.arange(offset, offset + 5), 8)
+        c = np.cos(angles)
+        s = np.sin(angles)
         expected = np.empty_like(x)
         for i in range(4):
             even, odd = x[..., 2 * i], x[..., 2 * i + 1]
@@ -172,12 +178,12 @@ def test_rope_rotates_adjacent_channel_pairs():
 
 
 def test_rope_gradient():
-    cos, sin = rope_tables(4, 8)
+    c, s = rope_tables(4, 8)
     x = np.random.default_rng(8).normal(size=(1, 2, 3, 4))
-    tensors, w = scalar_loss_grad(lambda ts: apply_rope(ts[0], cos, sin), [x])
+    tensors, w = scalar_loss_grad(lambda ts: apply_rope_at(ts[0], c, s, 0), [x])
 
     def f(a):
-        return float((apply_rope(Tensor(a), cos, sin) * Tensor(w)).sum().data)
+        return float((apply_rope_at(Tensor(a), c, s, 0) * Tensor(w)).sum().data)
 
     assert_grad_close(tensors[0].grad, finite_difference(f, x))
 
@@ -185,15 +191,29 @@ def test_rope_gradient():
 @pytest.mark.parametrize("offset", [0, 1, 7, 27])
 def test_rotation_node_matches_permutation_matmul_and_finite_differences(offset):
     # the composition it replaced: x*C + (x @ P)*S, P the pair-swap matrix
-    cos, sin = rope_tables(6, 40)
+    rope_c, rope_s = rope_tables(6, 40)
     x = np.random.default_rng(40 + offset).normal(size=(2, 3, 4, 6))
-    c = np.repeat(cos[offset:offset + 4], 2, axis=-1)
-    s = (sin[offset:offset + 4, :, None] * np.array([-1.0, 1.0])).reshape(4, 6)
+    angles = reference_angles(np.arange(offset, offset + 4), 6)
+    c = np.repeat(np.cos(angles), 2, axis=-1)
+    s = (np.sin(angles)[..., None] * np.array([-1.0, 1.0])).reshape(4, 6)
     swap = np.eye(6).reshape(3, 2, 6)[:, ::-1].reshape(6, 6)
-    out = apply_rope_at(Tensor(x), cos, sin, offset).data
+    out = apply_rope_at(Tensor(x), rope_c, rope_s, offset).data
     assert np.array_equal(out, x * c + (x @ swap) * s)
     assert np.array_equal(rotate_pairs(Tensor(x), c, s).data, out)
-    check_op_gradient(lambda ts: apply_rope_at(ts[0], cos, sin, offset), [x])
+    check_op_gradient(lambda ts: apply_rope_at(ts[0], rope_c, rope_s, offset), [x])
+
+
+def test_rope_tables_are_cached_read_only_and_cast_from_float64():
+    c64, s64 = rope_tables(8, 16)
+    c32, s32 = rope_tables(8, 16, np.float32)
+    again = rope_tables(8, 16, np.float32)
+    assert again[0] is c32 and again[1] is s32
+    for table in (c64, s64, c32, s32):
+        with pytest.raises(ValueError):
+            table[1, 1] = 0.0
+    assert c32.dtype == s32.dtype == np.float32
+    assert np.array_equal(c32, c64.astype(np.float32))
+    assert np.array_equal(s32, s64.astype(np.float32))
 
 
 def test_dropout_identity_cases():

@@ -93,6 +93,15 @@ def test_sum_and_mean():
     assert Tensor([1.0, 2.0, 3.0]).sum().item() == 6.0
 
 
+def test_full_sum_of_float32_is_float32_and_so_is_its_gradient():
+    # numpy reduces float32 data over all axes to an np.float32 scalar
+    leaf = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+    total = leaf.sum()
+    total.backward()
+    assert total.data.dtype == np.float32 and isinstance(total.data, np.ndarray)
+    assert leaf.grad.dtype == np.float32
+
+
 def test_softmax_uniform():
     out = Tensor([0.0, 0.0, 0.0, 0.0]).softmax(axis=0)
     assert np.allclose(out.data, 0.25, atol=1e-15)
@@ -402,7 +411,6 @@ def _forward_backward(op, arrays, dtype):
     tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
     out = op(tensors)
     weights = np.random.default_rng(62).normal(size=(out.size, 1)).astype(dtype)
-    # reduced by a GEMM: a full Tensor.sum() of float32 data is a float64 node
     (out.reshape(1, -1) @ Tensor(weights)).backward()
     return [out.data] + [t.grad for t in tensors]
 
