@@ -10,7 +10,10 @@ timed on the inputs one toy-preset step hands it: batch 8 x 64, d_model
 ``forward`` case builds the node from inputs that require gradients, as
 training does; its ``backward`` case runs the node's backward closure on
 a fixed upstream gradient, from cleared input gradients each round.
-AdamW updates the float64 master weights of the whole toy model.
+AdamW updates the float64 master weights of the whole toy model.  The
+head split and merge of ``chamtoy.layers`` are timed the same way; where a
+revision builds one of them from several nodes, its backward case runs
+each of their closures in turn.
 
 The file sits outside ``testpaths``, so the tier-1 suite does not run it,
 and it uses only the node entry points that have kept their signatures,
@@ -27,7 +30,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from chamtoy.layers import causal_mask  # noqa: E402
+from chamtoy.layers import causal_mask, merge_heads, split_heads  # noqa: E402
 from chamtoy.model import init_params, preset  # noqa: E402
 from chamtoy.numerics import (  # noqa: E402
     Tensor, attend, embedding, gated_silu, lm_loss, normalize, rotate_pairs,
@@ -80,6 +83,16 @@ def _case_rotate_pairs():
     return (lambda: rotate_pairs(x, c, s)), [x]
 
 
+def _case_split_heads():
+    x = _leaf(_rng().normal(size=(B, S, D)))
+    return (lambda: split_heads(x, H)), [x]
+
+
+def _case_merge_heads():
+    x = _leaf(_rng().normal(size=(B, H, S, HD)))
+    return (lambda: merge_heads(x)), [x]
+
+
 def _case_normalize_rms():
     rng = _rng()
     x, g = _leaf(rng.normal(size=(B, S, D))), _leaf(np.ones(D))
@@ -117,6 +130,8 @@ CASES = {
     "embedding": _case_embedding,
     "matmul": _case_matmul,
     "rotate_pairs": _case_rotate_pairs,
+    "split_heads": _case_split_heads,
+    "merge_heads": _case_merge_heads,
     "normalize-rms": _case_normalize_rms,
     "normalize-qk": _case_normalize_qk,
     "attend": _case_attend,
@@ -132,17 +147,32 @@ def test_forward(benchmark, name):
     assert out.data.dtype == F32
 
 
+def _chain(out, inputs):
+    """The nodes from out down to the inputs, out first: out alone for one
+    fused node, and each node of a chain that a revision builds instead."""
+    chain = [out]
+    while not any(p is t for p in chain[-1]._parents for t in inputs):
+        chain.append(chain[-1]._parents[0])
+    return chain
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_backward(benchmark, name):
     node, inputs = CASES[name]()
     out = node()
     g = np.ones_like(out.data) if out.ndim == 0 else _rng().normal(size=out.shape).astype(F32)
+    inner = _chain(out, inputs)[1:]
 
     def clear():
-        for t in inputs:
+        for t in inputs + inner:
             t.grad = None
 
-    benchmark.pedantic(out._backward_fn, args=(g,), setup=clear, rounds=300, warmup_rounds=10)
+    def reverse(g):
+        out._backward_fn(g)
+        for t in inner:
+            t._backward_fn(t.grad)
+
+    benchmark.pedantic(reverse, args=(g,), setup=clear, rounds=300, warmup_rounds=10)
     assert all(t.grad is not None and t.grad.dtype == F32 for t in inputs)
 
 

@@ -68,19 +68,28 @@ def rope_tables(head_dim: int, max_len: int, dtype=np.float64) -> tuple[np.ndarr
 def causal_mask(seq: int, total: int) -> np.ndarray:
     """Boolean [seq, total] mask for the last seq of total positions, True
     where a key lies after its query."""
-    return np.triu(np.ones((seq, total), dtype=bool), k=total - seq + 1)
+    return np.arange(total) > np.arange(total - seq, total)[:, None]
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[batch, seq, n*hd] -> [batch, n, seq, hd]."""
+    """[batch, seq, n*hd] -> [batch, n, seq, hd], a strided view, as one node."""
     b, s, d = x.shape
-    return x.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+    def backward_fn(g):
+        x._accumulate(g.transpose(0, 2, 1, 3).reshape(b, s, d))
+
+    return x._make(x.data.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3), (x,),
+                   backward_fn)
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """[batch, n, seq, hd] -> [batch, seq, n*hd]."""
+    """[batch, n, seq, hd] -> [batch, seq, n*hd] as one node."""
     b, n, s, hd = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, s, n * hd)
+
+    def backward_fn(g):
+        x._accumulate(g.reshape(b, s, n, hd).transpose(0, 2, 1, 3))
+
+    return x._make(x.data.transpose(0, 2, 1, 3).reshape(b, s, n * hd), (x,), backward_fn)
 
 
 def _rotated_qk(x, wq, wk, n_heads, n_kv_heads, rope_c, rope_s, q_gain, k_gain, norm_eps, offset):

@@ -133,10 +133,10 @@ class Tensor:
         return value if isinstance(value, Tensor) else Tensor(value)
 
     def _make(self, data, parents, backward_fn) -> "Tensor":
-        requires = any(p.requires_grad for p in parents)
-        return Tensor(data, requires_grad=requires,
-                      _parents=tuple(p for p in parents if p.requires_grad) if requires else (),
-                      _backward_fn=backward_fn if requires else None)
+        live = tuple([p for p in parents if p.requires_grad])
+        if not live:
+            return Tensor(data)
+        return Tensor(data, requires_grad=True, _parents=live, _backward_fn=backward_fn)
 
     # ------------------------------------------------------------------
     # elementwise arithmetic (trailing-dimension broadcasting)
@@ -413,13 +413,21 @@ def rotate_pairs(x: Tensor, c: np.ndarray, s: np.ndarray) -> Tensor:
     g*c + (g*s)[..., swap].  A strided x (split heads with no QK norm) is
     copied to C order first, the layout the gather returns, so that the
     sum does not mix two layouts."""
-    swap = np.arange(x.shape[-1]) ^ 1
+    swap = _swap(x.shape[-1])
     xd = np.ascontiguousarray(x.data)
 
     def backward_fn(g):
         x._accumulate(g * c + (g * s)[..., swap])
 
     return x._make(xd * c + xd[..., swap] * s, (x,), backward_fn)
+
+
+@functools.lru_cache(maxsize=32)
+def _swap(n: int) -> np.ndarray:
+    """A read-only index exchanging channels 2i and 2i+1 of an n-wide axis."""
+    swap = np.arange(n) ^ 1
+    swap.flags.writeable = False
+    return swap
 
 
 def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):

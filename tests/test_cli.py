@@ -526,6 +526,23 @@ def test_failure_paths_exit_codes(case, corpus_dir, no_captions_dir, tokenizer_d
     assert out.stderr.splitlines()[-1].startswith(prefix)
 
 
+def test_tokenizer_train_on_a_lone_surrogate_exits_2_in_one_line(corpus_dir, tmp_path):
+    data_dir = tmp_path / "data"
+    shutil.copytree(corpus_dir, data_dir)
+    # a JSON escape that decodes to a lone surrogate, which UTF-8 cannot encode
+    (data_dir / "text.jsonl").write_text('{"text": "ab\\ud800cd"}\n')
+    out = subprocess.run(
+        [sys.executable, "-m", "chamtoy.cli", "tokenizer-train", "--data-dir", str(data_dir),
+         "--out-dir", str(tmp_path / "out"), "--set", "tokenizer.vocab_size=300"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == EXIT_USAGE
+    assert out.stderr.splitlines() == [
+        "configuration error: 'utf-8' codec can't encode character '\\ud800' in position 2: "
+        "surrogates not allowed"
+    ]
+
+
 # ----------------------------------------------------------------------
 # eval and monitor-report
 # ----------------------------------------------------------------------

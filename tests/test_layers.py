@@ -234,6 +234,12 @@ def test_dropout_scaling_and_rate():
     assert abs(out.mean() - 1.0) < 0.01
 
 
+def test_causal_mask_equals_triu_of_ones():
+    for t in range(1, 257):
+        for s in {1, min(2, t), t}:
+            assert np.array_equal(causal_mask(s, t), np.triu(np.ones((s, t), bool), k=t - s + 1))
+
+
 def test_causal_mask_shape_and_diagonal():
     m = causal_mask(4, 4)
     assert m.shape == (4, 4)
@@ -247,6 +253,20 @@ def test_causal_mask_shape_and_diagonal():
 def test_split_merge_heads_roundtrip():
     x = Tensor(np.arange(24.0).reshape(1, 3, 8))
     assert np.array_equal(merge_heads(split_heads(x, 2)).data, x.data)
+
+
+@pytest.mark.parametrize("n_heads", [4, 2])
+def test_split_and_merge_heads_are_one_node_each_with_finite_difference_gradients(n_heads):
+    rng = np.random.default_rng(12)
+    hd = 8 // n_heads
+    check_op_gradient(lambda ts: split_heads(ts[0], n_heads), [rng.normal(size=(2, 3, 8))])
+    check_op_gradient(lambda ts: merge_heads(ts[0]), [rng.normal(size=(2, n_heads, 3, hd))])
+    x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
+    heads = split_heads(x, n_heads)
+    merged = merge_heads(heads)
+    assert heads.shape == (2, n_heads, 3, hd)
+    assert len(heads._parents) == 1 and heads._parents[0] is x
+    assert len(merged._parents) == 1 and merged._parents[0] is heads
 
 
 def make_attn_params(rng, d, n_heads, n_kv_heads):

@@ -104,8 +104,10 @@ def test_bpe_roundtrip_property(text):
     assert ids == reference.bpe_encode(tok.merges, text)
 
 
-# few distinct characters, one- to four-byte, so pairs repeat and tie often
-_CHARS = st.sampled_from(["a", "b", " ", "\u00e9", "\u65e5", "\U0001f642"]) | st.characters()
+# few distinct characters, one- to four-byte, so pairs repeat and tie often;
+# any other character UTF-8 can encode (a lone surrogate cannot, see below)
+_CHARS = (st.sampled_from(["a", "b", " ", "\u00e9", "\u65e5", "\U0001f642"])
+          | st.characters(codec="utf-8"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,6 +118,13 @@ def test_bpe_matches_pair_recount_reference(texts, vocab_size):
     assert tok.merges == merges
     for text in texts + ["aaaaa", "a" * 9, ""]:
         assert tok.encode(text) == reference.bpe_encode(merges, text)
+
+
+def test_bpe_rejects_lone_surrogates():
+    with pytest.raises(ValueError, match="surrogates not allowed"):
+        train_bpe(["\ud800"], 256)
+    with pytest.raises(ValueError, match="surrogates not allowed"):
+        train_bpe(["abab"], 257).encode("ab\ud800")
 
 
 def test_bpe_matches_reference_on_a_word_corpus():

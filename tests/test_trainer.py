@@ -364,6 +364,8 @@ def test_step_computes_in_float32_and_keeps_float64_masters(tmp_path, monkeypatc
             stack.extend(node._parents)
     leaves = [n for n in nodes if not n._parents]
     assert len(leaves) == len(result.params)
+    # the head split and merge are one node each (79 tensors as two each)
+    assert len(nodes) == 71
     for node in nodes:
         assert node.data.dtype == np.float32, node
     for leaf in leaves:
