@@ -17,11 +17,14 @@ each of their closures in turn.
 
 The file sits outside ``testpaths``, so the tier-1 suite does not run it,
 and it uses only the node entry points that have kept their signatures,
-so the same file times any revision whose ``src/`` is on the path.
+so the same file times any revision whose ``src/`` is on the path; on a
+revision whose ``normalize`` takes no rotary tables, the QK norm-and-rotate
+case times the norm and ``rotate_pairs`` as a chain of two nodes.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -77,6 +80,13 @@ def _case_matmul():
     return (lambda: x @ w), [x, w]
 
 
+def _case_matmul_qkv():
+    """The fused query, key and value projection, [512, 64] @ [64, 192]."""
+    rng = _rng()
+    x, w = _leaf(rng.normal(size=(B, S, D))), _leaf(rng.normal(0.0, 0.02, size=(D, 3 * D)))
+    return (lambda: x @ w), [x, w]
+
+
 def _case_rotate_pairs():
     c, s = _rope()
     x = _leaf(_heads(_rng()))
@@ -104,6 +114,16 @@ def _case_normalize_qk():
     return (lambda: normalize(x, g, 1e-5, center=True)), [x, g]
 
 
+def _case_normalize_qk_rotate():
+    """The QK norm and its rotation: one node where ``normalize`` takes the
+    rotary tables, and the norm then ``rotate_pairs`` where it does not."""
+    c, s = _rope()
+    x, g = Tensor(_heads(_rng()), requires_grad=True), _leaf(np.ones(HD))
+    if "rotate" in inspect.signature(normalize).parameters:
+        return (lambda: normalize(x, g, 1e-5, center=True, rotate=(c, s))), [x, g]
+    return (lambda: rotate_pairs(normalize(x, g, 1e-5, center=True), c, s)), [x, g]
+
+
 def _case_attend():
     rng = _rng()
     q, k = _leaf(_heads(rng)), _leaf(_heads(rng))
@@ -129,11 +149,13 @@ def _case_lm_loss():
 CASES = {
     "embedding": _case_embedding,
     "matmul": _case_matmul,
+    "matmul-qkv": _case_matmul_qkv,
     "rotate_pairs": _case_rotate_pairs,
     "split_heads": _case_split_heads,
     "merge_heads": _case_merge_heads,
     "normalize-rms": _case_normalize_rms,
     "normalize-qk": _case_normalize_qk,
+    "normalize-qk-rotate": _case_normalize_qk_rotate,
     "attend": _case_attend,
     "gated_silu": _case_gated_silu,
     "lm_loss": _case_lm_loss,

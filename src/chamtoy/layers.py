@@ -71,14 +71,19 @@ def causal_mask(seq: int, total: int) -> np.ndarray:
     return np.arange(total) > np.arange(total - seq, total)[:, None]
 
 
-def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[batch, seq, n*hd] -> [batch, n, seq, hd], a strided view, as one node."""
-    b, s, d = x.shape
+def split_heads(x: Tensor, n_heads: int, start: int = 0, stop: int | None = None) -> Tensor:
+    """Columns start:stop of [batch, seq, width] -> [batch, n, seq, hd], a
+    strided view, as one node.  Its backward adds into that column range of
+    x's gradient, so the heads of one fused q/k/v product share one buffer."""
+    b, s, _ = x.shape
+    cols = x.data[..., start:stop]
+    d = cols.shape[-1]
+    index = (Ellipsis, slice(start, stop))
 
     def backward_fn(g):
-        x._accumulate(g.transpose(0, 2, 1, 3).reshape(b, s, d))
+        x._accumulate_slice(index, g.transpose(0, 2, 1, 3).reshape(b, s, d))
 
-    return x._make(x.data.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3), (x,),
+    return x._make(cols.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3), (x,),
                    backward_fn)
 
 
@@ -92,23 +97,16 @@ def merge_heads(x: Tensor) -> Tensor:
     return x._make(x.data.transpose(0, 2, 1, 3).reshape(b, s, n * hd), (x,), backward_fn)
 
 
-def _rotated_qk(x, wq, wk, n_heads, n_kv_heads, rope_c, rope_s, q_gain, k_gain, norm_eps, offset):
+def _rotated_qk(q, k, rope_c, rope_s, q_gain, k_gain, norm_eps, offset):
     """Split-head queries and keys, layer-normalized when gains are given,
     then rotated for positions starting at offset."""
-    q = split_heads(x @ wq, n_heads)
-    k = split_heads(x @ wk, n_kv_heads)
-    if q_gain is not None:
-        q = layer_norm(q, q_gain, eps=norm_eps)
-    if k_gain is not None:
-        k = layer_norm(k, k_gain, eps=norm_eps)
-    return apply_rope_at(q, rope_c, rope_s, offset), apply_rope_at(k, rope_c, rope_s, offset)
+    return (apply_rope_at(q, rope_c, rope_s, offset, q_gain, norm_eps),
+            apply_rope_at(k, rope_c, rope_s, offset, k_gain, norm_eps))
 
 
 def attention(
     x: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
+    wqkv: Tensor,
     wo: Tensor,
     n_heads: int,
     n_kv_heads: int,
@@ -120,6 +118,10 @@ def attention(
     past_kv: tuple[Tensor, Tensor] | None = None,
 ):
     """Causal multi-head attention with grouped key/value heads.
+
+    wqkv is the query, key and value projections side by side, of widths
+    n_heads * hd, n_kv_heads * hd and n_kv_heads * hd, so that one GEMM
+    makes all three (the fused projection of Megatron-LM, arXiv 1909.08053).
 
     When q_gain/k_gain are given, queries and keys are layer-normalized per
     head before the rotary rotation, which bounds each attention logit by
@@ -135,9 +137,12 @@ def attention(
         raise ValueError("query head count must be a multiple of kv head count")
     s = x.shape[1]
     offset = 0 if past_kv is None else past_kv[0].shape[2]
-    q, k = _rotated_qk(x, wq, wk, n_heads, n_kv_heads, rope_c, rope_s, q_gain, k_gain,
-                      norm_eps, offset)
-    v = split_heads(x @ wv, n_kv_heads)
+    qkv = x @ wqkv
+    kv = qkv.shape[-1] // (n_heads + 2 * n_kv_heads) * n_kv_heads
+    d = qkv.shape[-1] - 2 * kv
+    q, k = _rotated_qk(split_heads(qkv, n_heads, 0, d), split_heads(qkv, n_kv_heads, d, d + kv),
+                       rope_c, rope_s, q_gain, k_gain, norm_eps, offset)
+    v = split_heads(qkv, n_kv_heads, d + kv)
 
     if past_kv is not None:
         k = Tensor(np.concatenate([past_kv[0].data, k.data], axis=2))
@@ -148,14 +153,19 @@ def attention(
     return out, (Tensor(k.data), Tensor(v.data))
 
 
-def apply_rope_at(x: Tensor, c: np.ndarray, s: np.ndarray, offset: int) -> Tensor:
+def apply_rope_at(x: Tensor, c: np.ndarray, s: np.ndarray, offset: int,
+                  gain: Tensor | None = None, eps: float = 1e-5) -> Tensor:
     """Rotate x [..., seq, head_dim] by `rope_tables`' rows for the absolute
     positions offset .. offset + seq - 1.  The rotation is orthogonal, so
-    vector norms are preserved up to rounding."""
+    vector norms are preserved up to rounding.  With `gain`, x is first
+    layer-normalized (the QK norm) in the same node."""
     seq = x.shape[-2]
     if c.shape[0] < offset + seq:
         raise ValueError("rotary table shorter than sequence")
-    return rotate_pairs(x, c[offset:offset + seq], s[offset:offset + seq])
+    c, s = c[offset:offset + seq], s[offset:offset + seq]
+    if gain is None:
+        return rotate_pairs(x, c, s)
+    return normalize(x, gain, eps, center=True, rotate=(c, s))
 
 
 def attention_logits(
@@ -173,7 +183,8 @@ def attention_logits(
     """Pre-softmax attention scores [b, n_heads, s, s], exposed for
     norm-growth diagnostics; the result carries no graph."""
     b, s = x.shape[:2]
-    q, k = _rotated_qk(x, wq, wk, n_heads, n_kv_heads, rope_c, rope_s, q_gain, k_gain, norm_eps, 0)
+    q, k = _rotated_qk(split_heads(x @ wq, n_heads), split_heads(x @ wk, n_kv_heads),
+                       rope_c, rope_s, q_gain, k_gain, norm_eps, 0)
     hd = q.shape[-1]
     # query head i reads key head i // (n_heads / n_kv_heads): a group's
     # queries stack as rows against their shared key head

@@ -85,9 +85,7 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes = {"tok_emb": (cfg.vocab_size, d)}
     for i in range(cfg.n_layers):
         pre = f"layers.{i}"
-        shapes[f"{pre}.attn.wq"] = (d, d)
-        shapes[f"{pre}.attn.wk"] = (d, kv)
-        shapes[f"{pre}.attn.wv"] = (d, kv)
+        shapes[f"{pre}.attn.wqkv"] = (d, d + 2 * kv)
         shapes[f"{pre}.attn.wo"] = (d, d)
         if cfg.qk_norm:
             shapes[f"{pre}.attn.q_gain"] = (hd,)
@@ -103,13 +101,25 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
-    """Fresh parameter dict; matrices ~ N(0, 0.02), norm gains at 1."""
+    """Fresh parameter dict; matrices ~ N(0, 0.02), norm gains at 1.
+
+    wqkv draws its query, key and value parts in turn and joins them, so a
+    model's weights equal those of the format-1 layout, which drew them as
+    separate matrices in that order.
+    """
     rng = np.random.default_rng(seed)
-    return {
-        name: Tensor(rng.normal(0.0, 0.02, size=shape) if len(shape) == 2 else np.ones(shape),
-                     requires_grad=True)
-        for name, shape in _param_shapes(cfg).items()
-    }
+    kv = cfg.n_kv_heads * cfg.head_dim
+
+    def draw(name, shape):
+        if len(shape) == 1:
+            return np.ones(shape)
+        if name.endswith(".attn.wqkv"):
+            return np.concatenate([rng.normal(0.0, 0.02, size=(shape[0], w))
+                                   for w in (cfg.d_model, kv, kv)], axis=1)
+        return rng.normal(0.0, 0.02, size=shape)
+
+    return {name: Tensor(draw(name, shape), requires_grad=True)
+            for name, shape in _param_shapes(cfg).items()}
 
 
 def count_params(params: dict[str, Tensor]) -> int:
@@ -138,8 +148,7 @@ def block_forward(
     def attn(inp):
         return attention(
             inp,
-            params[f"{pre}.attn.wq"], params[f"{pre}.attn.wk"],
-            params[f"{pre}.attn.wv"], params[f"{pre}.attn.wo"],
+            params[f"{pre}.attn.wqkv"], params[f"{pre}.attn.wo"],
             cfg.n_heads, cfg.n_kv_heads, rope_c, rope_s,
             q_gain=q_gain, k_gain=k_gain, norm_eps=cfg.norm_eps,
             past_kv=past_kv,
@@ -210,7 +219,7 @@ def model_forward(
 # checkpointing
 # ----------------------------------------------------------------------
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def parse_bool(raw: str) -> bool:
@@ -313,7 +322,9 @@ def load_checkpoint(path):
     Returns (params, cfg, opt_state, step); opt_state/step are None when
     the checkpoint was saved without them.  When `path` is missing but
     `<name>.old` exists, a save stopped between its two renames, and the
-    previous checkpoint it left in `<name>.old` is read.
+    previous checkpoint it left in `<name>.old` is read.  Format 1, which
+    stored each layer's query, key and value weights apart, loads with
+    them and their optimizer moments joined into `attn.wqkv`.
     """
     path = Path(path)
     old = path.with_name(path.name + ".old")
@@ -325,12 +336,12 @@ def load_checkpoint(path):
             key, _, val = line.partition(" ")
             kv[key] = val
     version = int(kv.get("format_version", "-1"))
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise ValueError(f"checkpoint format {version} not supported (expected {FORMAT_VERSION})")
     cfg = _config_from_map(kv)
 
     blob = (path / "weights.bin").read_bytes()
-    params: dict[str, Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     opt_m: dict[str, np.ndarray] = {}
     opt_v: dict[str, np.ndarray] = {}
     for line in (path / "manifest.txt").read_text().splitlines():
@@ -349,10 +360,12 @@ def load_checkpoint(path):
         elif name.startswith("opt.v."):
             opt_v[name[len("opt.v."):]] = arr
         else:
-            params[name] = Tensor(arr, requires_grad=True)
+            params[name] = arr
+    if version == 1:
+        params, opt_m, opt_v = (_fuse_qkv(arrays) for arrays in (params, opt_m, opt_v))
 
     expected = _param_shapes(cfg)
-    found = {name: t.shape for name, t in params.items()}
+    found = {name: arr.shape for name, arr in params.items()}
     if found != expected:
         missing = sorted(expected.keys() - found.keys())
         unexpected = sorted(found.keys() - expected.keys())
@@ -366,7 +379,21 @@ def load_checkpoint(path):
     if opt_m:
         opt_state = {"m": opt_m, "v": opt_v, "t": int(kv.get("opt.t", "0"))}
     step = int(kv["opt.step"]) if "opt.step" in kv else None
-    return params, cfg, opt_state, step
+    # in init order, where _fuse_qkv appended each wqkv last
+    return {name: Tensor(params[name], requires_grad=True) for name in expected}, cfg, opt_state, step
+
+
+def _fuse_qkv(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Join format 1's separate attn.wq, attn.wk and attn.wv into format 2's
+    attn.wqkv; an incomplete triple is left for the shape check to report."""
+    fused = dict(arrays)
+    for name in arrays:
+        if name.endswith(".attn.wq"):
+            stem = name[:-len("wq")]
+            parts = [stem + p for p in ("wq", "wk", "wv")]
+            if all(p in fused for p in parts):
+                fused[stem + "wqkv"] = np.concatenate([fused.pop(p) for p in parts], axis=1)
+    return fused
 
 
 def clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:

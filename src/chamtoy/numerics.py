@@ -42,6 +42,9 @@ def _broadcastable(a: tuple, b: tuple) -> bool:
     return True
 
 
+_FLOATS = (np.dtype(np.float64), np.dtype(np.float32))
+
+
 class Tensor:
     """A dense n-dimensional array participating in reverse-mode autodiff.
 
@@ -55,9 +58,12 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None):
+        # a float64 or float32 ndarray, what every op makes, is kept as is;
         # a float32 scalar (a full reduction) stays float32 as well
-        keep = isinstance(data, (np.ndarray, np.float32)) and data.dtype == np.float32
-        self.data = np.asarray(data) if keep else np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype not in _FLOATS:
+            keep = isinstance(data, (np.ndarray, np.float32)) and data.dtype == np.float32
+            data = np.asarray(data) if keep else np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
@@ -97,6 +103,13 @@ class Tensor:
             self.grad = np.array(grad)
         else:
             self.grad += grad
+
+    def _accumulate_slice(self, index, grad: np.ndarray) -> None:
+        """Add grad into self.grad[index]; the first write zero-fills the
+        buffer, so that the nodes reading parts of one tensor share it."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad[index] += grad
 
     def backward(self) -> None:
         """Run one reverse pass from this scalar tensor through its DAG.
@@ -185,15 +198,17 @@ class Tensor:
         """
         other = self._lift(other)
         a, b = self, other
-        if a.ndim == 0 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-            raise ShapeMismatchError(f"matmul expects [..., k] @ [k, n], got {a.shape} @ {b.shape}")
-        a2 = a.data.reshape(-1, b.shape[0])
-        out_data = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+        ad, bd = a.data, b.data
+        if ad.ndim == 0 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
+            raise ShapeMismatchError(f"matmul expects [..., k] @ [k, n], got {ad.shape} @ {bd.shape}")
+        k, n = bd.shape
+        a2 = ad.reshape(-1, k)
+        out_data = (a2 @ bd).reshape(ad.shape[:-1] + (n,))
 
         def backward_fn(g):
-            g2 = g.reshape(-1, b.shape[1])
+            g2 = g.reshape(-1, n)
             if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+                a._accumulate((g2 @ bd.T).reshape(ad.shape))
             if b.requires_grad:
                 b._accumulate(a2.T @ g2)
 
@@ -273,12 +288,17 @@ class Tensor:
 # ----------------------------------------------------------------------
 
 
-def normalize(x: Tensor, gain: Tensor, eps: float, center: bool) -> Tensor:
+def normalize(x: Tensor, gain: Tensor, eps: float, center: bool,
+              rotate: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """gain * h / sqrt(mean(h^2) + eps) over the last axis, as one node.
 
     h is x minus its mean over the last axis when `center` is set (layer
     norm) and x itself otherwise (RMS norm).  `gain` holds one value per
-    channel of the last axis and meets any leading shape.
+    channel of the last axis and meets any leading shape.  `rotate`, the
+    tables (c, s) that `rotate_pairs` takes, rotates the output in the same
+    node (the normalized and rotated queries and keys): the result equals
+    rotate_pairs(normalize(x, ...), c, s) bit for bit, and the backward
+    un-rotates the upstream gradient first.
 
     Every row sum, forward and backward, is a GEMV against a cached ones
     vector: over the QK norm's 16-wide rows numpy's ``sum(-1)`` is several
@@ -294,8 +314,16 @@ def normalize(x: Tensor, gain: Tensor, eps: float, center: bool) -> Tensor:
     h = xd - ((xd @ ones) * scale)[..., None] if center else xd
     inv = (((h * h) @ ones) * scale + eps) ** -0.5
     unit = h * inv[..., None]
+    # dropped before the rotation allocates, which then reuses their memory
+    del xd, h
+    out = unit * gain.data
+    if rotate is not None:
+        c, s = rotate
+        out = _turn(out, c, s)
 
     def backward_fn(g):
+        if rotate is not None:
+            g = _turn_back(g, c, s)
         if gain.requires_grad:
             rows = (g * unit).reshape(-1, n)
             gain._accumulate(_ones(rows.shape[0], rows.dtype) @ rows)
@@ -308,7 +336,7 @@ def normalize(x: Tensor, gain: Tensor, eps: float, center: bool) -> Tensor:
                 g_h -= ((g_h @ ones) * scale)[..., None]
             x._accumulate(g_h)
 
-    return x._make(unit * gain.data, (x, gain), backward_fn)
+    return x._make(out, (x, gain), backward_fn)
 
 
 @functools.lru_cache(maxsize=32)
@@ -413,13 +441,30 @@ def rotate_pairs(x: Tensor, c: np.ndarray, s: np.ndarray) -> Tensor:
     g*c + (g*s)[..., swap].  A strided x (split heads with no QK norm) is
     copied to C order first, the layout the gather returns, so that the
     sum does not mix two layouts."""
-    swap = _swap(x.shape[-1])
     xd = np.ascontiguousarray(x.data)
 
     def backward_fn(g):
-        x._accumulate(g * c + (g * s)[..., swap])
+        x._accumulate(_turn_back(g, c, s))
 
-    return x._make(xd * c + xd[..., swap] * s, (x,), backward_fn)
+    return x._make(_turn(xd, c, s), (x,), backward_fn)
+
+
+def _turn(a: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """a*c + a[..., swap]*s as a new C-order array, summed in the other
+    order, which IEEE addition leaves bit-identical.  np.take keeps C
+    order, where a[..., swap] puts the channel axis outermost in memory,
+    and each pass that mixes the two layouts runs several times slower."""
+    out = np.take(a, _swap(a.shape[-1]), axis=-1)
+    out *= s
+    out += a * c
+    return out
+
+
+def _turn_back(g: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g*c + (g*s)[..., swap], the transpose of `_turn`, likewise."""
+    out = np.take(g * s, _swap(g.shape[-1]), axis=-1)
+    out += g * c
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -472,7 +517,7 @@ def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
 def embedding(weight: Tensor, ids) -> Tensor:
     """Row lookup `weight[ids]`; backward scatter-adds into the table."""
     ids = np.asarray(ids, dtype=np.int64)
-    if np.any(ids < 0) or np.any(ids >= weight.shape[0]):
+    if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
         raise IndexError(f"token id out of range [0, {weight.shape[0]})")
     w = weight
     out_data = w.data[ids]

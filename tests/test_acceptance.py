@@ -40,7 +40,9 @@ from chamtoy.model import (
     model_forward,
     preset,
 )
-from chamtoy.numerics import Tensor, attend, embedding, gated_silu, lm_loss, rotate_pairs
+from chamtoy.numerics import (
+    Tensor, attend, embedding, gated_silu, lm_loss, normalize, rotate_pairs,
+)
 from chamtoy.objective import cross_entropy, total_loss, z_loss
 from chamtoy.tokenizer import (
     MixedVocab,
@@ -109,6 +111,10 @@ def _op_roster():
         lambda rng: (lambda ts: embedding(ts[0], np.array([[1, 3], [0, 0]])), [r(rng, 5, 4)]),
         lambda rng: (lambda ts: rms_norm(ts[0], ts[1]), [r(rng, 3, 4), r(rng, 4)]),
         lambda rng: (lambda ts: layer_norm(ts[0], ts[1]), [r(rng, 2, 3, 4), r(rng, 4)]),
+        lambda rng: (
+            lambda ts: normalize(ts[0], ts[1], 1e-5, True, rotate=(c, s)),
+            [r(rng, 2, 3, 4), r(rng, 4)],
+        ),
         lambda rng: (
             lambda ts: swiglu(ts[0], ts[1], ts[2], ts[3]),
             [r(rng, 2, 4), r(rng, 4, 6), r(rng, 4, 6), r(rng, 6, 4)],

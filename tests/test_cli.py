@@ -25,6 +25,8 @@ from chamtoy.model import NormStrategy, load_checkpoint
 from chamtoy.tokenizer import BPETokenizer, Codebook, read_pixmap
 from chamtoy.trainer import load_log, save_log
 
+from test_model import save_format_1
+
 
 def ns(config=None, set=None, seed=None):
     return argparse.Namespace(config=config, set=set, seed=seed)
@@ -234,6 +236,27 @@ def test_train_resume_extends_run(corpus_dir, tokenizer_dir, pretrain_dir, tmp_p
     assert step == 9
     rows = load_log(out / "loss.csv")
     assert [r["step"] for r in rows] == [6, 7, 8]
+
+
+def test_train_resumes_from_a_format_1_checkpoint(corpus_dir, tokenizer_dir, pretrain_dir,
+                                                  tmp_path):
+    # a checkpoint with separate q/k/v weights resumes exactly as its fused form
+    params, cfg, opt_state, step = load_checkpoint(pretrain_dir / "checkpoint")
+    save_format_1(tmp_path / "format1", params, cfg, opt_state=opt_state, step=step)
+    sets = [s if s != "train.steps=6" else "train.steps=9" for s in TRAIN_SETS]
+    for name in ("format1", "format2"):
+        source = tmp_path / "format1" if name == "format1" else pretrain_dir / "checkpoint"
+        code = main([
+            "train", "--data-dir", str(corpus_dir), "--tokenizer-dir", str(tokenizer_dir),
+            "--out-dir", str(tmp_path / f"from-{name}"), "--seed", "3",
+            "--resume", str(source), *sets,
+        ])
+        assert code == EXIT_OK
+    logs = [(tmp_path / f"from-{name}" / "loss.csv").read_bytes() for name in ("format1", "format2")]
+    assert logs[0] == logs[1]
+    for name in ("weights.bin", "manifest.txt", "config.txt"):
+        assert ((tmp_path / "from-format1" / "checkpoint" / name).read_bytes()
+                == (tmp_path / "from-format2" / "checkpoint" / name).read_bytes()), name
 
 
 def test_train_ablation_pair(corpus_dir, tokenizer_dir, tmp_path):

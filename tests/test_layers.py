@@ -14,7 +14,7 @@ from chamtoy.layers import (
     split_heads,
     swiglu,
 )
-from chamtoy.numerics import Tensor, gated_silu, normalize, rotate_pairs
+from chamtoy.numerics import Tensor, attend, gated_silu, normalize, rotate_pairs
 
 from test_numerics import assert_grad_close, check_op_gradient, finite_difference
 
@@ -269,6 +269,64 @@ def test_split_and_merge_heads_are_one_node_each_with_finite_difference_gradient
     assert len(merged._parents) == 1 and merged._parents[0] is heads
 
 
+@pytest.mark.parametrize("n_kv_heads", [4, 2])
+def test_split_heads_column_ranges_add_into_one_gradient_buffer(n_kv_heads):
+    # the q, k and v heads of one fused product, as attention splits it
+    rng = np.random.default_rng(18)
+    n_heads, hd, s = 4, 2, 3
+    d, kv = n_heads * hd, n_kv_heads * hd
+    ranges = ((n_heads, 0, d), (n_kv_heads, d, d + kv), (n_kv_heads, d + kv, None))
+
+    def heads(x):
+        return [split_heads(x, n, start, stop) for n, start, stop in ranges]
+
+    check_op_gradient(lambda ts: attend(*heads(ts[0]), causal_mask(s, s)),
+                      [rng.normal(size=(2, s, d + 2 * kv))])
+    x = Tensor(rng.normal(size=(2, s, d + 2 * kv)), requires_grad=True)
+    # the query range read twice: its two gradients must add
+    parts = heads(x) + [split_heads(x, n_heads, 0, d)]
+    weights = [rng.normal(size=p.shape) for p in parts]
+    total = None
+    for part, w, (_, start, stop) in zip(parts, weights, ranges + ranges[:1]):
+        assert len(part._parents) == 1 and part._parents[0] is x
+        cols = x.data[..., start:stop]
+        assert np.array_equal(part.data, cols.reshape(2, s, -1, hd).transpose(0, 2, 1, 3))
+        term = (part * Tensor(w)).sum()
+        total = term if total is None else total + term
+    total.backward()
+    # each range's gradient lands in its own columns of one buffer, exactly
+    grads = [w.transpose(0, 2, 1, 3).reshape(2, s, -1) for w in weights]
+    assert np.array_equal(x.grad, np.concatenate([grads[0] + grads[3], grads[1], grads[2]], -1))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_normalize_with_rotation_equals_rotate_pairs_of_normalize(dtype):
+    rng = np.random.default_rng(19)
+    c, s = (t[2:7].astype(dtype) for t in rope_tables(6, 8))
+    # split-heads layout [b, h, seq, hd], a strided view as the QK norm sees it
+    x = (rng.normal(size=(2, 5, 3, 6)) * 3.0 + 1.0).astype(dtype).transpose(0, 2, 1, 3)
+    g = rng.normal(size=6).astype(dtype)
+    w = Tensor(rng.normal(size=x.shape).astype(dtype))
+    results = []
+    for op in (lambda ts: normalize(ts[0], ts[1], 1e-5, True, rotate=(c, s)),
+               lambda ts: rotate_pairs(normalize(ts[0], ts[1], 1e-5, True), c, s)):
+        ts = [Tensor(x, requires_grad=True), Tensor(g, requires_grad=True)]
+        out = op(ts)
+        (out * w).sum().backward()
+        results.append([out.data, ts[0].grad, ts[1].grad])
+    for fused, apart in zip(*results):
+        assert fused.dtype == dtype
+        assert np.array_equal(fused, apart)
+    # attention's call: the same node through apply_rope_at at offset 2
+    table_c, table_s = (t.astype(dtype) for t in rope_tables(6, 8))
+    via_rope = apply_rope_at(Tensor(x), table_c, table_s, 2, Tensor(g), 1e-5).data
+    assert np.array_equal(via_rope, results[0][0])
+    if dtype == np.float64:
+        for center in (True, False):
+            check_op_gradient(lambda ts: normalize(ts[0], ts[1], 1e-5, center, rotate=(c, s)),
+                              [x, g])
+
+
 def make_attn_params(rng, d, n_heads, n_kv_heads):
     hd = d // n_heads
     return dict(
@@ -279,10 +337,14 @@ def make_attn_params(rng, d, n_heads, n_kv_heads):
     )
 
 
+def fuse_qkv(p):
+    """The query, key and value weights side by side, as attention takes them."""
+    return np.concatenate([p["wq"], p["wk"], p["wv"]], axis=1)
+
+
 def run_attention(x, p, n_heads, n_kv_heads, cos, sin, **kw):
-    out, _ = attention(
-        x, p["wq"], p["wk"], p["wv"], p["wo"], n_heads, n_kv_heads, cos, sin, **kw
-    )
+    wqkv = Tensor(fuse_qkv({k: t.data for k, t in p.items()}))
+    out, _ = attention(x, wqkv, p["wo"], n_heads, n_kv_heads, cos, sin, **kw)
     return out
 
 
@@ -307,10 +369,10 @@ def test_attention_gradient():
     cos, sin = rope_tables(2, s)
     x = rng.normal(size=(1, s, d))
 
-    names = ["x", "wq", "wk", "wv", "wo"]
-    arrays = [x, raw["wq"], raw["wk"], raw["wv"], raw["wo"]]
+    names = ["x", "wqkv", "wo"]
+    arrays = [x, fuse_qkv(raw), raw["wo"]]
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    out, _ = attention(tensors[0], tensors[1], tensors[2], tensors[3], tensors[4], 2, 2, cos, sin)
+    out, _ = attention(tensors[0], tensors[1], tensors[2], 2, 2, cos, sin)
     w = np.random.default_rng(13).normal(size=out.shape)
     (out * Tensor(w)).sum().backward()
 
@@ -318,7 +380,7 @@ def test_attention_gradient():
         def f(a, k=k):
             probe = [Tensor(v) for v in arrays]
             probe[k] = Tensor(a)
-            o, _ = attention(probe[0], probe[1], probe[2], probe[3], probe[4], 2, 2, cos, sin)
+            o, _ = attention(probe[0], probe[1], probe[2], 2, 2, cos, sin)
             return float((o * Tensor(w)).sum().data)
 
         assert_grad_close(tensors[k].grad, finite_difference(f, arrays[k]))
@@ -368,12 +430,12 @@ def test_incremental_kv_matches_full_forward():
 
     full = run_attention(Tensor(x), p, 2, 1, cos, sin).data
 
+    wqkv = Tensor(fuse_qkv({k: t.data for k, t in p.items()}))
     kv = None
     steps = []
     for t in range(s):
         out, kv = attention(
-            Tensor(x[:, t:t + 1]), p["wq"], p["wk"], p["wv"], p["wo"],
-            2, 1, cos, sin, past_kv=kv,
+            Tensor(x[:, t:t + 1]), wqkv, p["wo"], 2, 1, cos, sin, past_kv=kv,
         )
         steps.append(out.data)
     incremental = np.concatenate(steps, axis=1)

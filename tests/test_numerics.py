@@ -403,6 +403,10 @@ def _kernel_cases(scale):
         ("rotate-pairs", lambda ts: rotate_pairs(ts[0], *(t.astype(ts[0].data.dtype) for t in (c, sn))),
          [r(b, h, s, hd)]),
         ("lm-loss", lambda ts: lm_loss(ts[0], targets, rows, 0.1)[0], [r(2, 3, 7)]),
+        ("qk-norm-rotate",
+         lambda ts: normalize(ts[0], ts[1], 1e-5, True,
+                              rotate=tuple(t.astype(ts[0].data.dtype) for t in (c, sn))),
+         [r(b, s, h, hd).transpose(0, 2, 1, 3), r(hd)]),
     ]
 
 

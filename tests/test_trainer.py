@@ -364,8 +364,9 @@ def test_step_computes_in_float32_and_keeps_float64_masters(tmp_path, monkeypatc
             stack.extend(node._parents)
     leaves = [n for n in nodes if not n._parents]
     assert len(leaves) == len(result.params)
-    # the head split and merge are one node each (79 tensors as two each)
-    assert len(nodes) == 71
+    # one q/k/v product and one norm-and-rotation node for each of q and k
+    # (71 tensors with three products and the norm and rotation apart)
+    assert len(nodes) == 59
     for node in nodes:
         assert node.data.dtype == np.float32, node
     for leaf in leaves:
