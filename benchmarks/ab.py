@@ -25,6 +25,12 @@ both sides of a pair alike:
   ``cli.main``.  Its check, a digest of the merges, the codebook and
   every id plus the alpha line ``eval`` prints, must match on both sides.
 
+Each train and decode worker also records, once, after the first
+generation's timed pairs, the tracemalloc peak of one train unit (the 5
+steps) and of one decode request (the first of the 3).  tracemalloc counts
+bytes, so the peaks repeat exactly; the report carries them as
+``peak_mb`` beside each workload's ratio, base and change.
+
 Workloads do not share a worker, so that one workload's heap does not
 carry into another's timings: while ``fit`` ran in the train workers,
 two runs on a change that leaves the train step alone read train 0.985
@@ -71,6 +77,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from statistics import median
 from time import perf_counter
@@ -89,6 +96,7 @@ WORKLOADS = {
     "fit": "train_bpe, train_codebook and encode of every document of a 600-line, "
            f"120-caption corpus, and a {ALPHA_BOOT}-resample alpha bootstrap",
 }
+PEAK_WORKLOADS = ("train", "decode")
 
 
 # ----------------------------------------------------------------------
@@ -163,10 +171,27 @@ def worker(tree: Path) -> None:
         alpha = [line for line in printed.getvalue().splitlines() if "alpha" in line]
         return seconds, [digest.hexdigest(), code, alpha]
 
+    def peak(unit) -> float:
+        """Peak MB that tracemalloc traces while `unit` runs."""
+        tracemalloc.start()
+        try:
+            unit()
+            return round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+        finally:
+            tracemalloc.stop()
+
     jobs = {"train": train, "decode": decode, "fit": fit}
+    peak_units = {
+        "train": train,
+        "decode": lambda: list(generate_stream(init, cfg, [vocab.bos], policies[0], vocab)),
+    }
     print(json.dumps({"numpy": np.__version__}), flush=True)
     for line in sys.stdin:
-        seconds, check = jobs[line.strip()]()
+        name = line.strip()
+        if name.startswith("peak "):
+            print(json.dumps({"peak_mb": peak(peak_units[name[5:]])}), flush=True)
+            continue
+        seconds, check = jobs[name]()
         print(json.dumps({"seconds": seconds, "check": check}), flush=True)
 
 
@@ -225,6 +250,7 @@ def compare(trees: dict, pairs: int) -> dict:
     times = {w: {"base": [], "change": []} for w in WORKLOADS}
     generations = {w: [] for w in WORKLOADS}  # per-generation median ratios
     checks = {w: {} for w in WORKLOADS}
+    peaks = {w: {} for w in PEAK_WORKLOADS}
     for first in range(0, pairs, GENERATION):
         pad, cpu = layout.randrange(PAD_MAX), layout.choice(cpus)
         workers = {(w, side): Worker(tree, pad, cpu)
@@ -241,6 +267,10 @@ def compare(trees: dict, pairs: int) -> dict:
                         times[w][side].append(reply["seconds"])
                         checks[w][side] = reply["check"]
                     ratios[w].append(times[w]["change"][-1] / times[w]["base"][-1])
+            if first == 0:  # once, outside every timed pair
+                for w in PEAK_WORKLOADS:
+                    for side in trees:
+                        peaks[w][side] = workers[w, side].run(f"peak {w}")["peak_mb"]
             numpy_version = workers["train", "change"].info["numpy"]
         finally:
             for proc in workers.values():
@@ -259,6 +289,8 @@ def compare(trees: dict, pairs: int) -> dict:
             "base_ms": round(1000 * median(times[w]["base"]), 2),
             "change_ms": round(1000 * median(times[w]["change"]), 2),
         }
+    for w in PEAK_WORKLOADS:
+        out[w]["peak_mb"] = peaks[w]
     out["train"]["final_ce"] = checks["train"]
     out["decode"]["same_tokens"] = checks["decode"]["base"] == checks["decode"]["change"]
     out["fit"]["check"] = checks["fit"]["change"]

@@ -6,6 +6,16 @@ parents and a backward closure, and :meth:`Tensor.backward` walks the
 resulting DAG once in reverse topological order, accumulating gradients
 into every node that requires them.
 
+The reverse pass releases the graph as it consumes it: as the pass leaves
+an interior node, having run its backward, the node drops its closure
+(with every array the closure saved) and its links to its parents.  An
+interior node that nothing else holds is freed then, with its data and its
+gradient; a tensor the caller holds (the loss, the logits) keeps its data
+and its ``.grad``.  A released graph cannot be walked twice: a second
+``backward()`` through any of its interior nodes raises ``RuntimeError``
+before any gradient moves, while a fresh graph built on the same leaves
+works as before.
+
 A tensor holds float64, the dtype of parameters, checkpoints, decode and
 every gradient check, unless it is built from a float32 array: the training
 step computes in float32, and every op keeps the dtype of its inputs.
@@ -43,6 +53,13 @@ def _broadcastable(a: tuple, b: tuple) -> bool:
 
 
 _FLOATS = (np.dtype(np.float64), np.dtype(np.float32))
+
+
+def _released(grad: np.ndarray) -> None:
+    """The backward closure of a node that a reverse pass has consumed."""
+    raise RuntimeError(
+        "backward() reached a node whose graph an earlier backward() released; "
+        "build the graph again from its leaves")
 
 
 class Tensor:
@@ -115,7 +132,11 @@ class Tensor:
         """Run one reverse pass from this scalar tensor through its DAG.
 
         Every node is visited exactly once, in reverse topological order,
-        so gradients along multiple paths accumulate by summation.
+        so gradients along multiple paths accumulate by summation.  Each
+        interior node is released once its backward has run (see the
+        module docstring): a tensor still held keeps its ``.grad``, and a
+        second call through a released node raises ``RuntimeError``.
+        Walk the graph, if a caller needs to, before calling this.
         """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
@@ -130,6 +151,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward_fn is _released:
+                node._backward_fn(node.grad)  # raises before any gradient moves
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -137,9 +160,15 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        while order:
+            node = order.pop()
+            if node._backward_fn is not None:
+                if node.grad is not None:
+                    node._backward_fn(node.grad)
+                # drop the closure, the arrays it saved and the links, so
+                # that an interior node nothing else holds is freed here
+                node._backward_fn = _released
+                node._parents = ()
 
     @staticmethod
     def _lift(value) -> "Tensor":

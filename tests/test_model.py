@@ -1,3 +1,5 @@
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +144,50 @@ def test_float32_gradients_agree_with_float64(name):
         assert grads[np.float32][k].dtype == np.float32, k
         err = np.linalg.norm(grads[np.float32][k] - ref) / np.linalg.norm(ref)
         assert err <= 1e-4, (k, err)
+
+
+def test_backward_frees_every_interior_node_the_caller_does_not_hold():
+    cfg = preset("toy", 48)
+    leaves = {k: Tensor(p.data.astype(np.float32), requires_grad=True)
+              for k, p in init_params(cfg, seed=1).items()}
+    ids = np.random.default_rng(2).integers(0, cfg.vocab_size, size=(2, 17))
+    mask = np.ones((2, 16))
+    mask[0, :3] = 0.0
+    logits, aux = model_forward(leaves, cfg, ids[:, :-1], rng=np.random.default_rng(3),
+                                training=True)
+    hidden = aux["hidden"]
+    del aux  # its kv cache shares arrays with interior nodes
+    breakdown = total_loss(logits, ids[:, 1:], mask=mask, z_coeff=cfg.z_coeff)
+    loss = breakdown.total
+    held = (logits, hidden, loss)
+
+    # weakrefs to each interior node's data; Tensor has __slots__ and takes none
+    refs, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if node._backward_fn is not None:
+                refs.append((any(node is t for t in held), weakref.ref(node.data)))
+    del node
+    assert len(refs) == 59 - len(leaves)
+
+    gc.disable()  # freed by reference counts alone, as the pass goes
+    try:
+        loss.backward()
+        assert [ref() is not None for _, ref in refs] == [kept for kept, _ in refs]
+    finally:
+        gc.enable()
+    assert sum(kept for kept, _ in refs) == len(held)
+    assert all(leaf.grad is not None for leaf in leaves.values())
+
+    # the held logits keep the gradient the loss alone gives them
+    alone = Tensor(logits.data, requires_grad=True)
+    total_loss(alone, ids[:, 1:], mask=mask, z_coeff=cfg.z_coeff).total.backward()
+    assert logits.grad.dtype == np.float32
+    assert np.array_equal(logits.grad, alone.grad)
+    assert hidden.grad is not None
 
 
 def test_kv_cache_matches_full_forward():

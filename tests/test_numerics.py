@@ -163,6 +163,26 @@ def test_backward_requires_scalar_output():
         (x * 2.0).backward()
 
 
+def test_second_backward_through_a_released_graph_raises():
+    x = Tensor([1.5, -2.0], requires_grad=True)
+    s = x * x
+    loss = s.sum()
+    loss.backward()
+    assert np.array_equal(x.grad, [3.0, -4.0])
+    with pytest.raises(RuntimeError, match="released"):
+        loss.backward()
+    # a new op on a released interior node reaches the released closure
+    with pytest.raises(RuntimeError, match="released"):
+        (s * 2.0).sum().backward()
+    # both raise before any gradient moves
+    assert loss.grad == 1.0
+    assert np.array_equal(s.grad, [1.0, 1.0])
+    assert np.array_equal(x.grad, [3.0, -4.0])
+    # a fresh graph on the same leaves accumulates as before
+    (x * x).sum().backward()
+    assert np.array_equal(x.grad, [6.0, -8.0])
+
+
 def test_empty_axis_reduction_rejected():
     with pytest.raises(ShapeMismatchError):
         Tensor(np.ones((0, 3))).sum(axis=0)

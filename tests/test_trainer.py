@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -344,25 +346,26 @@ def test_ablation_pair_differs_only_in_flag():
 def test_step_computes_in_float32_and_keeps_float64_masters(tmp_path, monkeypatch):
     # a float64 operand anywhere in the step would promote the graph
     # downstream of it and give back the float32 saving
-    losses = []
+    # the graph is walked as the loss is made: backward releases it
+    nodes = []
 
     def recording_total_loss(*args, **kwargs):
-        losses.append(total_loss(*args, **kwargs))
-        return losses[-1]
+        breakdown = total_loss(*args, **kwargs)
+        seen, stack = set(), [breakdown.total]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        return breakdown
 
     monkeypatch.setattr("chamtoy.trainer.total_loss", recording_total_loss)
     cfg = preset("toy", 48)
     _, opt, batch_fn = tiny_setup()
     result = train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, seed=5, end_step=1)
 
-    nodes, seen, stack = [], set(), [losses[0].total]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    leaves = [n for n in nodes if not n._parents]
+    leaves = [n for n in nodes if n._backward_fn is None]
     assert len(leaves) == len(result.params)
     # one q/k/v product and one norm-and-rotation node for each of q and k
     # (71 tensors with three products and the norm and rotation apart)
@@ -384,3 +387,24 @@ def test_step_computes_in_float32_and_keeps_float64_masters(tmp_path, monkeypatc
     for k, p in result.params.items():
         assert np.array_equal(loaded[k].data, p.data)
         assert np.array_equal(opt_state["v"][k], result.opt_state["v"][k])
+
+
+def test_three_toy_steps_peak_under_24_mb():
+    # backward frees each interior node as it goes, so no step's graph is
+    # live during the next step's forward: about 19 MB traced, against 36
+    # when the graph stayed alive until train_loop rebound its locals
+    cfg = preset("toy", 700)
+    params = init_params(cfg, seed=0)
+    rows = np.random.default_rng(0).integers(0, 700, size=(3, 8, 65))
+
+    def batch_fn(step, rng):
+        return rows[step, :, :-1], rows[step, :, 1:], np.ones((8, 64))
+
+    opt = OptimConfig(lr=1e-3, warmup_steps=2, total_steps=100)
+    tracemalloc.start()
+    try:
+        train_loop(params, cfg, opt, batch_fn, seed=0, end_step=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6, peak / 1e6
