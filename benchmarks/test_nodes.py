@@ -15,8 +15,10 @@ head split and merge of ``chamtoy.layers`` are timed the same way; where a
 revision builds one of them from several nodes, its backward case runs
 each of their closures in turn.
 
-The file sits outside ``testpaths``, so the tier-1 suite does not run it,
-and it uses only the node entry points that have kept their signatures,
+The file sits outside ``testpaths``; ``tests/test_benchmarks.py`` runs it
+once with ``--benchmark-disable`` (one untimed call per case), so a node
+it times cannot be deleted or renamed unnoticed.  It uses only the node
+entry points that have kept their signatures,
 so the same file times any revision whose ``src/`` is on the path; on a
 revision whose ``normalize`` takes no rotary tables, the QK norm-and-rotate
 case times the norm and ``rotate_pairs`` as a chain of two nodes.

@@ -389,7 +389,7 @@ def cmd_sft(run: RunConfig, args) -> int:
 def cmd_generate(run: RunConfig, args) -> int:
     print(run.render())
     tok, book, vocab = _load_tokenizer_dir(args.tokenizer_dir)
-    params, cfg, _, _ = load_checkpoint(args.checkpoint)
+    params, cfg, _, _ = _load_init(args.checkpoint, vocab)
     size = run["tokenizer.image_size"]
 
     prompt = [vocab.bos] + tok.encode(args.prompt)

@@ -167,16 +167,6 @@ def pack_sft(examples, max_len: int, vocab: MixedVocab) -> PackResult:
     return PackResult(sequences=seqs, loss_masks=lm, rejections=rejections)
 
 
-def unpack_rows(result: PackResult, vocab: MixedVocab) -> list[int]:
-    """Concatenated payload of all rows with BOS and padding stripped."""
-    out: list[int] = []
-    for row in result.sequences:
-        for tok in row[1:]:
-            if tok != vocab.pad:
-                out.append(int(tok))
-    return out
-
-
 # ----------------------------------------------------------------------
 # corpus files
 # ----------------------------------------------------------------------

@@ -122,10 +122,6 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
             for name, shape in _param_shapes(cfg).items()}
 
 
-def count_params(params: dict[str, Tensor]) -> int:
-    return sum(t.size for t in params.values())
-
-
 def block_forward(
     x: Tensor,
     params: dict[str, Tensor],
@@ -250,6 +246,9 @@ def _config_to_lines(cfg: ModelConfig) -> list[str]:
 
 def _config_from_map(kv: dict[str, str]) -> ModelConfig:
     """ModelConfig from a checkpoint's config.txt; keys of no field are ignored."""
+    missing = [f"model.{f.name}" for f in fields(ModelConfig) if f"model.{f.name}" not in kv]
+    if missing:
+        raise ValueError(f"checkpoint config.txt lacks {', '.join(missing)}")
     return ModelConfig(**{f.name: FIELD_PARSERS[f.type](kv[f"model.{f.name}"])
                           for f in fields(ModelConfig)})
 

@@ -65,11 +65,13 @@ def _released(grad: np.ndarray) -> None:
 class Tensor:
     """A dense n-dimensional array participating in reverse-mode autodiff.
 
-    `data` is a contiguous numpy buffer; `grad` is lazily allocated during
-    the reverse pass and always matches `data` in shape. Tensors are
-    treated as immutable after construction except for gradient
-    accumulation (and in-place parameter updates by the optimizer, which
-    owns its leaves).
+    `data` is a float64 or float32 numpy array, not always contiguous:
+    `split_heads` returns a strided view of its input, which the nodes that
+    want C order (`normalize`, `rotate_pairs`) copy first.  `grad` is
+    lazily allocated during the reverse pass and always matches `data` in
+    shape. Tensors are treated as immutable after construction except for
+    gradient accumulation (and in-place parameter updates by the
+    optimizer, which owns its leaves).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
@@ -101,9 +103,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -271,46 +270,6 @@ class Tensor:
 
         return self._make(out_data, (a,), backward_fn)
 
-    def softmax(self, axis=-1, mask=None):
-        """Numerically stable softmax along `axis`.
-
-        The running maximum is subtracted before exponentiation, so
-        shifting the input by a constant along `axis` (when the shifted
-        values are exactly representable) leaves the output bit-identical.
-        Entries where the boolean `mask` (broadcast to this shape) is True
-        get probability 0 and exactly zero gradient.
-        """
-        axis = self._normalize_axis(axis)
-        a = self
-        out_data = _softmax(a.data, axis, mask)
-
-        def backward_fn(g):
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - inner))
-
-        return self._make(out_data, (a,), backward_fn)
-
-    # ------------------------------------------------------------------
-    # structural ops
-    # ------------------------------------------------------------------
-
-    def reshape(self, *shape):
-        a = self
-
-        def backward_fn(g):
-            a._accumulate(g.reshape(a.shape))
-
-        return self._make(a.data.reshape(shape), (a,), backward_fn)
-
-    def transpose(self, *axes):
-        a = self
-        inverse = np.argsort(axes)
-
-        def backward_fn(g):
-            a._accumulate(g.transpose(inverse))
-
-        return self._make(a.data.transpose(axes), (a,), backward_fn)
-
 
 # ----------------------------------------------------------------------
 # fused nodes and free functions used by layers and losses
@@ -374,16 +333,6 @@ def _ones(n: int, dtype) -> np.ndarray:
     ones = np.ones(n, dtype=dtype)
     ones.flags.writeable = False
     return ones
-
-
-def _softmax(data: np.ndarray, axis: int, mask=None) -> np.ndarray:
-    """Max-shifted softmax of an array; entries where `mask` is True get 0."""
-    if mask is not None:
-        data = np.where(mask, -np.inf, data)
-    exps = data - data.max(axis=axis, keepdims=True)
-    np.exp(exps, out=exps)
-    exps /= exps.sum(axis=axis, keepdims=True)
-    return exps
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:

@@ -286,34 +286,3 @@ def load_log(path) -> list[dict]:
                 "diverged": int(row["diverged"]),
             })
         return out
-
-
-# ----------------------------------------------------------------------
-# ablation harness
-# ----------------------------------------------------------------------
-
-
-def ablation_pair(
-    make_cfg,
-    opt_cfg: OptimConfig,
-    batch_fn,
-    steps: int,
-    seed: int = 0,
-) -> dict[str, TrainResult]:
-    """Train two runs identical except for QK layer-norm.
-
-    make_cfg(qk_norm=value) must return a ModelConfig; both runs share
-    the seed, so data order and initial weights for all common parameters
-    match and any trace difference is attributable to QK-norm.
-    """
-    from .model import init_params
-
-    out: dict[str, TrainResult] = {}
-    for value in (True, False):
-        cfg = make_cfg(qk_norm=value)
-        params = init_params(cfg, seed=seed)
-        out["on" if value else "off"] = train_loop(
-            params, cfg, opt_cfg, batch_fn,
-            seed=seed, end_step=steps,
-        )
-    return out

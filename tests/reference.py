@@ -1,6 +1,7 @@
 """Per-element reference implementations of the tokenizer and agreement
 algorithms, for the equivalence properties in test_tokenizer.py and
-test_evalkit.py.
+test_evalkit.py, and the oracle that reads packed instruction-tuning rows
+back for test_data.py.
 
 Each is the direct reading of its definition that the library replaces
 with whole-array work: BPE that recounts every pair and merges the
@@ -115,3 +116,13 @@ def alpha(ratings):
     if expected == 0.0:
         return 1.0
     return 1.0 - observed / expected
+
+
+def unpack_rows(result, vocab) -> list[int]:
+    """Concatenated payload of all of pack_sft's rows, BOS and padding stripped."""
+    out: list[int] = []
+    for row in result.sequences:
+        for tok in row[1:]:
+            if tok != vocab.pad:
+                out.append(int(tok))
+    return out

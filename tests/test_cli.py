@@ -1,6 +1,7 @@
 """End-to-end and unit coverage for the command-line surface."""
 
 import argparse
+import dataclasses
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from chamtoy.cli import (
     parse_mixture,
 )
 from chamtoy.data import build_synthetic_corpus
-from chamtoy.model import NormStrategy, load_checkpoint
+from chamtoy.model import NormStrategy, init_params, load_checkpoint, save_checkpoint
 from chamtoy.tokenizer import BPETokenizer, Codebook, read_pixmap
 from chamtoy.trainer import load_log, save_log
 
@@ -199,6 +200,24 @@ def pretrain_dir(corpus_dir, tokenizer_dir, tmp_path_factory):
         "--out-dir", str(d), "--seed", "3", *TRAIN_SETS,
     ])
     assert code == EXIT_OK
+    return d
+
+
+@pytest.fixture(scope="module")
+def broken_dir(pretrain_dir, tmp_path_factory):
+    """Checkpoints no command may load with the tokenizer_dir tokenizer:
+    `no-norm-eps`, the pretrain checkpoint with that config.txt line cut,
+    and `vocab-minus-100` and `vocab-plus-100`, models of the pretrain
+    config for a vocabulary 100 ids smaller or larger."""
+    d = tmp_path_factory.mktemp("broken")
+    shutil.copytree(pretrain_dir / "checkpoint", d / "no-norm-eps")
+    cfgfile = d / "no-norm-eps" / "config.txt"
+    kept = [l for l in cfgfile.read_text().splitlines() if not l.startswith("model.norm_eps ")]
+    cfgfile.write_text("\n".join(kept) + "\n")
+    _, cfg, _, _ = load_checkpoint(pretrain_dir / "checkpoint")
+    for name, delta in (("vocab-minus-100", -100), ("vocab-plus-100", 100)):
+        other = dataclasses.replace(cfg, vocab_size=cfg.vocab_size + delta)
+        save_checkpoint(d / name, init_params(other, seed=0), other)
     return d
 
 
@@ -478,7 +497,7 @@ def test_generate_bad_mode_is_usage_error(pretrain_dir, tokenizer_dir):
 
 
 # One row per documented failure path: argv (with {corpus}, {no_captions}, {tok},
-# {ckpt} and {tmp} filled in from the fixtures) and the exit code it must give.
+# {ckpt}, {broken} and {tmp} filled in from the fixtures) and the exit code it must give.
 FAILURE_PATHS = {
     "kmeans-iters-0": (["tokenizer-train", "--set", "tokenizer.kmeans_iters=0"], EXIT_USAGE),
     "image-codes-0": (["tokenizer-train", "--set", "tokenizer.image_codes=0"], EXIT_USAGE),
@@ -498,6 +517,21 @@ FAILURE_PATHS = {
         EXIT_USAGE,
     ),
     "generate-bad-norm-strategy": (["generate", "--set", "model.norm_strategy=bogus"], EXIT_USAGE),
+    # a checkpoint built for another vocabulary than the tokenizer's
+    "generate-checkpoint-vocab-smaller": (
+        ["generate", "--checkpoint", "{broken}/vocab-minus-100"], EXIT_USAGE,
+    ),
+    "generate-checkpoint-vocab-larger": (
+        ["generate", "--checkpoint", "{broken}/vocab-plus-100"], EXIT_USAGE,
+    ),
+    # a checkpoint config.txt without one of its model.* lines
+    "generate-checkpoint-config-incomplete": (
+        ["generate", "--checkpoint", "{broken}/no-norm-eps"], EXIT_FAILURE,
+    ),
+    "sft-init-config-incomplete": (["sft", "--init", "{broken}/no-norm-eps"], EXIT_FAILURE),
+    "resume-config-incomplete": (
+        ["train", *TRAIN_SETS, "--resume", "{broken}/no-norm-eps"], EXIT_FAILURE,
+    ),
     "bad-image-fit": (["tokenizer-train", "--set", "data.image_fit=bogus"], EXIT_USAGE),
     "seq-len-over-max-seq": (
         ["train", *TRAIN_SETS, "--set", "train.seq_len=300", "--set", "model.max_seq=256"],
@@ -533,10 +567,10 @@ COMMAND_ARGS = {
 
 @pytest.mark.parametrize("case", FAILURE_PATHS)
 def test_failure_paths_exit_codes(case, corpus_dir, no_captions_dir, tokenizer_dir, pretrain_dir,
-                                  tmp_path):
+                                  broken_dir, tmp_path):
     argv, expected = FAILURE_PATHS[case]
     dirs = dict(corpus=corpus_dir, no_captions=no_captions_dir, tok=tokenizer_dir,
-                ckpt=pretrain_dir / "checkpoint", tmp=tmp_path)
+                ckpt=pretrain_dir / "checkpoint", broken=broken_dir, tmp=tmp_path)
     # the row's own options come last, so they override a shared default
     argv = [argv[0], *COMMAND_ARGS.get(argv[0], []), *argv[1:]]
     out = subprocess.run(

@@ -18,9 +18,9 @@ from chamtoy.data import (
     prepare_image,
     sample_source,
     stage_at,
-    unpack_rows,
 )
 from chamtoy.tokenizer import MixedVocab, read_pixmap
+from reference import unpack_rows
 
 VOCAB = MixedVocab(n_text=300, n_image=16)
 

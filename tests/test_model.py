@@ -11,7 +11,6 @@ from chamtoy.model import (
     NormStrategy,
     block_forward,
     clone_params,
-    count_params,
     init_params,
     load_checkpoint,
     model_forward,
@@ -117,7 +116,7 @@ def test_end_to_end_gradient_directional():
         moved = {
             k: Tensor(params[k].data + sign * eps * direction[k]) for k in params
         }
-        return loss_value(moved).item()
+        return float(loss_value(moved).data)
 
     numeric = (shifted(+1) - shifted(-1)) / (2 * eps)
     denom = max(abs(analytic), abs(numeric), 1.0)
@@ -296,7 +295,7 @@ def test_qk_norm_flag_controls_gain_params():
     without = init_params(tiny_cfg(qk_norm=False), seed=8)
     assert "layers.0.attn.q_gain" in with_norm
     assert "layers.0.attn.q_gain" not in without
-    assert count_params(with_norm) > count_params(without)
+    assert sum(t.size for t in with_norm.values()) > sum(t.size for t in without.values())
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -432,6 +431,17 @@ def test_checkpoint_config_values_parse_strictly(tmp_path):
     assert "model.qk_norm true\n" in text
     cfgfile.write_text(text.replace("model.qk_norm true", "model.qk_norm maybe"))
     with pytest.raises(ValueError, match="expected a boolean, got 'maybe'"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_config_missing_model_keys_named(tmp_path):
+    cfg = tiny_cfg()
+    save_checkpoint(tmp_path / "ck", init_params(cfg, seed=11), cfg)
+    cfgfile = tmp_path / "ck" / "config.txt"
+    kept = [l for l in cfgfile.read_text().splitlines()
+            if not l.startswith(("model.norm_eps ", "model.dropout "))]
+    cfgfile.write_text("\n".join(kept) + "\n")
+    with pytest.raises(ValueError, match="lacks model.dropout, model.norm_eps$"):
         load_checkpoint(tmp_path / "ck")
 
 

@@ -10,13 +10,13 @@ from test_numerics import assert_grad_close, finite_difference
 def test_uniform_logits_give_log_vocab():
     logits = Tensor(np.zeros((3, 4)))
     out = cross_entropy(logits, [0, 1, 3])
-    assert out.item() == pytest.approx(np.log(4.0), abs=1e-12)
+    assert float(out.data) == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_cross_entropy_hand_value():
     # probs [1/4, 3/4]; target 1 -> -ln 0.75
     logits = Tensor(np.array([[0.0, np.log(3.0)]]))
-    assert cross_entropy(logits, [1]).item() == pytest.approx(
+    assert float(cross_entropy(logits, [1]).data) == pytest.approx(
         0.2876820724517809, abs=1e-12
     )
 
@@ -24,26 +24,26 @@ def test_cross_entropy_hand_value():
 def test_cross_entropy_shift_invariant():
     rng = np.random.default_rng(0)
     base = rng.integers(-8, 8, size=(5, 7)).astype(np.float64)
-    a = cross_entropy(Tensor(base), [0, 1, 2, 3, 4]).item()
-    b = cross_entropy(Tensor(base + 32.0), [0, 1, 2, 3, 4]).item()
+    a = float(cross_entropy(Tensor(base), [0, 1, 2, 3, 4]).data)
+    b = float(cross_entropy(Tensor(base + 32.0), [0, 1, 2, 3, 4]).data)
     assert a == b  # integer logits plus integer shift round-trips exactly
 
 
 def test_z_loss_shift_sensitive():
     base = np.zeros((2, 4))
-    assert z_loss(Tensor(base)).item() != z_loss(Tensor(base + 3.0)).item()
+    assert float(z_loss(Tensor(base)).data) != float(z_loss(Tensor(base + 3.0)).data)
 
 
 def test_z_loss_zero_logits_hand_value():
     # log Z = ln 4 -> coeff * ln(4)^2 = 1.9218120556728056e-05
-    val = z_loss(Tensor(np.zeros((1, 4))), coeff=1e-5).item()
+    val = float(z_loss(Tensor(np.zeros((1, 4))), coeff=1e-5).data)
     assert val == pytest.approx(1.9218120556728056e-05, abs=1e-10)
 
 
 def test_z_loss_minimized_when_normalizer_is_one():
     # log Z = 0 exactly when sum(exp(logits)) = 1
     logits = np.full((1, 4), np.log(0.25))
-    assert z_loss(Tensor(logits)).item() == pytest.approx(0.0, abs=1e-12)
+    assert float(z_loss(Tensor(logits)).data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_total_loss_is_sum_of_parts():
@@ -51,8 +51,8 @@ def test_total_loss_is_sum_of_parts():
     logits = Tensor(rng.normal(size=(6, 5)))
     targets = rng.integers(0, 5, size=6)
     bd = total_loss(logits, targets)
-    assert bd.total.item() == pytest.approx(
-        bd.cross_entropy.item() + bd.z_loss.item(), abs=1e-14
+    assert float(bd.total.data) == pytest.approx(
+        float(bd.cross_entropy.data) + float(bd.z_loss.data), abs=1e-14
     )
     assert bd.n_tokens == 6
 
@@ -61,8 +61,8 @@ def test_mask_excludes_rows_from_value():
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(4, 5))
     targets = [0, 1, 2, 3]
-    masked = cross_entropy(Tensor(logits), targets, mask=[1, 1, 0, 0]).item()
-    only = cross_entropy(Tensor(logits[:2]), targets[:2]).item()
+    masked = float(cross_entropy(Tensor(logits), targets, mask=[1, 1, 0, 0]).data)
+    only = float(cross_entropy(Tensor(logits[:2]), targets[:2]).data)
     assert masked == pytest.approx(only, abs=1e-14)
 
 
@@ -84,7 +84,7 @@ def test_all_zero_mask_rejected():
 def test_rank3_inputs_flattened():
     logits = Tensor(np.zeros((2, 3, 4)))
     out = cross_entropy(logits, np.zeros((2, 3), dtype=int))
-    assert out.item() == pytest.approx(np.log(4.0), abs=1e-12)
+    assert float(out.data) == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -97,7 +97,7 @@ def test_loss_gradient_matches_finite_differences():
     total_loss(t, targets, mask=mask).total.backward()
 
     def f(a):
-        return total_loss(Tensor(a), targets, mask=mask).total.item()
+        return float(total_loss(Tensor(a), targets, mask=mask).total.data)
 
     assert_grad_close(t.grad, finite_difference(f, logits))
 

@@ -17,7 +17,6 @@ from chamtoy.trainer import (
     LOG_FIELDS,
     DivergenceMonitor,
     OptimConfig,
-    ablation_pair,
     adamw_step,
     clip_global_norm,
     init_opt_state,
@@ -323,24 +322,6 @@ def test_log_roundtrip(tmp_path):
     assert f.read_text().splitlines()[0] == "step,ce,z_loss,lr,grad_norm,output_rms,diverged"
     back = load_log(f)
     assert back == result.rows
-
-
-def test_ablation_pair_differs_only_in_flag():
-    _, opt, batch_fn = tiny_setup(total_steps=6)
-
-    def make_cfg(qk_norm):
-        return ModelConfig(
-            vocab_size=48, d_model=16, n_layers=1, n_heads=2, n_kv_heads=2,
-            ffn_hidden=32, max_seq=32, qk_norm=qk_norm,
-        )
-
-    pair = ablation_pair(make_cfg, opt, batch_fn, steps=6, seed=21)
-    assert set(pair) == {"on", "off"}
-    assert len(pair["on"].rows) == len(pair["off"].rows) == 6
-    assert "layers.0.attn.q_gain" in pair["on"].params
-    assert "layers.0.attn.q_gain" not in pair["off"].params
-    # same data and init: step-0 losses match until the flag matters
-    assert pair["on"].rows[0]["ce"] != pair["off"].rows[0]["ce"]
 
 
 def test_step_computes_in_float32_and_keeps_float64_masters(tmp_path, monkeypatch):
