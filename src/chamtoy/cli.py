@@ -173,9 +173,16 @@ def make_run_config(args) -> RunConfig:
         run.set(key.strip(), raw.strip())
     if getattr(args, "seed", None) is not None:
         run.set("train.seed", str(args.seed))
-    if run["train.seed"] < 0:
-        env = os.environ.get(SEED_ENV)
-        run.soft_set("train.seed", int(env) if env else 0)
+    seed, source = run["train.seed"], "train.seed"
+    if seed == -1:  # unset: the environment's seed, else 0
+        source, raw = SEED_ENV, os.environ.get(SEED_ENV) or "0"
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV} must be a non-negative integer, got {raw!r}") from None
+    if seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
+    run.values["train.seed"] = seed
     return run
 
 

@@ -53,8 +53,8 @@ class DecodePolicy:
             raise ValueError("block_len must be positive")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not 0 <= self.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and non-negative, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,10 @@ def _sample(logits: np.ndarray, legal: np.ndarray, temperature: float, rng, offs
     masked = np.where(legal, logits, -np.inf)
     if temperature == 0.0:
         return int(np.argmax(masked))
-    z = masked / temperature
-    z = z - z.max()
-    p = np.exp(z)
+    # shifted before the division, so the best legal score is exactly 0 at
+    # any temperature; a score that overflows to -inf then weighs 0
+    with np.errstate(over="ignore"):
+        p = np.exp((masked - masked.max()) / temperature)
     p /= p.sum()
     idx = int(np.searchsorted(np.cumsum(p), rng.random()))
     idx = min(idx, len(p) - 1)

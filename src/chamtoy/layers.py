@@ -7,7 +7,6 @@ explicitly so the model module can own naming and checkpointing.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -65,12 +64,6 @@ def rope_tables(head_dim: int, max_len: int, dtype=np.float64) -> tuple[np.ndarr
     return c, s
 
 
-def causal_mask(seq: int, total: int) -> np.ndarray:
-    """Boolean [seq, total] mask for the last seq of total positions, True
-    where a key lies after its query."""
-    return np.arange(total) > np.arange(total - seq, total)[:, None]
-
-
 def split_heads(x: Tensor, n_heads: int, start: int = 0, stop: int | None = None) -> Tensor:
     """Columns start:stop of [batch, seq, width] -> [batch, n, seq, hd], a
     strided view, as one node.  Its backward adds into that column range of
@@ -95,13 +88,6 @@ def merge_heads(x: Tensor) -> Tensor:
         x._accumulate(g.reshape(b, s, n, hd).transpose(0, 2, 1, 3))
 
     return x._make(x.data.transpose(0, 2, 1, 3).reshape(b, s, n * hd), (x,), backward_fn)
-
-
-def _rotated_qk(q, k, rope_c, rope_s, q_gain, k_gain, norm_eps, offset):
-    """Split-head queries and keys, layer-normalized when gains are given,
-    then rotated for positions starting at offset."""
-    return (apply_rope_at(q, rope_c, rope_s, offset, q_gain, norm_eps),
-            apply_rope_at(k, rope_c, rope_s, offset, k_gain, norm_eps))
 
 
 def attention(
@@ -135,21 +121,20 @@ def attention(
     """
     if n_heads % n_kv_heads != 0:
         raise ValueError("query head count must be a multiple of kv head count")
-    s = x.shape[1]
     offset = 0 if past_kv is None else past_kv[0].shape[2]
     qkv = x @ wqkv
     kv = qkv.shape[-1] // (n_heads + 2 * n_kv_heads) * n_kv_heads
     d = qkv.shape[-1] - 2 * kv
-    q, k = _rotated_qk(split_heads(qkv, n_heads, 0, d), split_heads(qkv, n_kv_heads, d, d + kv),
-                       rope_c, rope_s, q_gain, k_gain, norm_eps, offset)
+    q = apply_rope_at(split_heads(qkv, n_heads, 0, d), rope_c, rope_s, offset, q_gain, norm_eps)
+    k = apply_rope_at(split_heads(qkv, n_kv_heads, d, d + kv), rope_c, rope_s, offset, k_gain,
+                      norm_eps)
     v = split_heads(qkv, n_kv_heads, d + kv)
 
     if past_kv is not None:
         k = Tensor(np.concatenate([past_kv[0].data, k.data], axis=2))
         v = Tensor(np.concatenate([past_kv[1].data, v.data], axis=2))
 
-    total = k.shape[2]
-    out = merge_heads(attend(q, k, v, causal_mask(s, total))) @ wo
+    out = merge_heads(attend(q, k, v)) @ wo
     return out, (Tensor(k.data), Tensor(v.data))
 
 
@@ -166,28 +151,3 @@ def apply_rope_at(x: Tensor, c: np.ndarray, s: np.ndarray, offset: int,
     if gain is None:
         return rotate_pairs(x, c, s)
     return normalize(x, gain, eps, center=True, rotate=(c, s))
-
-
-def attention_logits(
-    x: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    n_heads: int,
-    n_kv_heads: int,
-    rope_c: np.ndarray,
-    rope_s: np.ndarray,
-    q_gain: Tensor | None = None,
-    k_gain: Tensor | None = None,
-    norm_eps: float = 1e-5,
-) -> Tensor:
-    """Pre-softmax attention scores [b, n_heads, s, s], exposed for
-    norm-growth diagnostics; the result carries no graph."""
-    b, s = x.shape[:2]
-    q, k = _rotated_qk(split_heads(x @ wq, n_heads), split_heads(x @ wk, n_kv_heads),
-                       rope_c, rope_s, q_gain, k_gain, norm_eps, 0)
-    hd = q.shape[-1]
-    # query head i reads key head i // (n_heads / n_kv_heads): a group's
-    # queries stack as rows against their shared key head
-    scores = q.data.reshape(b, n_kv_heads, -1, hd) @ k.data.swapaxes(-1, -2)
-    scores *= 1.0 / math.sqrt(hd)
-    return Tensor(scores.reshape(b, n_heads, s, s))

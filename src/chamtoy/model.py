@@ -46,6 +46,9 @@ class ModelConfig:
     norm_eps: float = 1e-5
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "n_kv_heads", "ffn_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must divide evenly into heads")
         if self.n_heads % self.n_kv_heads != 0:

@@ -335,19 +335,20 @@ def _ones(n: int, dtype) -> np.ndarray:
     return ones
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
+def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q k^T / sqrt(hd)) v as one node, over grouped key/value heads.
 
     q is [b, h, s, hd], k and v are [b, kv, t, hd] and the output is
-    [b, h, s, hd]; query head i reads key head i // (h / kv).  `mask` is
-    a boolean [s, t] array, True where a query may not look.
+    [b, h, s, hd]; query head i reads key head i // (h / kv).  The
+    attention is causal: the s queries are the last s of the t key
+    positions, and each sees no key after its own.
 
     The scores are held keys-major, k (q / sqrt(hd))^T of shape
     [b, kv, t, g * s] with g = h / kv, so the softmax's max and sum reduce
     across rows of g * s queries, which numpy does several times faster
-    than along each query's row of t keys.  Masked scores are set to -inf
-    in place, and no mask work is done when no key is masked (a decode
-    step).  The exponentials stay unnormalized: the output and the
+    than along each query's row of t keys.  Hidden scores are set to -inf
+    in place, and no mask work is done when a single query sees every key
+    (a decode step).  The exponentials stay unnormalized: the output and the
     upstream gradient, rows of hd values, are divided by each query's sum
     instead.
 
@@ -359,12 +360,13 @@ def attend(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
     exactly zero.
     """
     b, h, s, hd = q.shape
-    kv = k.shape[1]
+    kv, t = k.shape[1:3]
     scale = 1.0 / math.sqrt(hd)
     q3 = q.data.reshape(b, kv, -1, hd)
     exps = k.data @ (q3 * scale).swapaxes(-1, -2)
-    if mask.any():
-        np.copyto(exps, -np.inf, where=np.tile(mask.T, (1, h // kv)))
+    if s > 1:
+        hidden = np.arange(t)[:, None] > np.arange(t - s, t)
+        np.copyto(exps, -np.inf, where=np.tile(hidden, (1, h // kv)))
     exps -= exps.max(axis=-2, keepdims=True)
     np.exp(exps, out=exps)
     sums = exps.sum(axis=-2)

@@ -52,6 +52,8 @@ class Codebook:
 
 
 def _check_divisible(h: int, w: int, p: int) -> None:
+    if p < 1:
+        raise ValueError(f"patch must be positive, got {p}")
     if h % p or w % p:
         raise ValueError(f"image {h}x{w} not divisible into {p}x{p} patches")
 

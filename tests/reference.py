@@ -1,7 +1,8 @@
 """Per-element reference implementations of the tokenizer and agreement
 algorithms, for the equivalence properties in test_tokenizer.py and
-test_evalkit.py, and the oracle that reads packed instruction-tuning rows
-back for test_data.py.
+test_evalkit.py, the oracle that reads packed instruction-tuning rows
+back for test_data.py, and the attention scores that the QK-norm bound
+tests read from the queries and keys attention hands to `attend`.
 
 Each is the direct reading of its definition that the library replaces
 with whole-array work: BPE that recounts every pair and merges the
@@ -126,3 +127,10 @@ def unpack_rows(result, vocab) -> list[int]:
             if tok != vocab.pad:
                 out.append(int(tok))
     return out
+
+
+def attention_scores(q, k):
+    """Pre-softmax scores q.k / sqrt(hd) of every query against every key,
+    [b, h, s, t], masked or not; query head i reads key head i // (h / kv)."""
+    h, kv, hd = q.shape[1], k.shape[1], q.shape[-1]
+    return np.einsum("bhsd,bhtd->bhst", q, np.repeat(k, h // kv, axis=1)) / np.sqrt(hd)

@@ -13,6 +13,8 @@ from contextlib import contextmanager
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from reference import attention_scores
+from test_layers import capture_attend_inputs
 from test_numerics import check_op_gradient
 
 from chamtoy.data import (
@@ -30,7 +32,7 @@ from chamtoy.data import (
 )
 from chamtoy.decoder import DecodePolicy, generate_fused, generate_stream, Finished
 from chamtoy.evalkit import bootstrap_ci, majority_vote, win_rate
-from chamtoy.layers import attention_logits, layer_norm, rms_norm, rope_tables, swiglu
+from chamtoy.layers import layer_norm, rms_norm, swiglu
 from chamtoy.model import (
     ModelConfig,
     NormStrategy,
@@ -82,7 +84,6 @@ def _op_roster():
     def r(rng, *shape):
         return rng.normal(size=shape)
 
-    causal = np.triu(np.ones((5, 5), dtype=bool), k=1)
     rows = np.array([1.0, 0.0, 1.0])
     c, s = np.random.default_rng(0).normal(size=(2, 3, 4))  # rotate_pairs' tables
     return [
@@ -94,12 +95,12 @@ def _op_roster():
         lambda rng: (lambda ts: lm_loss(ts[0], np.array([2, 0, 3]), rows, 0.1)[0], [r(rng, 3, 4)]),
         lambda rng: (lambda ts: lm_loss(ts[0], None, rows, 0.1)[0], [r(rng, 2, 3, 4)]),
         lambda rng: (
-            lambda ts: attend(ts[0], ts[1], ts[2], causal),
+            lambda ts: attend(ts[0], ts[1], ts[2]),
             [r(rng, 1, 4, 5, 2), r(rng, 1, 2, 5, 2), r(rng, 1, 2, 5, 2)],
         ),
         lambda rng: (lambda ts: rotate_pairs(ts[0], c, s), [r(rng, 2, 3, 4)]),
         lambda rng: (
-            lambda ts: attend(ts[0], ts[1], ts[2], causal[3:]),
+            lambda ts: attend(ts[0], ts[1], ts[2]),
             [r(rng, 1, 2, 2, 2), r(rng, 1, 1, 5, 2), r(rng, 1, 1, 5, 2)],
         ),
         lambda rng: (lambda ts: embedding(ts[0], np.array([[1, 3], [0, 0]])), [r(rng, 5, 4)]),
@@ -222,23 +223,27 @@ def test_criterion_03_z_loss_value():
 # ----------------------------------------------------------------------
 
 
-def test_criterion_04_qk_logit_bound():
+def test_criterion_04_qk_logit_bound(monkeypatch):
     with verdict(4, "|attention logits| <= sqrt(head_dim)") as info:
         d_model, n_heads = 32, 2
         head_dim = d_model // n_heads
-        cos, sin = rope_tables(head_dim, 128)
-        gain = Tensor(np.ones(head_dim))
+        cfg = ModelConfig(vocab_size=8, d_model=d_model, n_layers=1, n_heads=n_heads,
+                          n_kv_heads=n_heads, max_seq=128, qk_norm=True)
+        params = init_params(cfg)
+        # the scores are read from the queries and keys the live block hands to attend
+        seen = capture_attend_inputs(monkeypatch)
         worst, positions = 0.0, 0
         for seed in range(25):
             rng = np.random.default_rng(seed)
             magnitude = 10.0 ** rng.uniform(0.0, 4.0, size=(4, 100, 1))
             x = Tensor(rng.normal(size=(4, 100, d_model)) * magnitude)
-            wq = Tensor(rng.normal(size=(d_model, d_model)))
-            wk = Tensor(rng.normal(size=(d_model, d_model)))
-            logits = attention_logits(
-                x, wq, wk, n_heads, n_heads, cos, sin, q_gain=gain, k_gain=gain
-            )
-            worst = max(worst, float(np.abs(logits.data).max()))
+            # [wq | wk | wv], drawn in that order
+            params["layers.0.attn.wqkv"] = Tensor(np.concatenate(
+                [rng.normal(size=(d_model, d_model)) for _ in range(3)], axis=1))
+            block_forward(x, params, cfg, 0)
+            assert len(seen) == 1, "the block did not attend"
+            q, k = seen.pop()
+            worst = max(worst, float(np.abs(attention_scores(q, k)).max()))
             positions += x.shape[0] * x.shape[1]
         assert positions >= 10_000
         assert worst <= math.sqrt(head_dim) + 1e-9

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import os
 import shutil
 import subprocess
 import sys
@@ -104,6 +105,20 @@ def test_seed_resolution(monkeypatch):
     assert make_run_config(ns())["train.seed"] == 7
     assert make_run_config(ns(seed=4))["train.seed"] == 4
     assert make_run_config(ns(set=["train.seed=5"]))["train.seed"] == 5
+
+
+def test_bad_seeds_name_their_source(monkeypatch):
+    monkeypatch.delenv("CHAMTOY_SEED", raising=False)
+    for args in (ns(seed=-3), ns(set=["train.seed=-2"])):
+        with pytest.raises(ConfigError, match="^train.seed must be a non-negative integer"):
+            make_run_config(args)
+    for raw in ("-2", "abc", "1.5"):
+        monkeypatch.setenv("CHAMTOY_SEED", raw)
+        with pytest.raises(ConfigError, match="^CHAMTOY_SEED must be a non-negative integer"):
+            make_run_config(ns())
+    # -1 is the unset marker, given or not
+    monkeypatch.setenv("CHAMTOY_SEED", "7")
+    assert make_run_config(ns(seed=-1))["train.seed"] == 7
 
 
 def test_parse_mixture():
@@ -553,6 +568,20 @@ FAILURE_PATHS = {
                       EXIT_USAGE),
     "monitor-report-not-a-log": (["monitor-report", "--log", "{corpus}/text.jsonl"], EXIT_FAILURE),
     "sft-no-packable-rows": (["sft", "--set", "train.seq_len=4"], EXIT_FAILURE),
+    # a non-finite temperature turns every score into NaN
+    "generate-temperature-inf": (["generate", "--set", "generate.temperature=inf"], EXIT_USAGE),
+    "generate-temperature-nan": (["generate", "--set", "generate.temperature=nan"], EXIT_USAGE),
+    "d-model-0": (["train", *TRAIN_SETS, "--set", "model.d_model=0"], EXIT_USAGE),
+    "n-heads-0": (["train", *TRAIN_SETS, "--set", "model.n_heads=0"], EXIT_USAGE),
+    "n-heads-neg": (["train", *TRAIN_SETS, "--set", "model.n_heads=-2"], EXIT_USAGE),
+    "n-kv-heads-0": (["train", *TRAIN_SETS, "--set", "model.n_kv_heads=0"], EXIT_USAGE),
+    "ffn-hidden-0": (["train", *TRAIN_SETS, "--set", "model.ffn_hidden=0"], EXIT_USAGE),
+    "patch-0": (["tokenizer-train", "--set", "tokenizer.patch=0"], EXIT_USAGE),
+    "train-seed-neg": (["train", *TRAIN_SETS, "--seed", "-3"], EXIT_USAGE),
+    "tokenizer-train-seed-neg": (["tokenizer-train", "--seed", "-3"], EXIT_USAGE),
+    # a third entry is added to the environment
+    "env-seed-neg": (["train", *TRAIN_SETS], EXIT_USAGE, {"CHAMTOY_SEED": "-2"}),
+    "env-seed-not-int": (["tokenizer-train"], EXIT_USAGE, {"CHAMTOY_SEED": "abc"}),
 }
 
 COMMAND_ARGS = {
@@ -568,19 +597,22 @@ COMMAND_ARGS = {
 @pytest.mark.parametrize("case", FAILURE_PATHS)
 def test_failure_paths_exit_codes(case, corpus_dir, no_captions_dir, tokenizer_dir, pretrain_dir,
                                   broken_dir, tmp_path):
-    argv, expected = FAILURE_PATHS[case]
+    argv, expected, *env = FAILURE_PATHS[case]
     dirs = dict(corpus=corpus_dir, no_captions=no_captions_dir, tok=tokenizer_dir,
                 ckpt=pretrain_dir / "checkpoint", broken=broken_dir, tmp=tmp_path)
     # the row's own options come last, so they override a shared default
     argv = [argv[0], *COMMAND_ARGS.get(argv[0], []), *argv[1:]]
     out = subprocess.run(
         [sys.executable, "-m", "chamtoy.cli", *(a.format(**dirs) for a in argv)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, **(env[0] if env else {})},
     )
     assert out.returncode == expected, out.stderr
     assert "Traceback" not in out.stderr
     prefix = "configuration error: " if expected == EXIT_USAGE else "error: "
-    assert out.stderr.splitlines()[-1].startswith(prefix)
+    lines = out.stderr.splitlines()
+    assert lines[-1].startswith(prefix)
+    # one line, but where a note on what was dropped comes first
+    assert len(lines) == 1 or case == "sft-no-packable-rows", out.stderr
 
 
 def test_tokenizer_train_on_a_lone_surrogate_exits_2_in_one_line(corpus_dir, tmp_path):

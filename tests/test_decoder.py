@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chamtoy import decoder
 from chamtoy.decoder import (
@@ -305,6 +306,17 @@ def test_prompt_with_no_room_rejected_before_any_forward(monkeypatch):
     assert len(fin.tokens) == cfg.max_seq
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), temperature=st.sampled_from([0.0, 1e-320, 1e-300, 0.5, 1.0, 1e300]))
+def test_sample_returns_a_legal_id_at_any_temperature(data, temperature):
+    # legal scores are finite, the rest anything; none may be returned
+    legal = np.array(data.draw(st.lists(st.booleans(), min_size=1, max_size=16).filter(any)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    logits = np.array([data.draw(finite if ok else st.floats()) for ok in legal])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    assert legal[decoder._sample(logits, legal, temperature, rng, 0)]
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         DecodePolicy(block_len=4, mode="images")
@@ -312,6 +324,9 @@ def test_policy_validation():
         DecodePolicy(block_len=0)
     with pytest.raises(ValueError):
         DecodePolicy(block_len=4, temperature=-0.1)
+    for temperature in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            DecodePolicy(block_len=4, temperature=temperature)
     with pytest.raises(ValueError):
         DecodePolicy(block_len=4, max_new_tokens=0)
 

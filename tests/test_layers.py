@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from chamtoy import layers
 from chamtoy.layers import (
     apply_rope_at,
     attention,
-    attention_logits,
-    causal_mask,
     dropout,
     layer_norm,
     merge_heads,
@@ -16,6 +15,7 @@ from chamtoy.layers import (
 )
 from chamtoy.numerics import Tensor, attend, gated_silu, normalize, rotate_pairs
 
+from reference import attention_scores
 from test_numerics import assert_grad_close, check_op_gradient, finite_difference
 
 
@@ -234,22 +234,6 @@ def test_dropout_scaling_and_rate():
     assert abs(out.mean() - 1.0) < 0.01
 
 
-def test_causal_mask_equals_triu_of_ones():
-    for t in range(1, 257):
-        for s in {1, min(2, t), t}:
-            assert np.array_equal(causal_mask(s, t), np.triu(np.ones((s, t), bool), k=t - s + 1))
-
-
-def test_causal_mask_shape_and_diagonal():
-    m = causal_mask(4, 4)
-    assert m.shape == (4, 4)
-    assert not m.diagonal().any()
-    assert m[0, 3] and not m[3, 0]
-    # the rows a KV-cached step needs, built without the full square
-    for s, t in ((1, 100), (3, 7), (4, 4)):
-        assert np.array_equal(causal_mask(s, t), causal_mask(t, t)[t - s:])
-
-
 def test_split_merge_heads_roundtrip():
     x = Tensor(np.arange(24.0).reshape(1, 3, 8))
     assert np.array_equal(merge_heads(split_heads(x, 2)).data, x.data)
@@ -280,7 +264,7 @@ def test_split_heads_column_ranges_add_into_one_gradient_buffer(n_kv_heads):
     def heads(x):
         return [split_heads(x, n, start, stop) for n, start, stop in ranges]
 
-    check_op_gradient(lambda ts: attend(*heads(ts[0]), causal_mask(s, s)),
+    check_op_gradient(lambda ts: attend(*heads(ts[0])),
                       [rng.normal(size=(2, s, d + 2 * kv))])
     x = Tensor(rng.normal(size=(2, s, d + 2 * kv)), requires_grad=True)
     # the query range read twice: its two gradients must add
@@ -442,20 +426,32 @@ def test_incremental_kv_matches_full_forward():
     assert np.max(np.abs(incremental - full)) <= 1e-8
 
 
-def test_qk_norm_bounds_logits_at_extreme_scale():
+def capture_attend_inputs(monkeypatch):
+    """Record the (q, k) arrays that each call of attention hands to attend."""
+    seen = []
+
+    def recording(q, k, v):
+        seen.append((q.data, k.data))
+        return attend(q, k, v)
+
+    monkeypatch.setattr(layers, "attend", recording)
+    return seen
+
+
+def test_qk_norm_bounds_logits_at_extreme_scale(monkeypatch):
     rng = np.random.default_rng(17)
     d, s, n_heads = 8, 6, 2
     hd = d // n_heads
     p = make_attn_params(rng, d, n_heads, n_heads)
     cos, sin = rope_tables(hd, s)
-    x = rng.normal(size=(1, s, d)) * 1e4
-    logits = attention_logits(
-        Tensor(x), Tensor(p["wq"]), Tensor(p["wk"]), n_heads, n_heads, cos, sin,
-        q_gain=Tensor(np.ones(hd)), k_gain=Tensor(np.ones(hd)),
-    ).data
-    assert np.max(np.abs(logits)) <= np.sqrt(hd) + 1e-9
+    x = Tensor(rng.normal(size=(1, s, d)) * 1e4)
+    wqkv, wo = Tensor(fuse_qkv(p)), Tensor(p["wo"])
+    gain = Tensor(np.ones(hd))
+    seen = capture_attend_inputs(monkeypatch)
+    attention(x, wqkv, wo, n_heads, n_heads, cos, sin, q_gain=gain, k_gain=gain)
     # without the normalization the same input blows far past the bound
-    raw = attention_logits(
-        Tensor(x), Tensor(p["wq"]), Tensor(p["wk"]), n_heads, n_heads, cos, sin
-    ).data
+    attention(x, wqkv, wo, n_heads, n_heads, cos, sin)
+    assert len(seen) == 2
+    logits, raw = (attention_scores(q, k) for q, k in seen)
+    assert np.max(np.abs(logits)) <= np.sqrt(hd) + 1e-9
     assert np.max(np.abs(raw)) > 100.0 * np.sqrt(hd)

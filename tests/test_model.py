@@ -31,6 +31,13 @@ def tiny_cfg(**kw):
     return ModelConfig(**base)
 
 
+@pytest.mark.parametrize("value", [0, -2])
+@pytest.mark.parametrize("name", ["d_model", "n_heads", "n_kv_heads", "ffn_hidden"])
+def test_config_rejects_non_positive_geometry_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+        tiny_cfg(**{name: value})
+
+
 def test_forward_shapes():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=0)

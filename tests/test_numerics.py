@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from chamtoy.layers import causal_mask
 from chamtoy.numerics import (
     ShapeMismatchError,
     Tensor,
@@ -302,21 +301,20 @@ def test_attend_grouped_causal_matches_composition_and_finite_differences(past):
     k = rng.normal(size=(b, kv, total, hd))
     v = rng.normal(size=(b, kv, total, hd))
     mask = np.triu(np.ones((total, total), dtype=bool), k=1)[total - s:, :]
-    out = attend(Tensor(q), Tensor(k), Tensor(v), mask).data
+    out = attend(Tensor(q), Tensor(k), Tensor(v)).data
     assert out.shape == (b, h, s, hd)
     assert np.max(np.abs(out - _attend_ref(q, k, v, mask))) <= 1e-12
-    check_op_gradient(lambda ts: attend(ts[0], ts[1], ts[2], mask), [q, k, v])
+    check_op_gradient(lambda ts: attend(ts[0], ts[1], ts[2]), [q, k, v])
 
 
 def test_attend_masked_keys_get_zero_gradient():
     rng = np.random.default_rng(33)
     q, k, v = (rng.normal(size=(1, 2, 3, 2)) for _ in range(3))
-    mask = np.triu(np.ones((3, 3), dtype=bool), k=1)
     tk, tv = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
     # only the first query row is weighted: it may look at key 0 alone
     w = np.zeros((1, 2, 3, 2))
     w[:, :, 0] = 1.0
-    (attend(Tensor(q), tk, tv, mask) * Tensor(w)).sum().backward()
+    (attend(Tensor(q), tk, tv) * Tensor(w)).sum().backward()
     assert np.all(tv.grad[:, :, 1:] == 0.0) and np.all(tk.grad == 0.0)
 
 
@@ -390,7 +388,6 @@ def _kernel_cases(scale):
     multiplies the inputs, so the same cases run at +-800."""
     rng = np.random.default_rng(61)
     b, h, kv, s, hd = 2, 4, 2, 5, 4
-    causal = causal_mask(s, s)
     c, sn = _rope_rows(rng, s, hd)
     targets = rng.integers(0, 7, size=6)
     rows = np.array([1.0, 0.0, 1.0, 1.0, 1.0, 0.0])
@@ -399,9 +396,9 @@ def _kernel_cases(scale):
         return rng.normal(size=shape) * scale
 
     return [
-        ("attend", lambda ts: attend(ts[0], ts[1], ts[2], causal),
+        ("attend", lambda ts: attend(ts[0], ts[1], ts[2]),
          [r(b, h, s, hd), r(b, kv, s, hd), r(b, kv, s, hd)]),
-        ("attend-decode", lambda ts: attend(ts[0], ts[1], ts[2], causal_mask(1, 6)),
+        ("attend-decode", lambda ts: attend(ts[0], ts[1], ts[2]),
          [r(b, h, 1, hd), r(b, kv, 6, hd), r(b, kv, 6, hd)]),
         ("rms-norm", lambda ts: normalize(ts[0], ts[1], 1e-5, False), [r(3, 5, 8), r(8)]),
         ("qk-norm", lambda ts: normalize(ts[0], ts[1], 1e-5, True),
@@ -450,11 +447,9 @@ def test_attend_decode_step_matches_composition_and_finite_differences():
     rng = np.random.default_rng(63)
     q = rng.normal(size=(2, 4, 1, 3))
     k, v = rng.normal(size=(2, 2, 6, 3)), rng.normal(size=(2, 2, 6, 3))
-    mask = causal_mask(1, 6)
-    assert not mask.any()
-    out = attend(Tensor(q), Tensor(k), Tensor(v), mask).data
-    assert np.max(np.abs(out - _attend_ref(q, k, v, mask))) <= 1e-12
-    check_op_gradient(lambda ts: attend(ts[0], ts[1], ts[2], mask), [q, k, v])
+    out = attend(Tensor(q), Tensor(k), Tensor(v)).data
+    assert np.max(np.abs(out - _attend_ref(q, k, v, np.zeros((1, 6), dtype=bool)))) <= 1e-12
+    check_op_gradient(lambda ts: attend(ts[0], ts[1], ts[2]), [q, k, v])
 
 
 def test_attend_outputs_do_not_depend_on_later_queries():
@@ -463,10 +458,9 @@ def test_attend_outputs_do_not_depend_on_later_queries():
     rng = np.random.default_rng(64)
     q = rng.normal(size=(2, 4, 7, 4))
     k, v = rng.normal(size=(2, 2, 7, 4)), rng.normal(size=(2, 2, 7, 4))
-    full = attend(Tensor(q), Tensor(k), Tensor(v), causal_mask(7, 7)).data
+    full = attend(Tensor(q), Tensor(k), Tensor(v)).data
     for p in range(1, 7):
-        part = attend(Tensor(q[:, :, :p]), Tensor(k[:, :, :p]), Tensor(v[:, :, :p]),
-                      causal_mask(p, p)).data
+        part = attend(Tensor(q[:, :, :p]), Tensor(k[:, :, :p]), Tensor(v[:, :, :p])).data
         assert np.max(np.abs(part - full[:, :, :p])) <= 1e-12, p
 
 
@@ -481,5 +475,5 @@ def test_attend_single_visible_key_gets_exactly_zero_score_gradient():
         tk = Tensor(k, requires_grad=True)
         w = np.zeros((1, 2, 3, hd))
         w[:, :, 0] = rng.normal(size=hd)
-        (attend(Tensor(q), tk, Tensor(v), causal_mask(3, 3)) * Tensor(w)).sum().backward()
+        (attend(Tensor(q), tk, Tensor(v)) * Tensor(w)).sum().backward()
         assert np.all(tk.grad == 0.0), seed

@@ -190,6 +190,12 @@ def test_patch_extraction_rejects_bad_size():
         extract_patches(np.zeros((5, 4), dtype=np.uint8), 2)
 
 
+@pytest.mark.parametrize("patch", [0, -2])
+def test_codebook_rejects_non_positive_patch(patch):
+    with pytest.raises(ValueError, match=f"patch must be positive, got {patch}"):
+        train_codebook(make_images(1, seed=1), n_codes=8, patch=patch, iters=1)
+
+
 def test_kmeans_mse_monotone_nonincreasing():
     imgs = make_images(4, seed=1)
     _, history = train_codebook(imgs, n_codes=16, patch=4, iters=12, seed=0)
