@@ -26,10 +26,13 @@ both sides of a pair alike:
   every id plus the alpha line ``eval`` prints, must match on both sides.
 
 Each train and decode worker also records, once, after the first
-generation's timed pairs, the tracemalloc peak of one train unit (the 5
-steps) and of one decode request (the first of the 3).  tracemalloc counts
-bytes, so the peaks repeat exactly; the report carries them as
-``peak_mb`` beside each workload's ratio, base and change.
+generation's timed pairs, the memory of one train unit (the 5 steps) and
+of one decode request (the first of the 3): the minor page faults
+(``getrusage``) of one untraced run, then the tracemalloc peak of a
+second.  tracemalloc counts bytes, so the peaks repeat exactly; the fault
+counts move with the process layout (see below), so they compare the two
+sides of one generation only.  The report carries them as ``peak_mb`` and
+``minor_faults`` beside each workload's ratio, base and change.
 
 Workloads do not share a worker, so that one workload's heap does not
 carry into another's timings: while ``fit`` ran in the train workers,
@@ -73,6 +76,7 @@ import json
 import os
 import platform
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -96,7 +100,7 @@ WORKLOADS = {
     "fit": "train_bpe, train_codebook and encode of every document of a 600-line, "
            f"120-caption corpus, and a {ALPHA_BOOT}-resample alpha bootstrap",
 }
-PEAK_WORKLOADS = ("train", "decode")
+MEMORY_WORKLOADS = ("train", "decode")
 
 
 # ----------------------------------------------------------------------
@@ -171,25 +175,30 @@ def worker(tree: Path) -> None:
         alpha = [line for line in printed.getvalue().splitlines() if "alpha" in line]
         return seconds, [digest.hexdigest(), code, alpha]
 
-    def peak(unit) -> float:
-        """Peak MB that tracemalloc traces while `unit` runs."""
+    def memory(unit) -> dict:
+        """Minor page faults of one run of `unit`, and the peak MB that
+        tracemalloc traces while it runs again."""
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        unit()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         tracemalloc.start()
         try:
             unit()
-            return round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+            peak_mb = round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
         finally:
             tracemalloc.stop()
+        return {"peak_mb": peak_mb, "minor_faults": faults}
 
     jobs = {"train": train, "decode": decode, "fit": fit}
-    peak_units = {
+    memory_units = {
         "train": train,
         "decode": lambda: list(generate_stream(init, cfg, [vocab.bos], policies[0], vocab)),
     }
     print(json.dumps({"numpy": np.__version__}), flush=True)
     for line in sys.stdin:
         name = line.strip()
-        if name.startswith("peak "):
-            print(json.dumps({"peak_mb": peak(peak_units[name[5:]])}), flush=True)
+        if name.startswith("memory "):
+            print(json.dumps(memory(memory_units[name[7:]])), flush=True)
             continue
         seconds, check = jobs[name]()
         print(json.dumps({"seconds": seconds, "check": check}), flush=True)
@@ -250,7 +259,7 @@ def compare(trees: dict, pairs: int) -> dict:
     times = {w: {"base": [], "change": []} for w in WORKLOADS}
     generations = {w: [] for w in WORKLOADS}  # per-generation median ratios
     checks = {w: {} for w in WORKLOADS}
-    peaks = {w: {} for w in PEAK_WORKLOADS}
+    memory = {w: {} for w in MEMORY_WORKLOADS}
     for first in range(0, pairs, GENERATION):
         pad, cpu = layout.randrange(PAD_MAX), layout.choice(cpus)
         workers = {(w, side): Worker(tree, pad, cpu)
@@ -268,9 +277,9 @@ def compare(trees: dict, pairs: int) -> dict:
                         checks[w][side] = reply["check"]
                     ratios[w].append(times[w]["change"][-1] / times[w]["base"][-1])
             if first == 0:  # once, outside every timed pair
-                for w in PEAK_WORKLOADS:
+                for w in MEMORY_WORKLOADS:
                     for side in trees:
-                        peaks[w][side] = workers[w, side].run(f"peak {w}")["peak_mb"]
+                        memory[w][side] = workers[w, side].run(f"memory {w}")
             numpy_version = workers["train", "change"].info["numpy"]
         finally:
             for proc in workers.values():
@@ -289,8 +298,9 @@ def compare(trees: dict, pairs: int) -> dict:
             "base_ms": round(1000 * median(times[w]["base"]), 2),
             "change_ms": round(1000 * median(times[w]["change"]), 2),
         }
-    for w in PEAK_WORKLOADS:
-        out[w]["peak_mb"] = peaks[w]
+    for w in MEMORY_WORKLOADS:
+        for key in ("peak_mb", "minor_faults"):
+            out[w][key] = {side: reply[key] for side, reply in memory[w].items()}
     out["train"]["final_ce"] = checks["train"]
     out["decode"]["same_tokens"] = checks["decode"]["base"] == checks["decode"]["change"]
     out["fit"]["check"] = checks["fit"]["change"]

@@ -9,7 +9,8 @@ timed on the inputs one toy-preset step hands it: batch 8 x 64, d_model
 700-token vocabulary, in float32 as ``train_loop`` computes.  A node's
 ``forward`` case builds the node from inputs that require gradients, as
 training does; its ``backward`` case runs the node's backward closure on
-a fixed upstream gradient, from cleared input gradients each round.
+a fixed upstream gradient, on a node built afresh (untimed) from cleared
+input gradients each round.
 AdamW updates the float64 master weights of the whole toy model.  The
 head split and merge of ``chamtoy.layers`` are timed the same way; where a
 revision builds one of them from several nodes, its backward case runs
@@ -189,18 +190,22 @@ def test_backward(benchmark, name):
     node, inputs = CASES[name]()
     out = node()
     g = np.ones_like(out.data) if out.ndim == 0 else _rng().normal(size=out.shape).astype(F32)
-    inner = _chain(out, inputs)[1:]
 
-    def clear():
-        for t in inputs + inner:
+    def fresh():
+        # a graph of its own for each round, untimed: a backward closure may
+        # consume what its forward saved (lm_loss writes its gradient into
+        # its exponentials), so it runs once
+        for t in inputs:
             t.grad = None
+        out = node()
+        return (out, _chain(out, inputs)[1:]), {}
 
-    def reverse(g):
+    def reverse(out, inner):
         out._backward_fn(g)
         for t in inner:
             t._backward_fn(t.grad)
 
-    benchmark.pedantic(reverse, args=(g,), setup=clear, rounds=300, warmup_rounds=10)
+    benchmark.pedantic(reverse, setup=fresh, rounds=300, warmup_rounds=10)
     assert all(t.grad is not None and t.grad.dtype == F32 for t in inputs)
 
 

@@ -117,6 +117,9 @@ SCHEMA: dict[str, tuple] = {
     "generate.append_sep": (parse_bool, False),
 }
 
+# sizes that numpy would otherwise meet as an empty or negative shape
+POSITIVE_KEYS = ("train.batch_size", "train.seq_len", "tokenizer.image_size")
+
 
 @dataclass
 class RunConfig:
@@ -183,6 +186,9 @@ def make_run_config(args) -> RunConfig:
     if seed < 0:
         raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
     run.values["train.seed"] = seed
+    for key in POSITIVE_KEYS:
+        if run[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {run[key]}")
     return run
 
 

@@ -8,6 +8,8 @@ to higher-quality extras.  The switch happens at floor(0.8 * total_steps).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,8 +72,10 @@ def sample_source(
 ) -> str:
     weights = effective_weights(spec, stage_at(step, total_steps))
     names = sorted(weights)
-    probs = np.array([weights[n] for n in names])
-    return names[rng.choice(len(names), p=probs)]
+    # rng.choice(len(names), p=...)'s draw without its checks of p: one
+    # uniform, bisected from the right into the normalized running sum
+    cdf = list(itertools.accumulate(weights[n] for n in names))
+    return names[bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())]
 
 
 # ----------------------------------------------------------------------

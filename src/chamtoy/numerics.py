@@ -4,7 +4,10 @@ Everything downstream (layers, losses, the training loop) computes on
 :class:`Tensor`. The design is define-by-run: each operation records its
 parents and a backward closure, and :meth:`Tensor.backward` walks the
 resulting DAG once in reverse topological order, accumulating gradients
-into every node that requires them.
+into every node that requires them.  A backward closure hands an array it
+has just made to an empty ``.grad`` as it is (`Tensor._take`) and copies
+one that it shares or that views another (`Tensor._accumulate`), so every
+``.grad`` owns its memory.
 
 The reverse pass releases the graph as it consumes it: as the pass leaves
 an interior node, having run its backward, the node drops its closure
@@ -112,13 +115,18 @@ class Tensor:
     # autodiff plumbing
     # ------------------------------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _take(self, grad: np.ndarray) -> None:
+        """Add an array the caller has just made and that nothing else
+        holds into ``.grad``; the first one becomes ``.grad`` itself."""
         if self.grad is None:
-            # a copy, because callers may pass the same array to several
-            # parents or hand over a read-only broadcast view
-            self.grad = np.array(grad)
+            self.grad = grad
         else:
             self.grad += grad
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        # a first gradient is copied, because callers may pass the same array
+        # to several parents or hand over a read-only broadcast view
+        self._take(np.array(grad) if self.grad is None else grad)
 
     def _accumulate_slice(self, index, grad: np.ndarray) -> None:
         """Add grad into self.grad[index]; the first write zero-fills the
@@ -236,9 +244,9 @@ class Tensor:
         def backward_fn(g):
             g2 = g.reshape(-1, n)
             if a.requires_grad:
-                a._accumulate((g2 @ bd.T).reshape(ad.shape))
+                a._take((g2 @ bd.T).reshape(ad.shape))
             if b.requires_grad:
-                b._accumulate(a2.T @ g2)
+                b._take(a2.T @ g2)
 
         return self._make(out_data, (a, b), backward_fn)
 
@@ -314,7 +322,7 @@ def normalize(x: Tensor, gain: Tensor, eps: float, center: bool,
             g = _turn_back(g, c, s)
         if gain.requires_grad:
             rows = (g * unit).reshape(-1, n)
-            gain._accumulate(_ones(rows.shape[0], rows.dtype) @ rows)
+            gain._take(_ones(rows.shape[0], rows.dtype) @ rows)
         if x.requires_grad:
             g_h = g * gain.data
             inner = (((g_h * unit) @ ones) * scale)[..., None]
@@ -322,7 +330,7 @@ def normalize(x: Tensor, gain: Tensor, eps: float, center: bool,
             g_h *= inv[..., None]
             if center:
                 g_h -= ((g_h @ ones) * scale)[..., None]
-            x._accumulate(g_h)
+            x._take(g_h)
 
     return x._make(out, (x, gain), backward_fn)
 
@@ -377,18 +385,18 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         # dO / sum, so that products with the unnormalized exps carry P
         g3 = g.reshape(out.shape) / sums[..., None]
         if v.requires_grad:
-            v._accumulate(exps @ g3)
+            v._take(exps @ g3)
         ds = v.data @ g3.swapaxes(-1, -2)
         ds -= (np.einsum("...tr,...tr->...r", ds, exps) / sums)[..., None, :]
         ds *= exps
         if q.requires_grad:
             gq = ds.swapaxes(-1, -2) @ k.data
             gq *= scale
-            q._accumulate(gq.reshape(q.shape))
+            q._take(gq.reshape(q.shape))
         if k.requires_grad:
             gk = ds @ q3
             gk *= scale
-            k._accumulate(gk)
+            k._take(gk)
 
     return q._make(out.reshape(q.shape), (q, k, v), backward_fn)
 
@@ -408,9 +416,9 @@ def gated_silu(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g * b.data * sig * (1.0 + a.data * (1.0 - sig)))
+            a._take(g * b.data * sig * (1.0 + a.data * (1.0 - sig)))
         if b.requires_grad:
-            b._accumulate(g * (a.data * sig))
+            b._take(g * (a.data * sig))
 
     return a._make(a.data * sig * b.data, (a, b), backward_fn)
 
@@ -424,7 +432,7 @@ def rotate_pairs(x: Tensor, c: np.ndarray, s: np.ndarray) -> Tensor:
     xd = np.ascontiguousarray(x.data)
 
     def backward_fn(g):
-        x._accumulate(_turn_back(g, c, s))
+        x._take(_turn_back(g, c, s))
 
     return x._make(_turn(xd, c, s), (x,), backward_fn)
 
@@ -485,11 +493,13 @@ def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
         # g as a Python float, so a 0-d g cannot set the gradient's dtype
         weight = mask * (float(g) * per_row)
         row = float(targets is not None) + (2.0 * z_coeff * log_z if z_coeff else 0.0)
-        # soft holds the unnormalized exponentials: 1 / sums turns them into the softmax
-        grad = soft * (weight * row / sums)[:, None]
+        # soft holds the unnormalized exponentials: 1 / sums turns them into
+        # the softmax, in place, since a released closure never runs again
+        grad = soft
+        grad *= (weight * row / sums)[:, None]
         if targets is not None:
             grad[rows, targets] -= weight
-        logits._accumulate(grad.reshape(logits.shape))
+        logits._take(grad.reshape(logits.shape))
 
     return logits._make(np.array(ce + z, dtype=flat.dtype), (logits,), backward_fn), ce, z
 
@@ -505,6 +515,6 @@ def embedding(weight: Tensor, ids) -> Tensor:
     def backward_fn(g):
         full = np.zeros_like(w.data)
         np.add.at(full, ids, g)
-        w._accumulate(full)
+        w._take(full)
 
     return w._make(out_data, (w,), backward_fn)

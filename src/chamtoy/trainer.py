@@ -218,6 +218,10 @@ def train_loop(
 
     step = start_step
     for step in range(start_step, end_step):
+        # the last step's float64 gradients stay on the masters for the
+        # caller, and go before this step allocates
+        for p in params.values():
+            p.grad = None
         rng = step_rng(seed, step)
         inputs, targets, mask = batch_fn(step, rng)
 
@@ -248,6 +252,8 @@ def train_loop(
             "grad_norm": grad_norm,
             "output_rms": output_rms,
         }
+        # so that no array of this step is live during the next one's forward
+        del logits, aux, breakdown, hidden
         diverged = monitor.observe(row)
         row["diverged"] = int(diverged)
         rows.append(row)

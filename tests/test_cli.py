@@ -615,6 +615,27 @@ def test_failure_paths_exit_codes(case, corpus_dir, no_captions_dir, tokenizer_d
     assert len(lines) == 1 or case == "sft-no-packable-rows", out.stderr
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("train", "train.batch_size=0"),
+    ("train", "train.batch_size=-2"),
+    ("train", "train.seq_len=0"),
+    ("train", "tokenizer.image_size=0"),
+    ("tokenizer-train", "tokenizer.image_size=0"),
+])
+def test_non_positive_sizes_exit_2_naming_the_key(command, setting, corpus_dir, tokenizer_dir,
+                                                  tmp_path, capsys):
+    # numpy met these as empty or negative shapes: exit 1 with a reshape
+    # error, exit 2 with "high <= 0", or (image_size on train) exit 0
+    dirs = {"tokenizer-train": ["--data-dir", str(corpus_dir)],
+            "train": ["--data-dir", str(corpus_dir), "--tokenizer-dir", str(tokenizer_dir),
+                      *TRAIN_SETS]}[command]
+    code = main([command, *dirs, "--out-dir", str(tmp_path / "out"), "--set", setting])
+    key, value = setting.split("=")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"configuration error: {key} must be at least 1, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_tokenizer_train_on_a_lone_surrogate_exits_2_in_one_line(corpus_dir, tmp_path):
     data_dir = tmp_path / "data"
     shutil.copytree(corpus_dir, data_dir)

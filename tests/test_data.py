@@ -82,6 +82,22 @@ def test_sample_source_changes_at_stage_boundary():
     assert late == {"A", "B"}
 
 
+def test_sample_source_draws_as_rng_choice_does():
+    # the same draws from the same stream as rng.choice(p=...), at both stages
+    # and with a zero-weight source among the first stage's
+    spec = MixtureSpec(stage1={"text": 0.6, "captions": 0.3, "none": 0.0, "web": 0.1},
+                       stage2_extra={"captions": 0.25, "extra": 0.4})
+    for step in (0, 8):
+        weights = effective_weights(spec, 1 if step == 0 else 2)
+        names = sorted(weights)
+        probs = np.array([weights[n] for n in names])
+        for seed in range(500):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = [sample_source(spec, step, 10, ours) for _ in range(20)]
+            assert drawn == [names[theirs.choice(len(names), p=probs)] for _ in range(20)]
+            assert ours.random() == theirs.random()
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         MixtureSpec(stage1={"A": -0.1})

@@ -324,10 +324,10 @@ def test_log_roundtrip(tmp_path):
     assert back == result.rows
 
 
-def test_step_computes_in_float32_and_keeps_float64_masters(tmp_path, monkeypatch):
-    # a float64 operand anywhere in the step would promote the graph
-    # downstream of it and give back the float32 saving
-    # the graph is walked as the loss is made: backward releases it
+def record_step_graph(monkeypatch) -> list:
+    """Make train_loop append every tensor of each step's graph to the
+    returned list, which keeps them alive; the graph is walked as the loss
+    is made, since backward releases it."""
     nodes = []
 
     def recording_total_loss(*args, **kwargs):
@@ -342,6 +342,13 @@ def test_step_computes_in_float32_and_keeps_float64_masters(tmp_path, monkeypatc
         return breakdown
 
     monkeypatch.setattr("chamtoy.trainer.total_loss", recording_total_loss)
+    return nodes
+
+
+def test_step_computes_in_float32_and_keeps_float64_masters(tmp_path, monkeypatch):
+    # a float64 operand anywhere in the step would promote the graph
+    # downstream of it and give back the float32 saving
+    nodes = record_step_graph(monkeypatch)
     cfg = preset("toy", 48)
     _, opt, batch_fn = tiny_setup()
     result = train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, seed=5, end_step=1)
@@ -370,10 +377,30 @@ def test_step_computes_in_float32_and_keeps_float64_masters(tmp_path, monkeypatc
         assert np.array_equal(opt_state["v"][k], result.opt_state["v"][k])
 
 
-def test_three_toy_steps_peak_under_24_mb():
-    # backward frees each interior node as it goes, so no step's graph is
-    # live during the next step's forward: about 19 MB traced, against 36
-    # when the graph stayed alive until train_loop rebound its locals
+def test_handed_over_gradients_alias_nothing(monkeypatch):
+    # nodes hand the gradient arrays they make over instead of copying
+    # them, so each .grad must still be an array of its own: one shared
+    # with another gradient or with any tensor's data would be summed into
+    nodes = record_step_graph(monkeypatch)
+    cfg = preset("toy", 48)
+    _, opt, batch_fn = tiny_setup()
+    train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, seed=5, end_step=1)
+
+    grads = [n.grad for n in nodes if n.grad is not None]
+    assert len(grads) == len(nodes)  # the leaves' among them
+    for i, grad in enumerate(grads):
+        for other in grads[i + 1:]:
+            assert not np.shares_memory(grad, other)
+        for node in nodes:
+            assert not np.shares_memory(grad, node.data)
+
+
+def test_three_toy_steps_peak_under_17_5_mb():
+    # backward frees each interior node as it goes, nodes hand their fresh
+    # gradients over, and train_loop carries no array of a step into the
+    # next: about 15.5 MB traced, against 19.1 when each first gradient
+    # was copied and the last step's logits and float64 gradients were
+    # live during the next forward, and 36 when the graph stayed alive
     cfg = preset("toy", 700)
     params = init_params(cfg, seed=0)
     rows = np.random.default_rng(0).integers(0, 700, size=(3, 8, 65))
@@ -388,4 +415,4 @@ def test_three_toy_steps_peak_under_24_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24e6, peak / 1e6
+    assert peak <= 17.5e6, peak / 1e6
