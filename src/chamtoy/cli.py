@@ -330,15 +330,23 @@ def cmd_train(run: RunConfig, args) -> int:
     print(run.render())
     if args.ablate and args.resume:
         raise ConfigError("--ablate trains both arms from scratch; drop --resume")
+    try:
+        mixture = MixtureSpec(
+            stage1=parse_mixture(run["data.stage1"]),
+            stage2_extra=parse_mixture(run["data.stage2_extra"]),
+        )
+    except ValueError as e:
+        raise ConfigError(f"data.{e}") from e  # the message starts with the field's name
+    opt_cfg = build_optim_config(run)
     tok, book, vocab = _load_tokenizer_dir(args.tokenizer_dir)
+    if args.resume:
+        params, cfg, opt_state, start = _load_init(args.resume, vocab)
+    else:
+        cfg = build_model_config(run, vocab.total)
     out_dir = Path(args.out_dir)
     seed = run["train.seed"]
 
     docs = _build_docs(run, Path(args.data_dir), tok, book, vocab, np.random.default_rng(seed))
-    mixture = MixtureSpec(
-        stage1=parse_mixture(run["data.stage1"]),
-        stage2_extra=parse_mixture(run["data.stage2_extra"]),
-    )
     missing = [s for s in {**mixture.stage1, **mixture.stage2_extra} if s not in docs]
     if missing:
         raise ConfigError(f"mixture names sources with no documents: {missing}")
@@ -346,25 +354,20 @@ def cmd_train(run: RunConfig, args) -> int:
     batcher = PretrainBatcher(
         docs, mixture, run["train.steps"], run["train.batch_size"], run["train.seq_len"]
     )
-    opt_cfg = build_optim_config(run)
 
     if args.ablate:
         # the same seed, data and schedule twice; only QK layer-norm differs
-        base = build_model_config(run, vocab.total)
         flagged = False
         for label in ("on", "off"):
-            cfg = replace(base, qk_norm=label == "on")
-            result = _train_run(run, out_dir / f"qknorm_{label}", cfg,
-                                init_params(cfg, seed=seed), opt_cfg, batcher.batch)
+            arm = replace(cfg, qk_norm=label == "on")
+            result = _train_run(run, out_dir / f"qknorm_{label}", arm,
+                                init_params(arm, seed=seed), opt_cfg, batcher.batch)
             print(f"qknorm {label}: final ce {result.rows[-1]['ce']:.4f}, "
                   f"diverged {result.diverged}")
             flagged |= result.diverged
         return EXIT_DIVERGED if flagged else EXIT_OK
 
-    if args.resume:
-        params, cfg, opt_state, start = _load_init(args.resume, vocab)
-    else:
-        cfg = build_model_config(run, vocab.total)
+    if not args.resume:
         params, opt_state, start = init_params(cfg, seed=seed), None, 0
     result = _train_run(run, out_dir, cfg, params, opt_cfg, batcher.batch, start, opt_state)
     if result.rows:
@@ -381,9 +384,13 @@ def cmd_sft(run: RunConfig, args) -> int:
     run.soft_set("model.dropout", 0.05)
     print(run.render())
 
+    opt_cfg = build_optim_config(run)
     tok, book, vocab = _load_tokenizer_dir(args.tokenizer_dir)
     params, cfg, _, _ = _load_init(args.init, vocab)
-    cfg = replace(cfg, dropout=run["model.dropout"])
+    try:
+        cfg = replace(cfg, dropout=run["model.dropout"])
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
     pairs = load_sft_corpus(Path(args.data_dir) / "sft.jsonl")
     examples = [(tok.encode(p), tok.encode(a)) for p, a in pairs]
@@ -393,7 +400,7 @@ def cmd_sft(run: RunConfig, args) -> int:
     batcher = SFTBatcher(packed)
 
     batch_size = run["train.batch_size"]
-    result = _train_run(run, Path(args.out_dir), cfg, params, build_optim_config(run),
+    result = _train_run(run, Path(args.out_dir), cfg, params, opt_cfg,
                         lambda step, rng: batcher.batch(batch_size, rng))
     print(f"tuned on {len(packed.sequences)} packed rows for {result.final_step} steps")
     return EXIT_DIVERGED if result.diverged else EXIT_OK

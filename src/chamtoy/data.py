@@ -33,11 +33,15 @@ class MixtureSpec:
     stage2_extra: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, w in {**self.stage1, **self.stage2_extra}.items():
-            if w < 0:
-                raise ValueError(f"negative mixture weight for {name!r}")
-        if not self.stage1:
-            raise ValueError("stage 1 mixture is empty")
+        for stage in ("stage1", "stage2_extra"):
+            for name, w in getattr(self, stage).items():
+                if not 0 <= w < np.inf:
+                    raise ValueError(f"{stage} weight for {name!r} must be finite and "
+                                     f"non-negative, got {w}")
+        if not 0 < sum(self.stage1.values()) < np.inf:
+            raise ValueError("stage1 weights must have a positive, finite sum")
+        if not sum(self.stage1.values()) / 2 + sum(self.stage2_extra.values()) < np.inf:
+            raise ValueError("stage2_extra weights must keep the stage 2 sum finite")
 
 
 def stage_at(step: int, total_steps: int) -> int:
@@ -61,9 +65,7 @@ def effective_weights(spec: MixtureSpec, stage: int) -> dict[str, float]:
             raw[k] = raw.get(k, 0.0) + v
     else:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
-    total = sum(raw.values())
-    if total <= 0:
-        raise ValueError("mixture weights sum to zero")
+    total = sum(raw.values())  # positive and finite: MixtureSpec checked both stages
     return {k: v / total for k, v in raw.items()}
 
 

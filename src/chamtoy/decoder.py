@@ -17,7 +17,7 @@ no autograd graph and its memory is bounded by the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def advance_state(
         if kind is TokenKind.IMAGE:
             if state.remaining == 0:
                 raise DecodeError(offset, "image block overran its length")
-            return replace(state, remaining=state.remaining - 1)
+            return DecodeState(True, state.remaining - 1, state.blocks_done)
         if token == vocab.eoi:
             if state.remaining != 0:
                 raise DecodeError(
@@ -321,55 +321,45 @@ def detokenize_mixed(
 ):
     """Token stream -> list of ("text", str) and ("image", float array) parts.
 
-    Structural violations raise DecodeError naming the offset.  Text bytes
-    that do not form valid UTF-8 (possible with sampled tokens) decode
-    with replacement characters rather than failing.
+    Each token up to the first EOS goes through advance_state, so DecodeError
+    names the first offset that cannot continue a well-formed stream (the
+    last one, for a stream that ends inside an image block); a leading BOS
+    is skipped, a later one refused.  Text bytes that are not valid UTF-8
+    (possible with sampled tokens) decode with replacement characters.
     """
     tokens = [int(t) for t in tokens]
-    block_len = book.tokens_per_image(image_size, image_size)
+    policy = DecodePolicy(block_len=book.tokens_per_image(image_size, image_size))
+    state = DecodeState()
     parts = []
     text_ids: list[int] = []
+    codes: list[int] = []
 
     def flush_text():
         if text_ids:
             parts.append(("text", text_tok.decode_bytes(text_ids).decode("utf-8", errors="replace")))
             text_ids.clear()
 
-    i = 0
-    if tokens and tokens[0] == vocab.bos:
-        i = 1
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        kind = vocab.classify(tok)
-        if tok == vocab.eos:
-            break
-        if kind is TokenKind.TEXT:
+    for i, tok in enumerate(tokens):
+        if tok == vocab.bos:
+            if i:
+                raise DecodeError(i, "BOS after the start of the stream")
+            continue
+        state = advance_state(state, tok, policy, vocab, i)
+        if state.in_image:  # the machine let it through: BOI or a code of its block
+            if tok == vocab.boi:
+                flush_text()
+            else:
+                codes.append(tok - vocab.n_text)
+        elif tok < vocab.n_text:
             text_ids.append(tok)
-        elif tok == vocab.boi:
+        elif tok == vocab.eos:
+            break
+        elif tok == vocab.sep:  # prompt/answer boundary of tuned streams
             flush_text()
-            j = i + 1
-            codes = []
-            while j < n and vocab.classify(tokens[j]) is TokenKind.IMAGE:
-                codes.append(vocab.global_to_image(tokens[j]))
-                j += 1
-            if len(codes) != block_len:
-                raise DecodeError(
-                    i, f"image block has {len(codes)} codes, expected {block_len}"
-                )
-            if j >= n or tokens[j] != vocab.eoi:
-                raise DecodeError(min(j, n - 1), "image block not closed by EOI")
-            parts.append(("image", decode_tokens(np.array(codes), book, image_size, image_size)))
-            i = j
-        elif kind is TokenKind.IMAGE:
-            raise DecodeError(i, "image code outside an image block")
         elif tok == vocab.eoi:
-            raise DecodeError(i, "EOI without an open image block")
-        elif tok == vocab.sep:
-            # prompt/answer boundary in tuned streams: close the text part
-            flush_text()
-        else:
-            raise DecodeError(i, f"unexpected control token {vocab.special_name(tok)}")
-        i += 1
+            parts.append(("image", decode_tokens(np.array(codes), book, image_size, image_size)))
+            codes = []
+    if state.in_image:
+        raise DecodeError(len(tokens) - 1, "stream ends inside an image block")
     flush_text()
     return parts

@@ -46,9 +46,15 @@ class ModelConfig:
     norm_eps: float = 1e-5
 
     def __post_init__(self):
-        for name in ("d_model", "n_heads", "n_kv_heads", "ffn_hidden"):
+        for name in ("d_model", "n_layers", "n_heads", "n_kv_heads", "ffn_hidden", "max_seq"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0 <= self.z_coeff < np.inf:
+            raise ValueError(f"z_coeff must be finite and non-negative, got {self.z_coeff}")
+        if not 0 < self.norm_eps < np.inf:
+            raise ValueError(f"norm_eps must be finite and positive, got {self.norm_eps}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must divide evenly into heads")
         if self.n_heads % self.n_kv_heads != 0:

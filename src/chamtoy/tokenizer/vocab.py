@@ -30,34 +30,12 @@ class MixedVocab:
             raise ValueError("text vocabulary must cover at least the 256 bytes")
         if self.n_image < 1:
             raise ValueError("image vocabulary must be non-empty")
-
-    @property
-    def total(self) -> int:
-        return self.n_text + self.n_image + len(SPECIALS)
-
-    @property
-    def bos(self) -> int:
-        return self.n_text + self.n_image
-
-    @property
-    def eos(self) -> int:
-        return self.n_text + self.n_image + 1
-
-    @property
-    def pad(self) -> int:
-        return self.n_text + self.n_image + 2
-
-    @property
-    def sep(self) -> int:
-        return self.n_text + self.n_image + 3
-
-    @property
-    def boi(self) -> int:
-        return self.n_text + self.n_image + 4
-
-    @property
-    def eoi(self) -> int:
-        return self.n_text + self.n_image + 5
+        # total and the control ids (bos, eos, pad, sep, boi, eoi) are plain
+        # attributes outside repr and equality: decoding reads them per token
+        base = self.n_text + self.n_image
+        for i, name in enumerate(SPECIALS):
+            object.__setattr__(self, name.lower(), base + i)
+        object.__setattr__(self, "total", base + len(SPECIALS))
 
     def classify(self, token: int) -> TokenKind:
         if not 0 <= token < self.total:

@@ -34,6 +34,16 @@ class OptimConfig:
     final_lr_fraction: float = 0.01
 
     def __post_init__(self):
+        for name in ("lr", "eps", "clip_norm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and non-negative, got {self.weight_decay}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be non-negative, got {self.warmup_steps}")
         if self.schedule not in ("exp-decay", "cosine"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if not 0 < self.final_lr_fraction <= 1:

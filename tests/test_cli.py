@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from chamtoy import cli
 from chamtoy.cli import (
     ConfigError,
     EXIT_DIVERGED,
@@ -353,30 +355,34 @@ def test_effective_config_records_resumed_model(corpus_dir, tokenizer_dir, tmp_p
 def test_divergence_exits_3_with_note_on_every_training_command(
     corpus_dir, tokenizer_dir, pretrain_dir, tmp_path
 ):
-    # a cold 200-step run is flagged near step 100 (see the README's
-    # divergence section); halting keeps each ablation arm short
-    sets = [s if s != "train.steps=6" else "train.steps=200" for s in TRAIN_SETS]
+    # a true trigger: at lr 1e200 the first update sends the weights
+    # non-finite, and a halted run keeps the rows up to its flagging step
+    blow_up = ["--set", "optim.lr=1e200", "--set", "optim.warmup_steps=1",
+               "--set", "train.halt_on_divergence=true"]
     out = subprocess.run(
         [sys.executable, "-m", "chamtoy.cli", "train", "--data-dir", str(corpus_dir),
          "--tokenizer-dir", str(tokenizer_dir), "--out-dir", str(tmp_path / "ablate"),
-         "--ablate", "qknorm", *sets, "--set", "train.halt_on_divergence=true"],
+         "--ablate", "qknorm", *TRAIN_SETS, *blow_up],
         capture_output=True, text=True,
     )
     assert out.returncode == EXIT_DIVERGED, out.stderr
-    assert "divergence flagged after" in out.stderr
-    for arm in ("qknorm_on", "qknorm_off"):
-        assert len(load_log(tmp_path / "ablate" / arm / "loss.csv")) == 101
+    flagged_at = re.findall(r"^divergence flagged after (\d+) monitored steps$", out.stderr, re.M)
+    assert len(flagged_at) == 2, out.stderr
+    for arm, step in zip(("qknorm_on", "qknorm_off"), flagged_at):
+        assert len(load_log(tmp_path / "ablate" / arm / "loss.csv")) == int(step) + 1
+        assert (tmp_path / "ablate" / arm / "checkpoint").is_dir()
 
     out = subprocess.run(
         [sys.executable, "-m", "chamtoy.cli", "sft", "--data-dir", str(corpus_dir),
          "--tokenizer-dir", str(tokenizer_dir), "--init", str(pretrain_dir / "checkpoint"),
-         "--out-dir", str(tmp_path / "sft"), "--set", "train.steps=200",
-         "--set", "train.batch_size=2", "--set", "train.seq_len=32",
-         "--set", "optim.lr=1e-3"],
+         "--out-dir", str(tmp_path / "sft"), "--set", "train.steps=6",
+         "--set", "train.batch_size=2", "--set", "train.seq_len=32", *blow_up],
         capture_output=True, text=True,
     )
     assert out.returncode == EXIT_DIVERGED, out.stderr
-    assert "divergence flagged after" in out.stderr
+    flagged_at = re.findall(r"^divergence flagged after (\d+) monitored steps$", out.stderr, re.M)
+    assert len(flagged_at) == 1, out.stderr
+    assert len(load_log(tmp_path / "sft" / "loss.csv")) == int(flagged_at[0]) + 1
 
 
 def test_non_finite_divergence_prints_only_the_note(corpus_dir, tokenizer_dir, tmp_path):
@@ -401,6 +407,57 @@ def test_train_rejects_bad_mixture(corpus_dir, tokenizer_dir, tmp_path):
         "--set", "data.stage1=absent:1.0", *TRAIN_SETS,
     ])
     assert code == EXIT_USAGE
+
+
+def corpus_read(*args):
+    raise AssertionError("the corpus was read before the configuration was checked")
+
+
+@pytest.mark.parametrize("setting", [
+    "data.stage1=text:nan", "data.stage1=text:inf", "data.stage2_extra=captions:nan",
+    "data.stage1=text:-1", "data.stage1=text:0,captions:0",
+    # each weight finite, but their stage 2 sum is not
+    "data.stage2_extra=captions:1e308,text:1e308",
+])
+def test_bad_mixture_weights_exit_2_before_any_work(setting, corpus_dir, tokenizer_dir,
+                                                    tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_build_docs", corpus_read)
+    code = main(["train", "--data-dir", str(corpus_dir), "--tokenizer-dir", str(tokenizer_dir),
+                 "--out-dir", str(tmp_path / "out"), *TRAIN_SETS, "--set", setting])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"configuration error: {setting.split('=')[0]} ")
+    assert not (tmp_path / "out").exists()
+
+
+BAD_MODEL_AND_OPTIM = [
+    "model.dropout=1.5", "model.dropout=-0.5", "model.n_layers=0", "model.n_layers=-2",
+    "model.max_seq=0", "model.norm_eps=-1", "model.z_coeff=-1", "optim.eps=0", "optim.lr=-1",
+    "optim.beta1=2", "optim.warmup_steps=-3", "optim.clip_norm=0", "optim.clip_norm=-1",
+]
+
+
+@pytest.mark.parametrize("command, setting", [
+    (command, setting) for setting in BAD_MODEL_AND_OPTIM for command in ("train", "ablate", "sft")
+    # sft takes its model from the checkpoint, all but dropout
+    if command != "sft" or not setting.startswith("model.") or "dropout" in setting
+])
+def test_bad_model_and_optim_values_exit_2_naming_the_field(
+    command, setting, corpus_dir, tokenizer_dir, pretrain_dir, tmp_path, capsys, monkeypatch
+):
+    key, _ = setting.split("=")
+    monkeypatch.setattr(cli, "_build_docs", corpus_read)
+    monkeypatch.setattr(cli, "load_sft_corpus", corpus_read)
+    argv = {"train": ["train", "--tokenizer-dir", str(tokenizer_dir), *TRAIN_SETS],
+            "ablate": ["train", "--ablate", "qknorm", "--tokenizer-dir", str(tokenizer_dir),
+                       *TRAIN_SETS],
+            "sft": ["sft", "--tokenizer-dir", str(tokenizer_dir),
+                    "--init", str(pretrain_dir / "checkpoint")]}[command]
+    code = main([*argv, "--data-dir", str(corpus_dir), "--out-dir", str(tmp_path / "out"),
+                 "--set", setting])
+    assert code == EXIT_USAGE
+    field = key.split(".")[1]
+    assert capsys.readouterr().err.startswith(f"configuration error: {field} must ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_missing_tokenizer_fails(corpus_dir, tmp_path):

@@ -386,9 +386,10 @@ def test_detokenize_sep_splits_text_parts(round_trip_kit):
 def test_detokenize_errors_carry_offsets(round_trip_kit):
     tok, book = round_trip_kit
     bad_len = [VOCAB.bos, VOCAB.boi, VOCAB.image_to_global(0), VOCAB.eoi]
-    with pytest.raises(DecodeError, match="offset 1") as e1:
+    # refused at the EOI that closes the block early, as check_prompt refuses it
+    with pytest.raises(DecodeError, match="offset 3") as e1:
         detokenize_mixed(bad_len, tok, book, VOCAB, image_size=8)
-    assert e1.value.offset == 1
+    assert e1.value.offset == 3
 
     stray = [VOCAB.bos, 5, VOCAB.image_to_global(2)]
     with pytest.raises(DecodeError, match="offset 2"):
@@ -409,6 +410,87 @@ def test_detokenize_stops_at_eos(round_trip_kit):
     stream = [VOCAB.bos] + ids + [VOCAB.eos, VOCAB.pad, VOCAB.pad]
     parts = detokenize_mixed(stream, tok, book, VOCAB, image_size=8)
     assert parts == [("text", "the")]
+
+
+# one grammar: detokenize_mixed refuses exactly what the decode machine refuses
+
+def walk(stream, pol):
+    """(offset where walking stream through advance_state fails, or None; last state).
+
+    The walk stops at the first EOS, refuses any BOS but a leading one, and
+    fails at the last offset if the stream ends inside an image block.
+    """
+    state = DecodeState()
+    for i, tok in enumerate(stream):
+        if tok == VOCAB.bos and i:
+            return i, state
+        try:
+            state = advance_state(state, tok, pol, VOCAB, i)
+        except DecodeError as e:
+            assert e.offset == i
+            return i, state
+        if tok == VOCAB.eos:
+            return None, state
+    return (len(stream) - 1 if state.in_image else None), state
+
+
+def pieces():
+    codes = st.integers(VOCAB.n_text, VOCAB.n_text + VOCAB.n_image - 1)
+    controls = [VOCAB.bos, VOCAB.eos, VOCAB.pad, VOCAB.sep, VOCAB.boi, VOCAB.eoi]
+    return st.one_of(
+        st.sampled_from(controls).map(lambda t: [t]),
+        st.integers(0, VOCAB.n_text - 1).map(lambda t: [t]),
+        codes.map(lambda t: [t]),
+        # whole blocks, and near misses one code short or over
+        st.lists(codes, min_size=BLOCK - 1, max_size=BLOCK + 1).map(
+            lambda c: [VOCAB.boi, *c, VOCAB.eoi]),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(lead=st.booleans(), body=st.lists(pieces(), max_size=8))
+def test_detokenize_refuses_exactly_where_the_machine_does(round_trip_kit, lead, body):
+    tok, book = round_trip_kit
+    stream = [VOCAB.bos] * lead + [t for piece in body for t in piece]
+    offset, state = walk(stream, policy())
+    if offset is None:
+        parts = detokenize_mixed(stream, tok, book, VOCAB, image_size=8)
+        assert [kind for kind, _ in parts].count("image") == state.blocks_done
+    else:
+        with pytest.raises(DecodeError) as e:
+            detokenize_mixed(stream, tok, book, VOCAB, image_size=8)
+        assert e.value.offset == offset
+
+
+@pytest.mark.parametrize("mode", ["unconstrained", "text-only", "image-only"])
+def test_every_decoded_stream_detokenizes(round_trip_kit, mode):
+    tok, book = round_trip_kit
+    params, cfg = tiny_model(seed=2)
+    params["lm_head"].data[:, VOCAB.boi] += 0.6
+    for seed in range(3):
+        pol = policy(mode=mode, seed=seed)
+        for drive in both_drivers(params, cfg, [VOCAB.bos], pol):
+            fin = drive()
+            assert walk(fin.tokens, pol)[0] is None
+            detokenize_mixed(fin.tokens, tok, book, VOCAB, image_size=8)
+
+
+@pytest.mark.parametrize("mode", ["unconstrained", "text-only", "image-only"])
+def test_every_legal_id_is_accepted_from_every_reachable_state(mode):
+    pol = policy(mode=mode)
+    seen, todo = set(), [DecodeState()]
+    while todo:
+        state = todo.pop()
+        if state in seen or state.blocks_done > 2:
+            continue
+        seen.add(state)
+        legal = np.flatnonzero(legal_mask(state, pol, VOCAB))
+        assert VOCAB.eoi not in legal
+        forced = [VOCAB.eoi] if state.in_image and state.remaining == 0 else []
+        for tok in [*legal, *forced]:
+            todo.append(advance_state(state, int(tok), pol, VOCAB, 0))
+    # every situation the machine has: text, each block position, and after blocks
+    assert len(seen) == {"unconstrained": 18, "text-only": 1, "image-only": 7}[mode]
 
 
 def test_boi_is_legal_only_while_its_block_fits():
