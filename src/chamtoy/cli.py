@@ -377,6 +377,11 @@ def cmd_train(run: RunConfig, args) -> int:
 
 
 def cmd_sft(run: RunConfig, args) -> int:
+    # the model is the --init checkpoint's, of which only dropout can change
+    fixed = sorted(k for k in run.explicit if k.startswith("model.") and k != "model.dropout")
+    if fixed:
+        raise ConfigError(f"{', '.join(fixed)} cannot be set: sft tunes the --init "
+                          "checkpoint's model and changes only model.dropout")
     # tuning defaults: small peak rate on a cosine schedule, light dropout,
     # unchanged z penalty
     run.soft_set("optim.lr", 1e-5)

@@ -18,6 +18,7 @@ no autograd graph and its memory is bounded by the cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +58,11 @@ class DecodePolicy:
             raise ValueError(f"temperature must be finite and non-negative, got {self.temperature}")
 
 
-@dataclass(frozen=True)
-class DecodeState:
+class DecodeState(NamedTuple):
+    """The machine's state between tokens.  A tuple, which is immutable
+    and costs a fraction of a frozen dataclass to build; advance_state
+    builds one per image code."""
+
     in_image: bool = False
     remaining: int = 0
     blocks_done: int = 0
@@ -118,21 +122,34 @@ def advance_state(
 
 
 def _sample(logits: np.ndarray, legal: np.ndarray, temperature: float, rng, offset: int) -> int:
-    if not np.isfinite(logits[legal]).all():
+    """One draw from softmax(logits / temperature) over the legal ids, or
+    the first legal maximum at temperature 0.
+
+    It computes over the legal ids alone, and returns the id that the same
+    draw picks over the whole vocabulary with every other score at -inf.
+    """
+    ids = legal.nonzero()[0]
+    x = logits[ids]
+    if not np.isfinite(x).all():
         raise DecodeError(offset, "non-finite logit for a legal token")
-    masked = np.where(legal, logits, -np.inf)
     if temperature == 0.0:
-        return int(np.argmax(masked))
+        return int(ids[x.argmax()])
     # shifted before the division, so the best legal score is exactly 0 at
     # any temperature; a score that overflows to -inf then weighs 0
     with np.errstate(over="ignore"):
-        p = np.exp((masked - masked.max()) / temperature)
-    p /= p.sum()
-    idx = int(np.searchsorted(np.cumsum(p), rng.random()))
-    idx = min(idx, len(p) - 1)
-    if not legal[idx]:  # cumsum rounding spilled past the last legal entry
-        idx = int(np.argmax(p))
-    return idx
+        p = np.exp((x - x.max()) / temperature)
+    # normalized by the sum over the whole vocabulary, zeros included:
+    # numpy's pairwise sum rounds differently over the legal ids alone
+    whole = np.zeros(len(legal))
+    whole[ids] = p
+    p /= whole.sum()
+    r = rng.random()
+    j = int(p.cumsum().searchsorted(r))
+    # where the whole-vocabulary search lands: on id 0 when r is 0, and on
+    # the last id when cumsum rounding leaves the total below r; an illegal
+    # id there falls back to the argmax of p
+    idx = 0 if r == 0 else int(ids[j]) if j < len(ids) else len(legal) - 1
+    return idx if legal[idx] else int(ids[p.argmax()])
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +209,23 @@ def check_prompt(cfg: ModelConfig, prompt, policy: DecodePolicy, vocab: MixedVoc
 def _frozen(params: dict[str, Tensor]) -> dict[str, Tensor]:
     """Views of params that record no autograd graph (the arrays are shared)."""
     return {name: Tensor(t.data) for name, t in params.items()}
+
+
+def _cache_len(n_prompt: int, policy: DecodePolicy, cfg: ModelConfig) -> int:
+    """The most positions `_decode` feeds the model after a prompt of
+    n_prompt tokens, the size of generate_stream's cache.
+
+    The last token of a stream is never fed, nor the last code of a block
+    whose forced EOI ends it.  So text-only feeds at most max_new_tokens - 1
+    new tokens; image-only its BOI and all codes but the last; and
+    unconstrained, which may open a block with the last token it is allowed
+    and must finish it, max_new_tokens - 1 tokens, that BOI and all codes but
+    the last.  A stream stops at max_seq tokens, so at most max_seq - 1 are fed.
+    """
+    fed = {"text-only": policy.max_new_tokens - 1,
+           "image-only": policy.block_len,
+           "unconstrained": policy.max_new_tokens + policy.block_len - 1}[policy.mode]
+    return min(n_prompt + fed, cfg.max_seq - 1)
 
 
 def _decode(cfg: ModelConfig, prompt, policy: DecodePolicy, vocab: MixedVocab, next_logits):
@@ -271,15 +305,23 @@ def generate_stream(
 
     Logits come from a key/value cache: each call feeds the model only the
     tokens it has not seen yet, so a block's last code and its forced EOI
-    go in together.
+    go in together.  The prompt goes in as a forward pass with no cache;
+    its keys and values are then copied once into buffers of `_cache_len`
+    positions per layer, which every later call fills in place, so the
+    request's decode memory is fixed after its prompt.
     """
     params = _frozen(params)
-    kv, seen = None, 0
+    kv = None
 
     def next_logits(tokens):
-        nonlocal kv, seen
+        nonlocal kv
+        seen = 0 if kv is None else kv[0].length
         logits, aux = model_forward(params, cfg, np.array([tokens[seen:]]), past_kv=kv)
-        kv, seen = aux["kv"], len(tokens)
+        if kv is None:  # the prompt: each layer's cache gets room for the whole request
+            capacity = _cache_len(len(tokens), policy, cfg)
+            kv = [layer.with_capacity(capacity) for layer in aux["kv"]]
+        else:
+            kv = aux["kv"]
         return logits.data[0, -1]
 
     yield from _decode(cfg, prompt, policy, vocab, next_logits)

@@ -90,6 +90,37 @@ def merge_heads(x: Tensor) -> Tensor:
     return x._make(x.data.transpose(0, 2, 1, 3).reshape(b, s, n * hd), (x,), backward_fn)
 
 
+class KVCache:
+    """One layer's rotated keys and values, for incremental decoding.
+
+    k and v are [batch, kv_heads, capacity, head_dim] buffers whose first
+    `length` positions are filled.  `attention` writes each call's new
+    positions at `length` and advances it, in place while the buffers
+    have room (`with_capacity` makes room ahead).  Iterating or indexing
+    gives the filled part as a (k, v) pair of Tensors.
+    """
+
+    __slots__ = ("k", "v", "length")
+
+    def __init__(self, k: np.ndarray, v: np.ndarray, length: int):
+        self.k, self.v, self.length = k, v, length
+
+    def __iter__(self):
+        t = self.length
+        return iter((Tensor(self.k[:, :, :t]), Tensor(self.v[:, :, :t])))
+
+    def __getitem__(self, i: int) -> Tensor:
+        return tuple(self)[i]
+
+    def with_capacity(self, capacity: int) -> "KVCache":
+        """A cache of `capacity` positions holding a copy of the filled part."""
+        t = self.length
+        k, v = (np.empty(a.shape[:2] + (capacity,) + a.shape[3:], a.dtype)
+                for a in (self.k, self.v))
+        k[:, :, :t], v[:, :, :t] = self.k[:, :, :t], self.v[:, :, :t]
+        return KVCache(k, v, t)
+
+
 def attention(
     x: Tensor,
     wqkv: Tensor,
@@ -101,7 +132,7 @@ def attention(
     q_gain: Tensor | None = None,
     k_gain: Tensor | None = None,
     norm_eps: float = 1e-5,
-    past_kv: tuple[Tensor, Tensor] | None = None,
+    past_kv: KVCache | None = None,
 ):
     """Causal multi-head attention with grouped key/value heads.
 
@@ -113,15 +144,17 @@ def attention(
     head before the rotary rotation, which bounds each attention logit by
     sqrt(head_dim) regardless of input scale.
 
-    past_kv carries rotated key/value tensors from earlier positions; the
-    new tokens are appended and the full (k, v) pair is returned alongside
-    the output so callers can decode incrementally.  The cache carries no
-    graph in any mode, so no gradient flows through it: training never
-    passes one, and decoding runs on frozen parameter views.
+    Returns the output and a `KVCache` of every position so far, so callers
+    can decode incrementally.  past_kv holds the earlier positions; the new
+    ones are written into its buffers, in place when they have room and
+    otherwise into a copy with exactly enough, and attention reads the
+    filled prefix.  The cache carries no graph in any mode, so no gradient
+    flows through it: training never passes one, and decoding runs on
+    frozen parameter views.
     """
     if n_heads % n_kv_heads != 0:
         raise ValueError("query head count must be a multiple of kv head count")
-    offset = 0 if past_kv is None else past_kv[0].shape[2]
+    offset = 0 if past_kv is None else past_kv.length
     qkv = x @ wqkv
     kv = qkv.shape[-1] // (n_heads + 2 * n_kv_heads) * n_kv_heads
     d = qkv.shape[-1] - 2 * kv
@@ -130,12 +163,16 @@ def attention(
                       norm_eps)
     v = split_heads(qkv, n_kv_heads, d + kv)
 
-    if past_kv is not None:
-        k = Tensor(np.concatenate([past_kv[0].data, k.data], axis=2))
-        v = Tensor(np.concatenate([past_kv[1].data, v.data], axis=2))
+    if past_kv is None:
+        cache = KVCache(k.data, v.data, k.shape[2])
+    else:
+        t = offset + k.shape[2]
+        cache = past_kv if t <= past_kv.k.shape[2] else past_kv.with_capacity(t)
+        cache.k[:, :, offset:t], cache.v[:, :, offset:t] = k.data, v.data
+        cache.length = t
+        k, v = cache
 
-    out = merge_heads(attend(q, k, v)) @ wo
-    return out, (Tensor(k.data), Tensor(v.data))
+    return merge_heads(attend(q, k, v)) @ wo, cache
 
 
 def apply_rope_at(x: Tensor, c: np.ndarray, s: np.ndarray, offset: int,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .layers import attention, dropout, rms_norm, rope_tables, swiglu
+from .layers import KVCache, attention, dropout, rms_norm, rope_tables, swiglu
 from .numerics import Tensor, embedding
 
 
@@ -143,7 +143,7 @@ def block_forward(
     """One transformer block.  Returns (out, info).
 
     info carries the two residual increments (post-dropout, exactly what
-    was added to the stream) and the updated kv pair for this layer.
+    was added to the stream) and this layer's `KVCache`.
     """
     pre = f"layers.{layer}"
     rope_c, rope_s = rope_tables(cfg.head_dim, cfg.max_seq, x.data.dtype)
@@ -191,19 +191,20 @@ def model_forward(
     ids,
     rng: np.random.Generator | None = None,
     training: bool = False,
-    past_kv: list | None = None,
+    past_kv: list[KVCache] | None = None,
 ):
     """Full forward pass.  ids is an int array [batch, seq].
 
     Returns (logits, aux) where aux["hidden"] is the residual stream after
     the last block and before the final norm (the quantity the divergence
     monitor tracks) and aux["kv"] is the per-layer cache for incremental
-    decoding.
+    decoding: pass it back as past_kv with the next tokens.  A cache with
+    room for them is filled in place (see `KVCache`).
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
         raise ValueError("token ids must be a 2-d [batch, seq] int array")
-    cached = 0 if past_kv is None else past_kv[0][0].shape[2]
+    cached = 0 if past_kv is None else past_kv[0].length
     if cached + ids.shape[1] > cfg.max_seq:
         raise ValueError(
             f"sequence of {cached + ids.shape[1]} exceeds max_seq {cfg.max_seq}"

@@ -182,9 +182,12 @@ class Tensor:
         return value if isinstance(value, Tensor) else Tensor(value)
 
     def _make(self, data, parents, backward_fn) -> "Tensor":
-        live = tuple([p for p in parents if p.requires_grad])
-        if not live:
+        for p in parents:
+            if p.requires_grad:
+                break
+        else:  # no parent needs a gradient (decoding): a bare node
             return Tensor(data)
+        live = tuple([p for p in parents if p.requires_grad])
         return Tensor(data, requires_grad=True, _parents=live, _backward_fn=backward_fn)
 
     # ------------------------------------------------------------------
@@ -192,9 +195,9 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def _check_broadcast(self, other: "Tensor", op: str) -> None:
-        if not _broadcastable(self.shape, other.shape):
-            raise ShapeMismatchError(
-                f"{op}: shapes {self.shape} and {other.shape} are not broadcastable")
+        a, b = self.data.shape, other.data.shape
+        if a != b and not _broadcastable(a, b):
+            raise ShapeMismatchError(f"{op}: shapes {a} and {b} are not broadcastable")
 
     def __add__(self, other):
         other = self._lift(other)
@@ -439,10 +442,12 @@ def rotate_pairs(x: Tensor, c: np.ndarray, s: np.ndarray) -> Tensor:
 
 def _turn(a: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """a*c + a[..., swap]*s as a new C-order array, summed in the other
-    order, which IEEE addition leaves bit-identical.  np.take keeps C
-    order, where a[..., swap] puts the channel axis outermost in memory,
-    and each pass that mixes the two layouts runs several times slower."""
-    out = np.take(a, _swap(a.shape[-1]), axis=-1)
+    order, which IEEE addition leaves bit-identical.  take keeps C order,
+    where a[..., swap] puts the channel axis outermost in memory, and each
+    pass that mixes the two layouts runs several times slower.  The method,
+    not np.take, whose Python wrapper costs as much as the gather at one
+    decode row."""
+    out = a.take(_swap(a.shape[-1]), axis=-1)
     out *= s
     out += a * c
     return out
@@ -450,7 +455,7 @@ def _turn(a: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _turn_back(g: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """g*c + (g*s)[..., swap], the transpose of `_turn`, likewise."""
-    out = np.take(g * s, _swap(g.shape[-1]), axis=-1)
+    out = (g * s).take(_swap(g.shape[-1]), axis=-1)
     out += g * c
     return out
 

@@ -1,14 +1,16 @@
 """Per-element reference implementations of the tokenizer and agreement
 algorithms, for the equivalence properties in test_tokenizer.py and
 test_evalkit.py, the oracle that reads packed instruction-tuning rows
-back for test_data.py, and the attention scores that the QK-norm bound
-tests read from the queries and keys attention hands to `attend`.
+back for test_data.py, the attention scores that the QK-norm bound
+tests read from the queries and keys attention hands to `attend`, and
+the decoder's sampler over the whole vocabulary for test_decoder.py.
 
 Each is the direct reading of its definition that the library replaces
-with whole-array work: BPE that recounts every pair and merges the
-lowest-ranked pair present, Lloyd's algorithm that means each cluster
-under a mask, and Krippendorff's alpha from the pairwise coincidence
-matrix.
+with whole-array work, or with work over fewer entries: BPE that
+recounts every pair and merges the lowest-ranked pair present, Lloyd's
+algorithm that means each cluster under a mask, Krippendorff's alpha from
+the pairwise coincidence matrix, and sampling that sets every illegal
+score to -inf.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
+from chamtoy.decoder import DecodeError
 from chamtoy.tokenizer.codebook import _sq_dists, extract_patches
 
 
@@ -134,3 +137,22 @@ def attention_scores(q, k):
     [b, h, s, t], masked or not; query head i reads key head i // (h / kv)."""
     h, kv, hd = q.shape[1], k.shape[1], q.shape[-1]
     return np.einsum("bhsd,bhtd->bhst", q, np.repeat(k, h // kv, axis=1)) / np.sqrt(hd)
+
+
+def sample(logits, legal, temperature, rng, offset) -> int:
+    """One draw from softmax(logits / temperature) with every illegal score
+    at -inf, over the whole vocabulary; argmax at temperature 0.  A draw
+    that cumsum rounding spills onto an illegal id takes the argmax of p."""
+    if not np.isfinite(logits[legal]).all():
+        raise DecodeError(offset, "non-finite logit for a legal token")
+    masked = np.where(legal, logits, -np.inf)
+    if temperature == 0.0:
+        return int(np.argmax(masked))
+    with np.errstate(over="ignore"):
+        p = np.exp((masked - masked.max()) / temperature)
+    p /= p.sum()
+    idx = int(np.searchsorted(np.cumsum(p), rng.random()))
+    idx = min(idx, len(p) - 1)
+    if not legal[idx]:
+        idx = int(np.argmax(p))
+    return idx

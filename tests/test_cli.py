@@ -491,6 +491,24 @@ def test_sft_applies_tuning_defaults(corpus_dir, tokenizer_dir, pretrain_dir, tm
     assert cfg.dropout == 0.05
 
 
+@pytest.mark.parametrize("settings", [
+    ["model.n_layers=0"], ["model.n_layers=3"], ["model.max_seq=512"],
+    ["model.preset=7b-recipe"], ["model.qk_norm=false", "model.dropout=0.1", "model.d_model=32"],
+])
+def test_sft_refuses_model_keys_the_checkpoint_fixes(settings, corpus_dir, tokenizer_dir,
+                                                     pretrain_dir, tmp_path, capsys, monkeypatch):
+    # these once went unread: sft trained the checkpoint's model and exited 0
+    monkeypatch.setattr(cli, "load_sft_corpus", corpus_read)
+    code = main(["sft", "--data-dir", str(corpus_dir), "--tokenizer-dir", str(tokenizer_dir),
+                 "--init", str(pretrain_dir / "checkpoint"), "--out-dir", str(tmp_path / "out"),
+                 *(arg for setting in settings for arg in ("--set", setting))])
+    assert code == EXIT_USAGE
+    keys = sorted(s.split("=")[0] for s in settings if not s.startswith("model.dropout"))
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {', '.join(keys)} cannot be set")
+    assert not (tmp_path / "out").exists()
+
+
 def test_generate_text_only_deterministic(pretrain_dir, tokenizer_dir, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -618,6 +636,7 @@ FAILURE_PATHS = {
         ["train", *TRAIN_SETS, "--ablate", "qknorm", "--resume", "{tmp}/absent"], EXIT_USAGE,
     ),
     "sft-seq-len-over-max-seq": (["sft", "--set", "train.seq_len=300"], EXIT_USAGE),
+    "sft-model-key": (["sft", "--set", "model.n_layers=0"], EXIT_USAGE),
     "missing-judgments": (["eval", "--judgments", "{tmp}/absent.csv"], EXIT_FAILURE),
     # checked before the judgments file is read
     "bootstrap-0": (["eval", "--judgments", "{tmp}/absent.csv", "--bootstrap", "0"], EXIT_USAGE),

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,8 @@ from chamtoy.decoder import (
 )
 from chamtoy.model import ModelConfig, init_params
 from chamtoy.tokenizer import MixedVocab, train_bpe, train_codebook
+
+import reference
 
 VOCAB = MixedVocab(n_text=260, n_image=8)
 BLOCK = 4
@@ -315,6 +318,65 @@ def test_sample_returns_a_legal_id_at_any_temperature(data, temperature):
     logits = np.array([data.draw(finite if ok else st.floats()) for ok in legal])
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     assert legal[decoder._sample(logits, legal, temperature, rng, 0)]
+
+
+def every_legal_mask():
+    """Each distinct non-empty mask of every mode: text, inside a block,
+    image-only's BOI, and each with BOI withheld, as when no block fits."""
+    masks = []
+    for mode, state, withhold in itertools.product(
+            decoder.MODES, [DecodeState(), DecodeState(True, 2, 0)], [False, True]):
+        mask = legal_mask(state, policy(mode=mode), VOCAB)
+        if withhold:
+            mask[VOCAB.boi] = False
+        if mask.any() and not any((mask == m).all() for m in masks):
+            masks.append(mask)
+    return masks
+
+
+LEGAL_MASKS = every_legal_mask()
+
+
+class FixedDraw:
+    """A generator whose every draw is r: 0, or just below 1, where cumsum
+    rounding can leave the total short of r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+def sampled(sample, logits, legal, temperature, rng):
+    try:
+        return sample(logits, legal, temperature, rng, 3)
+    except DecodeError as e:
+        return str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), mask=st.integers(0, len(LEGAL_MASKS) - 1),
+       temperature=st.sampled_from([0.0, 1e-320, 0.3, 1.0, 1e300]),
+       kind=st.sampled_from(["ties", "normal", "wide", "non-finite"]),
+       r=st.sampled_from([None, 0.0, 1.0 - 2.0 ** -53]))
+def test_sample_picks_the_id_of_the_whole_vocabulary_reading(data, mask, temperature, kind, r):
+    legal = LEGAL_MASKS[mask]
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    logits = {"ties": lambda: gen.integers(-2, 3, VOCAB.total).astype(float),
+              "normal": lambda: gen.normal(0.0, 4.0, VOCAB.total),
+              "wide": lambda: gen.uniform(-1.0, 1.0, VOCAB.total) * 1.7e308,
+              "non-finite": lambda: gen.normal(0.0, 4.0, VOCAB.total)}[kind]()
+    if kind == "non-finite":
+        logits[data.draw(st.sampled_from(list(np.flatnonzero(legal))))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+
+    def rng():
+        return np.random.default_rng(seed) if r is None else FixedDraw(r)
+
+    assert (sampled(decoder._sample, logits, legal, temperature, rng())
+            == sampled(reference.sample, logits, legal, temperature, rng()))
 
 
 def test_policy_validation():

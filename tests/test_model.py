@@ -1,4 +1,6 @@
 import gc
+import itertools
+import sys
 import weakref
 from pathlib import Path
 
@@ -17,9 +19,11 @@ from chamtoy.model import (
     preset,
     save_checkpoint,
 )
-from chamtoy.decoder import _frozen
+from chamtoy import decoder
+from chamtoy.decoder import DecodePolicy, _frozen, generate_stream
 from chamtoy.numerics import Tensor
 from chamtoy.objective import total_loss
+from chamtoy.tokenizer import MixedVocab
 
 
 def tiny_cfg(**kw):
@@ -246,6 +250,100 @@ def test_kv_step_builds_37_nodes_on_the_toy_preset(monkeypatch):
     monkeypatch.setattr(Tensor, "_make", counting)
     model_forward(params, cfg, ids[:, 5:], past_kv=prefill["kv"])
     assert len(made) == 37
+
+
+def toy_kv_step():
+    """The toy preset's frozen parameters, one token and a five-position
+    cache with room for it, as generate_stream hands them to a KV step."""
+    cfg = preset("toy", 48)
+    params = _frozen(init_params(cfg, seed=1))
+    ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(1, 6))
+    _, prefill = model_forward(params, cfg, ids[:, :5])
+    return params, cfg, ids[:, 5:], [layer.with_capacity(8) for layer in prefill["kv"]]
+
+
+def test_kv_step_makes_a_fixed_number_of_python_calls_on_the_toy_preset():
+    # Python-level calls, numpy's own wrappers included, are deterministic
+    # where a time is not; each costs interpreter time at one row
+    params, cfg, ids, cache = toy_kv_step()
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        model_forward(params, cfg, ids, past_kv=cache)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 206
+
+
+def tiny_decoder():
+    vocab = MixedVocab(n_text=256, n_image=8)
+    cfg = tiny_cfg(vocab_size=vocab.total, max_seq=48)
+    return init_params(cfg, seed=2), cfg, vocab
+
+
+def record_kv_steps(monkeypatch, steer=None):
+    """Route generate_stream's forward passes through a recorder of
+    (past_kv, aux["kv"]); steer(row, fed) may edit the logits row that
+    the loop samples from after `fed` positions."""
+    calls = []
+    real = decoder.model_forward
+
+    def forward(*args, past_kv=None, **kwargs):
+        logits, aux = real(*args, past_kv=past_kv, **kwargs)
+        calls.append((past_kv, aux["kv"]))
+        if steer is not None:
+            steer(logits.data[0, -1], aux["kv"][0].length)
+        return logits, aux
+
+    monkeypatch.setattr(decoder, "model_forward", forward)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["unconstrained", "text-only", "image-only"])
+def test_every_kv_step_writes_into_the_buffers_allocated_at_its_start(monkeypatch, mode):
+    params, cfg, vocab = tiny_decoder()
+    params["lm_head"].data[:, vocab.boi] += 1.0  # blocks, so that their codes are fed
+    calls = record_kv_steps(monkeypatch)
+    for seed, n_prompt in itertools.product(range(4), (1, 6, 30)):
+        calls.clear()
+        pol = DecodePolicy(block_len=4, mode=mode, max_new_tokens=12, seed=seed)
+        list(generate_stream(params, cfg, [vocab.bos] + [7] * (n_prompt - 1), pol, vocab))
+        (prefill, _), (first, _), *_ = calls
+        assert prefill is None
+        for _, kv in calls[1:]:
+            for layer, (k, v) in zip(first, kv):
+                assert np.shares_memory(k.data, layer.k) and np.shares_memory(v.data, layer.v)
+
+
+@pytest.mark.parametrize("mode, n_prompt, capacity", [
+    ("unconstrained", 3, 3 + 11 + 1 + 3),  # 11 text tokens, BOI, 3 of 4 codes
+    ("text-only", 3, 3 + 11),
+    ("image-only", 3, 3 + 1 + 3),
+    # max_seq 48 caps the cache: the 48th token is never fed
+    ("unconstrained", 40, 47), ("text-only", 40, 47),
+])
+def test_the_kv_cache_holds_exactly_the_longest_request(monkeypatch, mode, n_prompt, capacity):
+    # the longest request of each mode: no EOS, and in unconstrained mode a
+    # block opened by the last token allowed, then finished
+    params, cfg, vocab = tiny_decoder()
+    pol = DecodePolicy(block_len=4, mode=mode, max_new_tokens=12, seed=0)
+    opens_block = n_prompt + pol.max_new_tokens - 1
+
+    def steer(row, fed):
+        row[vocab.eos] = -50.0
+        row[vocab.boi] = 50.0 if fed == opens_block else -50.0
+
+    calls = record_kv_steps(monkeypatch, steer)
+    list(generate_stream(params, cfg, [vocab.bos] + [7] * (n_prompt - 1), pol, vocab))
+    buffer = calls[1][0][0].k
+    assert buffer.shape[2] == capacity
+    assert max(kv[0].length for _, kv in calls) == capacity
+    assert all(kv[0].k is buffer for _, kv in calls[1:])
 
 
 def test_sequence_length_guard():
