@@ -232,6 +232,21 @@ def _load_tokenizer_dir(tok_dir) -> tuple[BPETokenizer, Codebook, MixedVocab]:
     return tok, book, MixedVocab(n_text=tok.vocab_size, n_image=book.n_codes)
 
 
+def _block_len(run: RunConfig, book: Codebook) -> int:
+    """Codes per image at tokenizer.image_size, a size the codebook's patch must divide."""
+    size = run["tokenizer.image_size"]
+    try:
+        return book.tokens_per_image(size, size)
+    except ValueError as e:
+        raise ConfigError(f"tokenizer.image_size {size}: {e}") from e
+
+
+def _check_seq_len(run: RunConfig, cfg) -> None:
+    """Training windows must fit the model's context; checked before the corpus is read."""
+    if run["train.seq_len"] > cfg.max_seq:
+        raise ConfigError(f"train.seq_len {run['train.seq_len']} exceeds model.max_seq {cfg.max_seq}")
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -306,8 +321,6 @@ def _train_run(run: RunConfig, out_dir: Path, cfg, params, opt_cfg, batch_fn,
                start: int = 0, opt_state=None):
     """Train one run and write its checkpoint, loss.csv and
     effective_config.txt to out_dir; a flagged run gets a note on stderr."""
-    if run["train.seq_len"] > cfg.max_seq:
-        raise ConfigError(f"train.seq_len {run['train.seq_len']} exceeds model.max_seq {cfg.max_seq}")
     result = train_loop(
         params, cfg, opt_cfg, batch_fn,
         seed=run["train.seed"], start_step=start, opt_state=opt_state,
@@ -339,10 +352,12 @@ def cmd_train(run: RunConfig, args) -> int:
         raise ConfigError(f"data.{e}") from e  # the message starts with the field's name
     opt_cfg = build_optim_config(run)
     tok, book, vocab = _load_tokenizer_dir(args.tokenizer_dir)
+    _block_len(run, book)  # refuses an image size the patch does not divide
     if args.resume:
         params, cfg, opt_state, start = _load_init(args.resume, vocab)
     else:
         cfg = build_model_config(run, vocab.total)
+    _check_seq_len(run, cfg)
     out_dir = Path(args.out_dir)
     seed = run["train.seed"]
 
@@ -396,6 +411,7 @@ def cmd_sft(run: RunConfig, args) -> int:
         cfg = replace(cfg, dropout=run["model.dropout"])
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    _check_seq_len(run, cfg)
 
     pairs = load_sft_corpus(Path(args.data_dir) / "sft.jsonl")
     examples = [(tok.encode(p), tok.encode(a)) for p, a in pairs]
@@ -415,7 +431,6 @@ def cmd_generate(run: RunConfig, args) -> int:
     print(run.render())
     tok, book, vocab = _load_tokenizer_dir(args.tokenizer_dir)
     params, cfg, _, _ = _load_init(args.checkpoint, vocab)
-    size = run["tokenizer.image_size"]
 
     prompt = [vocab.bos] + tok.encode(args.prompt)
     if run["generate.append_sep"]:
@@ -423,7 +438,7 @@ def cmd_generate(run: RunConfig, args) -> int:
         prompt.append(vocab.sep)
     try:
         policy = DecodePolicy(
-            block_len=book.tokens_per_image(size, size),
+            block_len=_block_len(run, book),
             mode=run["generate.mode"],
             max_new_tokens=run["generate.max_new_tokens"],
             temperature=run["generate.temperature"],
@@ -436,7 +451,7 @@ def cmd_generate(run: RunConfig, args) -> int:
     for event in generate_stream(params, cfg, prompt, policy, vocab):
         if isinstance(event, Finished):
             fin = event
-    parts = detokenize_mixed(fin.tokens, tok, book, vocab, image_size=size)
+    parts = detokenize_mixed(fin.tokens, tok, book, vocab, image_size=run["tokenizer.image_size"])
 
     manifest = []
     out_dir = Path(args.out_dir) if args.out_dir else None

@@ -233,62 +233,48 @@ def _decode(cfg: ModelConfig, prompt, policy: DecodePolicy, vocab: MixedVocab, n
 
     next_logits(tokens) returns the logits for the position after
     tokens[-1]; it is called only when a token is sampled, never for a
-    forced EOI.  The prompt is validated by check_prompt first, so an
-    ill-formed prompt, or one that leaves no room under cfg.max_seq, fails
-    before any model work.  BOI is sampled only while its whole block fits.
+    forced EOI.  check_prompt runs first, so a prompt it refuses fails
+    before any model work.  The loop stops in one place, just before it
+    would sample, checking in order: (1) no legal id, which is image-only
+    mode after its block: "image_complete"; (2) outside a block, a stream
+    of min(len(prompt) + max_new_tokens, max_seq) tokens: "max_tokens";
+    (3) EOS, the one check made after a token: "eos".  BOI is sampled
+    only while its whole block fits, so no request ends inside a block.
     """
     prompt = [int(t) for t in prompt]
     state = check_prompt(cfg, prompt, policy, vocab)
     rng = np.random.default_rng(policy.seed)
-
+    limit = min(len(prompt) + policy.max_new_tokens, cfg.max_seq)
     tokens = list(prompt)
-    produced = 0
-    block: list[int] = []
-    reason = None
 
     while True:
         if state.in_image and state.remaining == 0:
             tok = vocab.eoi  # forced: no sampling, no rng draw
         else:
             legal = legal_mask(state, policy, vocab)
-            if not _block_fits(len(tokens), policy, cfg):
-                legal[vocab.boi] = False
-            if not legal.any():  # image-only, its block already in the prompt
+            if not legal.any():
                 reason = "image_complete"
                 break
+            if not state.in_image and len(tokens) >= limit:
+                reason = "max_tokens"
+                break
+            if not _block_fits(len(tokens), policy, cfg):
+                legal[vocab.boi] = False
             tok = _sample(next_logits(tokens), legal, policy.temperature, rng, len(tokens))
 
         state = advance_state(state, tok, policy, vocab, len(tokens))
         tokens.append(tok)
-        produced += 1
 
         if tok == vocab.boi:
-            block = []
             yield ImageStart()
-        elif tok == vocab.eoi:
-            yield ImageEnd(tuple(block))
-            block = []
+        elif tok == vocab.eoi:  # its codes are the block_len tokens before it
+            yield ImageEnd(tuple(map(vocab.global_to_image, tokens[-1 - policy.block_len:-1])))
         elif state.in_image:
-            code = vocab.global_to_image(tok)
-            block.append(code)
-            yield ImageCode(code)
+            yield ImageCode(vocab.global_to_image(tok))
         else:
             yield TextToken(tok)
-
         if tok == vocab.eos:
             reason = "eos"
-            break
-        if not state.in_image:
-            if policy.mode == "image-only" and state.blocks_done >= 1:
-                reason = "image_complete"
-                break
-            if produced >= policy.max_new_tokens:
-                reason = "max_tokens"
-                break
-        if len(tokens) >= cfg.max_seq:
-            if state.in_image:
-                raise DecodeError(len(tokens) - 1, "context exhausted inside an image block")
-            reason = "max_tokens"
             break
 
     yield Finished(reason=reason, tokens=tuple(tokens))
@@ -302,6 +288,11 @@ def generate_stream(
     vocab: MixedVocab,
 ):
     """Yield decode events; the final event is always Finished.
+
+    A request stops, in the order the loop checks, when no id is legal
+    (image-only after its block: "image_complete"), when it reaches
+    min(len(prompt) + max_new_tokens, max_seq) tokens outside a block
+    ("max_tokens"), or on an EOS it has just sampled ("eos").
 
     Logits come from a key/value cache: each call feeds the model only the
     tokens it has not seen yet, so a block's last code and its forced EOI
@@ -374,7 +365,6 @@ def detokenize_mixed(
     state = DecodeState()
     parts = []
     text_ids: list[int] = []
-    codes: list[int] = []
 
     def flush_text():
         if text_ids:
@@ -387,20 +377,15 @@ def detokenize_mixed(
                 raise DecodeError(i, "BOS after the start of the stream")
             continue
         state = advance_state(state, tok, policy, vocab, i)
-        if state.in_image:  # the machine let it through: BOI or a code of its block
-            if tok == vocab.boi:
-                flush_text()
-            else:
-                codes.append(tok - vocab.n_text)
-        elif tok < vocab.n_text:
+        if tok < vocab.n_text:  # the machine lets text through only outside a block
             text_ids.append(tok)
+        elif tok == vocab.boi or tok == vocab.sep:  # an image, or the prompt/answer boundary
+            flush_text()
         elif tok == vocab.eos:
             break
-        elif tok == vocab.sep:  # prompt/answer boundary of tuned streams
-            flush_text()
-        elif tok == vocab.eoi:
-            parts.append(("image", decode_tokens(np.array(codes), book, image_size, image_size)))
-            codes = []
+        elif tok == vocab.eoi:  # the machine has checked the block_len codes before it
+            codes = np.array(tokens[i - policy.block_len:i]) - vocab.n_text
+            parts.append(("image", decode_tokens(codes, book, image_size, image_size)))
     if state.in_image:
         raise DecodeError(len(tokens) - 1, "stream ends inside an image block")
     flush_text()

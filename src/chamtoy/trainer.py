@@ -179,7 +179,10 @@ class DivergenceMonitor:
 # training loop
 # ----------------------------------------------------------------------
 
-LOG_FIELDS = ("step", "ce", "z_loss", "lr", "grad_norm", "output_rms", "diverged")
+# loss.csv's columns in order, each with the type load_log reads it back as
+LOG_COLUMNS = {"step": int, "ce": float, "z_loss": float, "lr": float,
+               "grad_norm": float, "output_rms": float, "diverged": int}
+LOG_FIELDS = tuple(LOG_COLUMNS)
 
 
 @dataclass
@@ -290,15 +293,4 @@ def load_log(path) -> list[dict]:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != LOG_FIELDS:
             raise ValueError(f"unexpected log columns in {path}")
-        out = []
-        for row in reader:
-            out.append({
-                "step": int(row["step"]),
-                "ce": float(row["ce"]),
-                "z_loss": float(row["z_loss"]),
-                "lr": float(row["lr"]),
-                "grad_norm": float(row["grad_norm"]),
-                "output_rms": float(row["output_rms"]),
-                "diverged": int(row["diverged"]),
-            })
-        return out
+        return [{key: kind(row[key]) for key, kind in LOG_COLUMNS.items()} for row in reader]

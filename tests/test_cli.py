@@ -460,6 +460,49 @@ def test_bad_model_and_optim_values_exit_2_naming_the_field(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def corrupt_corpus_dir(corpus_dir, tmp_path_factory):
+    """The corpus with a text.jsonl and an sft.jsonl that are not JSON."""
+    d = tmp_path_factory.mktemp("corrupt")
+    shutil.copytree(corpus_dir, d, dirs_exist_ok=True)
+    for name in ("text.jsonl", "sft.jsonl"):
+        (d / name).write_text('{"text": \n')
+    return d
+
+
+@pytest.mark.parametrize("command", ["train", "resume", "ablate", "sft"])
+def test_seq_len_over_max_seq_exits_2_before_the_corpus_is_read(
+    command, corrupt_corpus_dir, tokenizer_dir, pretrain_dir, tmp_path, capsys
+):
+    # read first, the corrupt corpus would exit 1 with its JSON error
+    argv = {"train": ["train", *TRAIN_SETS],
+            "resume": ["train", *TRAIN_SETS, "--resume", str(pretrain_dir / "checkpoint")],
+            "ablate": ["train", *TRAIN_SETS, "--ablate", "qknorm"],
+            "sft": ["sft", "--init", str(pretrain_dir / "checkpoint")]}[command]
+    code = main([*argv, "--data-dir", str(corrupt_corpus_dir),
+                 "--tokenizer-dir", str(tokenizer_dir), "--out-dir", str(tmp_path / "out"),
+                 "--set", "train.seq_len=300"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "configuration error: train.seq_len 300 exceeds model.max_seq 256\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "generate"])
+def test_image_size_the_patch_does_not_divide_exits_2_naming_the_key(
+    command, corrupt_corpus_dir, tokenizer_dir, pretrain_dir, tmp_path, capsys
+):
+    # train once encoded its text corpus first and then exited 1
+    argv = {"train": ["train", *TRAIN_SETS, "--data-dir", str(corrupt_corpus_dir)],
+            "generate": ["generate", "--checkpoint", str(pretrain_dir / "checkpoint")]}[command]
+    code = main([*argv, "--tokenizer-dir", str(tokenizer_dir), "--out-dir", str(tmp_path / "out"),
+                 "--set", "tokenizer.image_size=30"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == ("configuration error: tokenizer.image_size 30: "
+                                       "image 30x30 not divisible into 4x4 patches\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_missing_tokenizer_fails(corpus_dir, tmp_path):
     code = main([
         "train", "--data-dir", str(corpus_dir),

@@ -583,3 +583,72 @@ def test_image_only_prompt_without_room_for_its_block_rejected(monkeypatch):
     assert calls == []
     fin = generate_fused(params, cfg, prompt[:-1], pol, VOCAB)
     assert fin.reason == "image_complete" and len(fin.tokens) == cfg.max_seq
+
+
+# the stop rules, on both drivers: a property over modes, budgets, prompt lengths and seeds
+
+STOP_SEQ = 24
+
+
+@pytest.fixture(scope="module")
+def stop_kit():
+    params, cfg = tiny_model(seed=4)
+    params["lm_head"].data[:, VOCAB.boi] += 1.5  # blocks open often
+    return params, replace(cfg, max_seq=STOP_SEQ)
+
+
+def counted(drive):
+    """(drive()'s result, or the ValueError it raised; the model calls it made)."""
+    calls = []
+    real = decoder.model_forward
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder, "model_forward", lambda *a, **k: calls.append(1) or real(*a, **k))
+        try:
+            return drive(), len(calls)
+        except ValueError as e:
+            return e, len(calls)
+
+
+def block_codes(tokens, start):
+    """The codes between each BOI and its EOI, for the EOIs at or after tokens[start]."""
+    bois = [i for i, t in enumerate(tokens) if t == VOCAB.boi]
+    eois = [j for j, t in enumerate(tokens) if t == VOCAB.eoi]
+    return [tuple(t - VOCAB.n_text for t in tokens[i + 1:j])
+            for i, j in zip(bois, eois) if j >= start]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(decoder.MODES),
+       budget=st.integers(1, BLOCK + 3) | st.integers(BLOCK + 4, 2 * STOP_SEQ),
+       n_prompt=st.integers(1, STOP_SEQ - 1), with_block=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_stop_rules_hold_on_both_drivers(stop_kit, mode, budget, n_prompt, with_block, seed):
+    params, cfg = stop_kit
+    block = [VOCAB.boi, *VOCAB.n_text + np.arange(BLOCK) % VOCAB.n_image, VOCAB.eoi]
+    prompt = [VOCAB.bos] + (block if with_block and n_prompt > len(block) else [])
+    prompt += [(seed + i) % VOCAB.n_text for i in range(n_prompt - len(prompt))]
+    pol = policy(mode=mode, max_new_tokens=budget, seed=seed)
+    stream, calls = counted(lambda: collect(params, cfg, prompt, pol))
+    fused, fused_calls = counted(lambda: generate_fused(params, cfg, prompt, pol, VOCAB))
+    if mode == "image-only" and not with_block and n_prompt + BLOCK + 2 > cfg.max_seq:
+        assert isinstance(stream, ValueError) and isinstance(fused, ValueError)
+        assert calls == fused_calls == 0
+        return
+    events, fin = stream
+    assert fin == fused
+    tokens, new = fin.tokens, fin.tokens[n_prompt:]
+    limit = min(n_prompt + budget, cfg.max_seq)
+    if tokens[-1] == VOCAB.eos:
+        assert fin.reason == "eos"
+    elif mode == "image-only":
+        assert fin.reason == "image_complete"
+        assert tokens.count(VOCAB.boi) == tokens.count(VOCAB.eoi) == 1
+        assert len(block_codes(tokens, 0)) == 1
+    else:
+        assert fin.reason == "max_tokens"
+        assert limit <= len(tokens) <= min(limit + BLOCK + 1, cfg.max_seq)
+        assert len(tokens) == limit or tokens[-1] == VOCAB.eoi
+    assert [e.codes for e in events if isinstance(e, ImageEnd)] == block_codes(tokens, n_prompt)
+    assert all(len(codes) == BLOCK for codes in block_codes(tokens, 0))
+    # one call per sampled token; a forced EOI costs none
+    assert calls == fused_calls == len(new) - new.count(VOCAB.eoi)
