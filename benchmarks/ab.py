@@ -31,8 +31,9 @@ of one decode request (the first of the 3): the minor page faults
 (``getrusage``) of one untraced run, then the tracemalloc peak of a
 second.  tracemalloc counts bytes, so the peaks repeat exactly; the fault
 counts move with the process layout (see below), so they compare the two
-sides of one generation only.  The report carries them as ``peak_mb`` and
-``minor_faults`` beside each workload's ratio, base and change.
+sides of one generation only.  The report carries them as ``peak_mb``, in
+MB to 4 decimals so that a change of a few KB shows, and ``minor_faults``
+beside each workload's ratio, base and change.
 
 Workloads do not share a worker, so that one workload's heap does not
 carry into another's timings: while ``fit`` ran in the train workers,
@@ -184,7 +185,7 @@ def worker(tree: Path) -> None:
         tracemalloc.start()
         try:
             unit()
-            peak_mb = round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+            peak_mb = round(tracemalloc.get_traced_memory()[1] / 1e6, 4)
         finally:
             tracemalloc.stop()
         return {"peak_mb": peak_mb, "minor_faults": faults}

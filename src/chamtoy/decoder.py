@@ -299,7 +299,10 @@ def generate_stream(
     go in together.  The prompt goes in as a forward pass with no cache;
     its keys and values are then copied once into buffers of `_cache_len`
     positions per layer, which every later call fills in place, so the
-    request's decode memory is fixed after its prompt.
+    request's decode memory is fixed after its prompt.  Every call runs the
+    head on the sampled position alone, and the prompt's layers are copied
+    one at a time, each freed before the next one's buffers are allocated,
+    so a request peaks at its cache plus one prompt layer.
     """
     params = _frozen(params)
     kv = None
@@ -307,12 +310,15 @@ def generate_stream(
     def next_logits(tokens):
         nonlocal kv
         seen = 0 if kv is None else kv[0].length
-        logits, aux = model_forward(params, cfg, np.array([tokens[seen:]]), past_kv=kv)
-        if kv is None:  # the prompt: each layer's cache gets room for the whole request
+        logits, aux = model_forward(params, cfg, np.array([tokens[seen:]]), past_kv=kv,
+                                    last_only=True)
+        kv = aux["kv"]
+        del aux
+        if seen == 0:  # the prompt: each layer's cache gets room for the whole request, one
+            # layer at a time, so that a prompt layer's arrays go before the next one's come
             capacity = _cache_len(len(tokens), policy, cfg)
-            kv = [layer.with_capacity(capacity) for layer in aux["kv"]]
-        else:
-            kv = aux["kv"]
+            for i, layer in enumerate(kv):
+                kv[i] = layer.with_capacity(capacity)
         return logits.data[0, -1]
 
     yield from _decode(cfg, prompt, policy, vocab, next_logits)
@@ -333,7 +339,7 @@ def generate_fused(
     params = _frozen(params)
 
     def next_logits(tokens):
-        logits, _ = model_forward(params, cfg, np.array([tokens]))
+        logits, _ = model_forward(params, cfg, np.array([tokens]), last_only=True)
         return logits.data[0, -1]
 
     *_, finished = _decode(cfg, prompt, policy, vocab, next_logits)

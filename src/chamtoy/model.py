@@ -192,6 +192,7 @@ def model_forward(
     rng: np.random.Generator | None = None,
     training: bool = False,
     past_kv: list[KVCache] | None = None,
+    last_only: bool = False,
 ):
     """Full forward pass.  ids is an int array [batch, seq].
 
@@ -200,6 +201,12 @@ def model_forward(
     monitor tracks) and aux["kv"] is the per-layer cache for incremental
     decoding: pass it back as past_kv with the next tokens.  A cache with
     room for them is filled in place (see `KVCache`).
+
+    With last_only the final norm and the head read the last position
+    alone, so logits is [batch, 1, vocab], the row decoding samples.  At
+    one position it is the full head itself; at more it equals the full
+    head's last row to rounding, as BLAS sums a one-row product in another
+    order.  Its gradient flows into that position.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -217,7 +224,11 @@ def model_forward(
         x, info = block_forward(x, params, cfg, i, rng, training, past_kv=layer_past)
         new_kv.append(info["kv"])
     hidden = x
-    logits = rms_norm(hidden, params["final_norm.gain"], cfg.norm_eps) @ params["lm_head"]
+    if last_only and ids.shape[1] > 1:  # one row already is the last position
+        index = (slice(None), slice(-1, None))
+        x = hidden._make(hidden.data[index], (hidden,),
+                         lambda g: hidden._accumulate_slice(index, g))
+    logits = rms_norm(x, params["final_norm.gain"], cfg.norm_eps) @ params["lm_head"]
     return logits, {"hidden": hidden, "kv": new_kv}
 
 

@@ -289,8 +289,17 @@ def save_log(rows: list[dict], path) -> None:
 
 
 def load_log(path) -> list[dict]:
+    """The rows of a `save_log` file; ValueError for a header or a row of
+    another width, naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != LOG_FIELDS:
             raise ValueError(f"unexpected log columns in {path}")
-        return [{key: kind(row[key]) for key, kind in LOG_COLUMNS.items()} for row in reader]
+        rows = []
+        for row in reader:
+            # DictReader keys extra values by None and fills missing ones with None
+            if None in row or None in row.values():
+                raise ValueError(f"{path} line {reader.line_num}: expected "
+                                 f"{len(LOG_FIELDS)} comma-separated values")
+            rows.append({key: kind(row[key]) for key, kind in LOG_COLUMNS.items()})
+        return rows

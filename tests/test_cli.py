@@ -846,3 +846,12 @@ def test_monitor_report_exit_codes(tmp_path):
     assert main(["monitor-report", "--log", str(nan_loss)]) == EXIT_DIVERGED
 
     assert main(["monitor-report", "--log", str(tmp_path / "no.csv")]) == EXIT_FAILURE
+
+
+@pytest.mark.parametrize("row", ["0,1.0,0.1", "0,5.0,0.0,1e-4,1.0,1.0,0,7"])
+def test_monitor_report_names_a_row_of_another_width(tmp_path, capsys, row):
+    log = tmp_path / "loss.csv"
+    save_log(make_log_rows([1.0]), log)
+    log.write_text(log.read_text() + row + "\n")
+    assert main(["monitor-report", "--log", str(log)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == (f"error: {log} line 3: expected 7 comma-separated values\n")

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -235,7 +236,8 @@ def test_kv_step_builds_37_nodes_on_the_toy_preset(monkeypatch):
     # per layer: one q/k/v product, three head splits, one norm-and-rotation
     # node each for q and k, attend, the merge and its output product, then
     # the two norms, adds and feed-forward (45 nodes with three products
-    # and the norm and rotation apart)
+    # and the norm and rotation apart); the last-position head selects
+    # nothing at one row, so decoding's KV step makes the same nodes
     cfg = preset("toy", 48)
     params = _frozen(init_params(cfg, seed=1))
     ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(1, 6))
@@ -248,8 +250,10 @@ def test_kv_step_builds_37_nodes_on_the_toy_preset(monkeypatch):
         return make(self, *args)
 
     monkeypatch.setattr(Tensor, "_make", counting)
-    model_forward(params, cfg, ids[:, 5:], past_kv=prefill["kv"])
-    assert len(made) == 37
+    for last_only in (False, True):
+        made.clear()
+        model_forward(params, cfg, ids[:, 5:], past_kv=prefill["kv"], last_only=last_only)
+        assert len(made) == 37
 
 
 def toy_kv_step():
@@ -265,19 +269,19 @@ def toy_kv_step():
 def test_kv_step_makes_a_fixed_number_of_python_calls_on_the_toy_preset():
     # Python-level calls, numpy's own wrappers included, are deterministic
     # where a time is not; each costs interpreter time at one row
-    params, cfg, ids, cache = toy_kv_step()
-    calls = []
-
     def profile(frame, event, arg):
         if event == "call":
             calls.append(frame.f_code.co_name)
 
-    sys.setprofile(profile)
-    try:
-        model_forward(params, cfg, ids, past_kv=cache)
-    finally:
-        sys.setprofile(None)
-    assert len(calls) == 206
+    for last_only in (False, True):
+        params, cfg, ids, cache = toy_kv_step()
+        calls = []
+        sys.setprofile(profile)
+        try:
+            model_forward(params, cfg, ids, past_kv=cache, last_only=last_only)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 206
 
 
 def tiny_decoder():
@@ -344,6 +348,73 @@ def test_the_kv_cache_holds_exactly_the_longest_request(monkeypatch, mode, n_pro
     assert buffer.shape[2] == capacity
     assert max(kv[0].length for _, kv in calls) == capacity
     assert all(kv[0].k is buffer for _, kv in calls[1:])
+
+
+def test_a_decode_request_peaks_at_its_cache_plus_one_prompt_layer():
+    # the prompt's head reads only the row decoding samples, and its cache
+    # is handed over one layer at a time, so while the request's cache is
+    # allocated the prompt holds one layer and one logits row; at the
+    # parent of this test the full logits and every layer were live, about
+    # 105 KB over the bound before its slack
+    vocab = MixedVocab(n_text=576, n_image=64)
+    cfg = preset("toy", vocab.total)
+    params = init_params(cfg, seed=0)
+    prompt = [vocab.bos] + list(range(40, 52))  # a caption request's length
+    pol = DecodePolicy(block_len=64, mode="image-only", max_new_tokens=96, seed=1)
+    list(generate_stream(params, cfg, prompt, pol, vocab))  # fills the rotary and ones caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        list(generate_stream(params, cfg, prompt, pol, vocab))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kv = cfg.n_kv_heads * cfg.head_dim
+    cache = cfg.n_layers * 2 * (len(prompt) + pol.block_len) * kv * 8
+    layer = len(prompt) * (cfg.d_model + 2 * kv + kv) * 8  # q/k/v product and rotated keys
+    row = vocab.total * 8
+    # the slack holds the request's Python objects (events, token list) and
+    # the sampler's vocabulary-wide arrays: about 9 KB of it is used
+    assert peak <= cache + layer + row + 32_000, (peak, cache, layer, row)
+
+
+@pytest.mark.parametrize("name", ["toy", "7b-recipe", "34b-recipe", "llama2-recipe"])
+@pytest.mark.parametrize("past, seq", [(0, 1), (0, 7), (5, 1), (5, 2)])
+def test_last_only_logits_are_the_last_row_of_the_full_head(name, past, seq):
+    # a prompt of one token or several, and a KV step of one token or of a
+    # block's last code with its forced EOI
+    cfg = preset(name, 48)
+    params = _frozen(init_params(cfg, seed=1))
+    ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(1, past + seq))
+
+    def head(last_only):
+        kv = model_forward(params, cfg, ids[:, :past])[1]["kv"] if past else None
+        return model_forward(params, cfg, ids[:, past:], past_kv=kv, last_only=last_only)[0]
+
+    full, last = head(False), head(True)
+    assert last.data.dtype == np.float64 and last.shape == (1, 1, cfg.vocab_size)
+    if seq == 1:  # nothing is selected: the same arithmetic
+        assert np.array_equal(last.data, full.data)
+    else:
+        # BLAS sums a one-row product in another order than the same row of
+        # a larger one, so the two agree to rounding, not bit for bit
+        np.testing.assert_allclose(last.data[:, 0], full.data[:, -1], rtol=1e-12, atol=1e-15)
+
+
+def test_last_only_head_passes_its_gradient_to_the_last_position():
+    cfg = tiny_cfg()
+    rng = np.random.default_rng(4)
+    ids = rng.integers(0, cfg.vocab_size, size=(2, 6))
+    weight = rng.normal(size=(2, 1, cfg.vocab_size))
+    on_full = np.zeros((2, 6, cfg.vocab_size))
+    on_full[:, -1:] = weight
+    grads = []
+    for last_only, w in ((True, weight), (False, on_full)):
+        params = init_params(cfg, seed=3)
+        (model_forward(params, cfg, ids, last_only=last_only)[0] * Tensor(w)).sum().backward()
+        grads.append({name: p.grad for name, p in params.items()})
+    for name, g in grads[0].items():
+        np.testing.assert_allclose(g, grads[1][name], rtol=1e-10, atol=1e-14, err_msg=name)
 
 
 def test_sequence_length_guard():
