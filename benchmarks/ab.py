@@ -27,7 +27,9 @@ both sides of a pair alike:
 
 Each train and decode worker also records, once, after the first
 generation's timed pairs, the memory of one train unit (the 5 steps) and
-of one decode request (the first of the 3): the minor page faults
+of one decode request (the first of the 3, but on a 13-token prompt, BOS
+and 12 text ids, the length of perfbench's caption requests, so that the
+prompt's side of decode memory shows): the minor page faults
 (``getrusage``) of one untraced run, then the tracemalloc peak of a
 second.  tracemalloc counts bytes, so the peaks repeat exactly; the fault
 counts move with the process layout (see below), so they compare the two
@@ -93,6 +95,7 @@ LAYOUT_SEED = 0
 PAD_MAX = 4096  # bytes of environment padding, one page of layout offsets
 TRAIN_STEPS = 5
 DECODE_SEEDS = (1, 2, 3)
+MEMORY_PROMPT_TEXT = tuple(range(97, 109))  # 12 text ids after BOS in the decode memory unit
 FIT_CORPUS = {"n_text": 600, "n_captions": 120, "n_sft": 120, "seed": 0}
 ALPHA_ITEMS, ALPHA_ANNOTATORS, ALPHA_BOOT = 80, 3, 1000
 WORKLOADS = {
@@ -116,7 +119,7 @@ def worker(tree: Path) -> None:
 
     from chamtoy import cli, data, tokenizer
     from chamtoy.decoder import DecodePolicy, generate_stream
-    from chamtoy.model import clone_params, init_params, preset
+    from chamtoy.model import init_params, preset
     from chamtoy.tokenizer import MixedVocab
     from chamtoy.trainer import OptimConfig, train_loop
 
@@ -132,7 +135,7 @@ def worker(tree: Path) -> None:
         return rows[step, :, :-1], rows[step, :, 1:], np.ones((8, 64))
 
     def train():
-        params = clone_params(init)
+        params = init_params(cfg, seed=0)
         start = perf_counter()
         result = train_loop(params, cfg, opt_cfg, batch, seed=0, end_step=TRAIN_STEPS)
         return perf_counter() - start, result.rows[-1]["ce"]
@@ -193,7 +196,8 @@ def worker(tree: Path) -> None:
     jobs = {"train": train, "decode": decode, "fit": fit}
     memory_units = {
         "train": train,
-        "decode": lambda: list(generate_stream(init, cfg, [vocab.bos], policies[0], vocab)),
+        "decode": lambda: list(generate_stream(init, cfg, [vocab.bos, *MEMORY_PROMPT_TEXT],
+                                               policies[0], vocab)),
     }
     print(json.dumps({"numpy": np.__version__}), flush=True)
     for line in sys.stdin:

@@ -12,24 +12,15 @@ training does; its ``backward`` case runs the node's backward closure on
 a fixed upstream gradient, on a node built afresh (untimed) from cleared
 input gradients each round.
 AdamW updates the float64 master weights of the whole toy model.  The
-head split and merge of ``chamtoy.layers`` are timed the same way; where a
-revision builds one of them from several nodes, its backward case runs
-each of their closures in turn.
+head split and merge of ``chamtoy.layers`` are timed the same way.
 
 The file sits outside ``testpaths``; ``tests/test_benchmarks.py`` runs it
 once with ``--benchmark-disable`` (one untimed call per case), so a node
-it times cannot be deleted or renamed unnoticed.  It uses only the node
-entry points that have kept their signatures,
-so the same file times any revision whose ``src/`` is on the path; on a
-revision whose ``normalize`` takes no rotary tables, the QK norm-and-rotate
-case times the norm and ``rotate_pairs`` as a chain of two nodes, and on
-one whose ``attend`` takes the causal mask as an argument, the attend case
-passes it.
+it times cannot be deleted or renamed unnoticed.
 """
 
 from __future__ import annotations
 
-import inspect
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -120,22 +111,16 @@ def _case_normalize_qk():
 
 
 def _case_normalize_qk_rotate():
-    """The QK norm and its rotation: one node where ``normalize`` takes the
-    rotary tables, and the norm then ``rotate_pairs`` where it does not."""
+    """The QK norm and its rotation, one node."""
     c, s = _rope()
     x, g = Tensor(_heads(_rng()), requires_grad=True), _leaf(np.ones(HD))
-    if "rotate" in inspect.signature(normalize).parameters:
-        return (lambda: normalize(x, g, 1e-5, center=True, rotate=(c, s))), [x, g]
-    return (lambda: rotate_pairs(normalize(x, g, 1e-5, center=True), c, s)), [x, g]
+    return (lambda: normalize(x, g, 1e-5, center=True, rotate=(c, s))), [x, g]
 
 
 def _case_attend():
     rng = _rng()
     q, k = _leaf(_heads(rng)), _leaf(_heads(rng))
     v = Tensor(_heads(rng), requires_grad=True)
-    if "mask" in inspect.signature(attend).parameters:
-        mask = np.triu(np.ones((S, S), dtype=bool), k=1)
-        return (lambda: attend(q, k, v, mask)), [q, k, v]
     return (lambda: attend(q, k, v)), [q, k, v]
 
 
@@ -176,15 +161,6 @@ def test_forward(benchmark, name):
     assert out.data.dtype == F32
 
 
-def _chain(out, inputs):
-    """The nodes from out down to the inputs, out first: out alone for one
-    fused node, and each node of a chain that a revision builds instead."""
-    chain = [out]
-    while not any(p is t for p in chain[-1]._parents for t in inputs):
-        chain.append(chain[-1]._parents[0])
-    return chain
-
-
 @pytest.mark.parametrize("name", CASES)
 def test_backward(benchmark, name):
     node, inputs = CASES[name]()
@@ -197,13 +173,10 @@ def test_backward(benchmark, name):
         # its exponentials), so it runs once
         for t in inputs:
             t.grad = None
-        out = node()
-        return (out, _chain(out, inputs)[1:]), {}
+        return (node(),), {}
 
-    def reverse(out, inner):
+    def reverse(out):
         out._backward_fn(g)
-        for t in inner:
-            t._backward_fn(t.grad)
 
     benchmark.pedantic(reverse, setup=fresh, rounds=300, warmup_rounds=10)
     assert all(t.grad is not None and t.grad.dtype == F32 for t in inputs)

@@ -8,11 +8,12 @@ block is full, consuming no randomness), and generation never stops in
 the middle of a block.
 
 One loop runs the machine and one sequential random stream seeded from
-the policy.  Its two drivers differ only in where the logits come from,
-so they emit identical tokens: generate_stream feeds a key/value cache
-and yields events, generate_fused re-runs the full forward pass per
-token.  Both run on frozen views of the parameters, so decoding records
-no autograd graph and its memory is bounded by the cache.
+the policy; generate_stream feeds it from a key/value cache and yields
+events, generate_fused re-runs the full forward pass per token.  A KV
+step's one-row GEMMs sum in another order than the fused L-row ones, so
+the tokens agree unless a draw lands within rounding of a
+cumulative-probability boundary or an argmax tie.  Both run on frozen
+views of the parameters: no autograd graph, memory bounded by the cache.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 RESULTS = ("win", "tie", "loss")
+COVERAGE = 0.95  # of bootstrap_ci's percentile interval
 
 
 @dataclass(frozen=True)
@@ -36,21 +37,13 @@ class WinRateSummary:
         return (self.wins + 0.5 * self.ties) / self.total
 
 
-def win_rate(wins: int, ties: int, losses: int) -> float:
-    return WinRateSummary(wins, ties, losses).rate
-
-
 def majority_vote(answers) -> object:
-    """Most frequent answer; ties go to the answer that appeared first."""
+    """Most frequent answer; ties go to the first to appear (Counter order, max keeps the first)."""
     answers = list(answers)
     if not answers:
         raise ValueError("majority_vote needs at least one answer")
     counts = Counter(answers)
-    best = max(counts.values())
-    for a in answers:  # first occurrence order breaks ties
-        if counts[a] == best:
-            return a
-    raise AssertionError("unreachable")
+    return max(counts, key=counts.get)
 
 
 # ----------------------------------------------------------------------
@@ -125,9 +118,8 @@ def bootstrap_ci(
     stat_fn,
     n_boot: int = 1000,
     seed: int = 0,
-    coverage: float = 0.95,
 ) -> BootstrapResult:
-    """Percentile interval from resampling whole items with replacement.
+    """COVERAGE percentile interval from resampling whole items with replacement.
 
     Resamples where stat_fn raises ValueError or returns a non-finite
     value are skipped and counted, not silently dropped.
@@ -137,8 +129,6 @@ def bootstrap_ci(
         raise ValueError("cannot bootstrap an empty item list")
     if n_boot < 1:
         raise ValueError(f"n_boot must be at least 1, got {n_boot}")
-    if not 0 < coverage < 1:
-        raise ValueError("coverage must be in (0, 1)")
     rng = np.random.default_rng(seed)
     n = len(items)
     stats = []
@@ -150,15 +140,14 @@ def bootstrap_ci(
         try:
             value = stat_fn(sample)
         except ValueError:
-            skipped += 1
-            continue
+            value = None
         if value is None or not math.isfinite(value):
             skipped += 1
-            continue
-        stats.append(float(value))
+        else:
+            stats.append(float(value))
     if not stats:
         raise ValueError("every bootstrap resample was degenerate")
-    tail = 100.0 * (1.0 - coverage) / 2.0
+    tail = 100.0 * (1.0 - COVERAGE) / 2.0
     low, high = np.percentile(stats, [tail, 100.0 - tail])
     return BootstrapResult(low=float(low), high=float(high),
                            n_used=len(stats), skipped=skipped)

@@ -96,8 +96,8 @@ class KVCache:
     k and v are [batch, kv_heads, capacity, head_dim] buffers whose first
     `length` positions are filled.  `attention` writes each call's new
     positions at `length` and advances it, in place while the buffers
-    have room (`with_capacity` makes room ahead).  Iterating or indexing
-    gives the filled part as a (k, v) pair of Tensors.
+    have room (`with_capacity` makes room ahead).  Iterating gives the
+    filled part as a (k, v) pair of Tensors.
     """
 
     __slots__ = ("k", "v", "length")
@@ -108,9 +108,6 @@ class KVCache:
     def __iter__(self):
         t = self.length
         return iter((Tensor(self.k[:, :, :t]), Tensor(self.v[:, :, :t])))
-
-    def __getitem__(self, i: int) -> Tensor:
-        return tuple(self)[i]
 
     def with_capacity(self, capacity: int) -> "KVCache":
         """A cache of `capacity` positions holding a copy of the filled part."""

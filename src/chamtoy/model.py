@@ -55,12 +55,13 @@ class ModelConfig:
             raise ValueError(f"z_coeff must be finite and non-negative, got {self.z_coeff}")
         if not 0 < self.norm_eps < np.inf:
             raise ValueError(f"norm_eps must be finite and positive, got {self.norm_eps}")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must divide evenly into heads")
-        if self.n_heads % self.n_kv_heads != 0:
-            raise ValueError("n_heads must be a multiple of n_kv_heads")
-        if (self.d_model // self.n_heads) % 2 != 0:
-            raise ValueError("head dimension must be even for rotary embeddings")
+        d, h, kv = self.d_model, self.n_heads, self.n_kv_heads
+        if d % h != 0:
+            raise ValueError(f"d_model must be a multiple of n_heads, got {d} and {h}")
+        if h % kv != 0:
+            raise ValueError(f"n_heads must be a multiple of n_kv_heads, got {h} and {kv}")
+        if d // h % 2 != 0:
+            raise ValueError(f"d_model / n_heads must be even for rotary embeddings, got {d} / {h}")
 
     @property
     def head_dim(self) -> int:
@@ -414,7 +415,3 @@ def _fuse_qkv(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
             if all(p in fused for p in parts):
                 fused[stem + "wqkv"] = np.concatenate([fused.pop(p) for p in parts], axis=1)
     return fused
-
-
-def clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}

@@ -20,7 +20,6 @@ class LossBreakdown:
     total: Tensor
     cross_entropy: Tensor
     z_loss: Tensor
-    n_tokens: int
 
 
 def _rows(logits: Tensor, targets, mask):
@@ -65,4 +64,4 @@ def total_loss(logits: Tensor, targets, mask=None, z_coeff: float = 1e-5) -> Los
     """
     targets, mask = _rows(logits, targets, mask)
     total, ce, zl = lm_loss(logits, targets, mask, z_coeff)
-    return LossBreakdown(total, Tensor(ce), Tensor(zl), n_tokens=int(mask.sum()))
+    return LossBreakdown(total, Tensor(ce), Tensor(zl))

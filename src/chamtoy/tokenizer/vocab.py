@@ -46,11 +46,6 @@ class MixedVocab:
             return TokenKind.IMAGE
         return TokenKind.SPECIAL
 
-    def special_name(self, token: int) -> str:
-        if self.classify(token) is not TokenKind.SPECIAL:
-            raise ValueError(f"token id {token} is not a control token")
-        return SPECIALS[token - self.n_text - self.n_image]
-
     def image_to_global(self, code: int) -> int:
         if not 0 <= code < self.n_image:
             raise ValueError(f"image code {code} outside codebook of {self.n_image}")

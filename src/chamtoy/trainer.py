@@ -124,28 +124,29 @@ def adamw_step(params: dict[str, Tensor], state: dict, lr: float, cfg: OptimConf
 # divergence monitor
 # ----------------------------------------------------------------------
 
+MONITOR_DECAY = 0.99
+MONITOR_SLOPE = 1e-3
+MONITOR_WINDOW = 100
+
 
 @dataclass
 class DivergenceMonitor:
     """Flags sustained exponential growth of the final-layer output norm.
 
-    Tracks an exponentially weighted average of log(rms); when its
-    per-step slope stays above slope_threshold for window consecutive
-    steps the trace is declared divergent.  The latch never resets.
+    Tracks an exponentially weighted average of log(rms) (MONITOR_DECAY);
+    when its per-step slope stays above MONITOR_SLOPE for MONITOR_WINDOW
+    consecutive steps the trace is declared divergent.  The latch never resets.
     """
 
-    decay: float = 0.99
-    slope_threshold: float = 1e-3
-    window: int = 100
-    ewma: float | None = None
-    run_length: int = 0
-    steps_seen: int = 0
-    diverged_at: int | None = None
+    ewma: float | None = field(default=None, init=False)
+    run_length: int = field(default=0, init=False)
+    steps_seen: int = field(default=0, init=False)
+    diverged_at: int | None = field(default=None, init=False)
 
     def update(self, output_rms: float) -> bool:
         if not np.isfinite(output_rms) or output_rms <= 0.0:
             # a non-finite norm is divergence by definition
-            self.run_length = self.window
+            self.run_length = MONITOR_WINDOW
             if self.diverged_at is None:
                 self.diverged_at = self.steps_seen
             self.steps_seen += 1
@@ -155,12 +156,12 @@ class DivergenceMonitor:
             self.ewma = x
         else:
             prev = self.ewma
-            self.ewma = self.decay * prev + (1.0 - self.decay) * x
-            if self.ewma - prev > self.slope_threshold:
+            self.ewma = MONITOR_DECAY * prev + (1.0 - MONITOR_DECAY) * x
+            if self.ewma - prev > MONITOR_SLOPE:
                 self.run_length += 1
             else:
                 self.run_length = 0
-            if self.run_length >= self.window and self.diverged_at is None:
+            if self.run_length >= MONITOR_WINDOW and self.diverged_at is None:
                 self.diverged_at = self.steps_seen
         self.steps_seen += 1
         return self.diverged_at is not None

@@ -31,13 +31,12 @@ from chamtoy.data import (
     stage_at,
 )
 from chamtoy.decoder import DecodePolicy, generate_fused, generate_stream, Finished
-from chamtoy.evalkit import bootstrap_ci, majority_vote, win_rate
+from chamtoy.evalkit import WinRateSummary, bootstrap_ci, majority_vote
 from chamtoy.layers import layer_norm, rms_norm, swiglu
 from chamtoy.model import (
     ModelConfig,
     NormStrategy,
     block_forward,
-    clone_params,
     init_params,
     model_forward,
     preset,
@@ -276,7 +275,7 @@ def test_criterion_05_norm_reorder_bound():
 
         # the residual stream is fed through sublayer output projections;
         # scaling those weights is how unbounded increments would arise
-        scaled = clone_params(params)
+        scaled = dict(params)
         scaled["layers.0.attn.wo"] = Tensor(scaled["layers.0.attn.wo"].data * 100.0)
         scaled["layers.0.ffn.w_down"] = Tensor(scaled["layers.0.ffn.w_down"].data * 100.0)
 
@@ -528,7 +527,7 @@ def test_criterion_10_evaluation_arithmetic():
     with verdict(10, "printed win rates, maj@1, bootstrap defaults") as info:
         worst = 0.0
         for wins, ties, losses, printed in PUBLISHED_BLOCKS:
-            got = 100.0 * win_rate(wins, ties, losses)
+            got = 100.0 * WinRateSummary(wins, ties, losses).rate
             worst = max(worst, abs(got - printed))
             assert abs(got - printed) <= 0.05, f"{got} vs printed {printed}"
 

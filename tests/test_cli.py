@@ -153,6 +153,7 @@ def test_usage_exit_codes():
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main(["--help"]) == EXIT_OK
     assert main(["monitor-report", "--log", "x.csv", "--set", "nope=1"]) == EXIT_USAGE
+    assert main(["monitor-report", "--log", "x.csv", "--set", "foo"]) == EXIT_USAGE
 
 
 def test_module_entry_point():
@@ -460,6 +461,21 @@ def test_bad_model_and_optim_values_exit_2_naming_the_field(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("model.n_heads=3", "d_model must be a multiple of n_heads, got 64 and 3"),
+    ("model.n_kv_heads=3", "n_heads must be a multiple of n_kv_heads, got 4 and 3"),
+    ("model.d_model=12", "d_model / n_heads must be even for rotary embeddings, got 12 / 4"),
+])
+def test_model_geometry_errors_exit_2_naming_the_key(setting, message, corpus_dir,
+                                                     tokenizer_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_build_docs", corpus_read)
+    code = main(["train", "--data-dir", str(corpus_dir), "--tokenizer-dir", str(tokenizer_dir),
+                 *TRAIN_SETS, "--out-dir", str(tmp_path / "out"), "--set", setting])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def corrupt_corpus_dir(corpus_dir, tmp_path_factory):
     """The corpus with a text.jsonl and an sft.jsonl that are not JSON."""
@@ -572,7 +588,7 @@ def test_generate_text_only_deterministic(pretrain_dir, tokenizer_dir, tmp_path)
     assert outs[0] == outs[1]
 
 
-def test_generate_image_only_writes_pixmap(pretrain_dir, tokenizer_dir, tmp_path):
+def test_generate_image_only_writes_pixmap(pretrain_dir, tokenizer_dir, tmp_path, capsys):
     out = tmp_path / "img"
     code = main([
         "generate", "--checkpoint", str(pretrain_dir / "checkpoint"),
@@ -586,6 +602,16 @@ def test_generate_image_only_writes_pixmap(pretrain_dir, tokenizer_dir, tmp_path
     assert len(image_files) == 1
     img = read_pixmap(out / image_files[0])
     assert img.shape == (32, 32)
+
+    # without --out-dir the image is named on stdout
+    capsys.readouterr()
+    code = main([
+        "generate", "--checkpoint", str(pretrain_dir / "checkpoint"),
+        "--tokenizer-dir", str(tokenizer_dir), "--seed", "2",
+        "--set", "generate.mode=image-only",
+    ])
+    assert code == EXIT_OK
+    assert "[image 32x32]" in capsys.readouterr().out.splitlines()
 
 
 def test_generate_append_sep_runs_clean(pretrain_dir, tokenizer_dir, tmp_path):
@@ -829,7 +855,7 @@ def make_log_rows(rms_values):
     ]
 
 
-def test_monitor_report_exit_codes(tmp_path):
+def test_monitor_report_exit_codes(tmp_path, capsys):
     stable = tmp_path / "stable.csv"
     save_log(make_log_rows(1.0 + 0.01 * np.sin(np.arange(300))), stable)
     assert main(["monitor-report", "--log", str(stable)]) == EXIT_OK
@@ -846,6 +872,12 @@ def test_monitor_report_exit_codes(tmp_path):
     assert main(["monitor-report", "--log", str(nan_loss)]) == EXIT_DIVERGED
 
     assert main(["monitor-report", "--log", str(tmp_path / "no.csv")]) == EXIT_FAILURE
+
+    header_only = tmp_path / "header_only.csv"
+    save_log([], header_only)
+    capsys.readouterr()
+    assert main(["monitor-report", "--log", str(header_only)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: no rows in {header_only}\n"
 
 
 @pytest.mark.parametrize("row", ["0,1.0,0.1", "0,5.0,0.0,1e-4,1.0,1.0,0,7"])

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -20,7 +21,6 @@ from chamtoy.evalkit import (
     load_judgments,
     majority_vote,
     summarize_judgments,
-    win_rate,
 )
 
 
@@ -30,9 +30,9 @@ from chamtoy.evalkit import (
 
 
 def test_win_rate_counts_tie_as_half():
-    assert win_rate(1, 0, 1) == 0.5
-    assert win_rate(2, 2, 0) == pytest.approx(0.75)
-    assert win_rate(0, 4, 0) == 0.5
+    assert WinRateSummary(1, 0, 1).rate == 0.5
+    assert WinRateSummary(2, 2, 0).rate == pytest.approx(0.75)
+    assert WinRateSummary(0, 4, 0).rate == 0.5
 
 
 def test_win_rate_published_rows():
@@ -295,6 +295,11 @@ def test_bootstrap_counts_degenerate_resamples():
     # P(all-same) = 0.5 per resample, so roughly half get skipped
     assert res.skipped > 100
     assert res.n_used + res.skipped == 400
+    # a non-finite value is skipped and counted the same way
+    for bad in (math.inf, math.nan):
+        def non_finite(sample, bad=bad):
+            return float(np.mean(sample)) if len(set(sample)) == 2 else bad
+        assert bootstrap_ci(items, non_finite, n_boot=400, seed=2) == res
 
 
 def test_bootstrap_all_degenerate_raises():
@@ -308,8 +313,6 @@ def test_bootstrap_all_degenerate_raises():
 def test_bootstrap_validation():
     with pytest.raises(ValueError):
         bootstrap_ci([], lambda s: 0.0)
-    with pytest.raises(ValueError):
-        bootstrap_ci([1], lambda s: 0.0, coverage=1.5)
     for n_boot in (0, -3):
         with pytest.raises(ValueError, match="n_boot"):
             bootstrap_ci([1], lambda s: 0.0, n_boot=n_boot)

@@ -13,7 +13,6 @@ from chamtoy.model import (
     ModelConfig,
     NormStrategy,
     block_forward,
-    clone_params,
     init_params,
     load_checkpoint,
     model_forward,
@@ -229,7 +228,7 @@ def test_kv_cache_carries_no_graph():
         for t in (t for pair in aux["kv"] for t in pair):
             assert t.requires_grad is False
             assert t._parents == ()
-    assert step["kv"][0][0].shape[2] == 5
+    assert step["kv"][0].k.shape[2] == 5
 
 
 def test_kv_step_builds_37_nodes_on_the_toy_preset(monkeypatch):
@@ -599,6 +598,20 @@ def test_checkpoint_version_guard(tmp_path):
             load_checkpoint(tmp_path / "ck")
 
 
+def test_checkpoint_manifest_dtype_and_span_are_checked(tmp_path):
+    cfg = tiny_cfg()
+    save_checkpoint(tmp_path / "ck", init_params(cfg, seed=11), cfg)
+    manifest = tmp_path / "ck" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    name, shape, dtype, offset, length = lines[0].split(" ")
+    size = (tmp_path / "ck" / "weights.bin").stat().st_size
+    for bad, message in ((f"{name} {shape} float32 {offset} {length}", "unsupported dtype float32"),
+                         (f"{name} {shape} {dtype} {size - 8} 16", f"{name} overruns weights.bin")):
+        manifest.write_text("\n".join([bad, *lines[1:]]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(tmp_path / "ck")
+
+
 def test_checkpoint_config_values_parse_strictly(tmp_path):
     cfg = tiny_cfg()
     save_checkpoint(tmp_path / "ck", init_params(cfg, seed=11), cfg)
@@ -714,8 +727,3 @@ def test_save_stopped_between_renames_loads_previous_checkpoint(tmp_path, monkey
     assert load_checkpoint(ck)[3] == 4
 
 
-def test_clone_params_detaches_storage():
-    params = init_params(tiny_cfg(), seed=12)
-    copy = clone_params(params)
-    copy["tok_emb"].data[0, 0] += 1.0
-    assert params["tok_emb"].data[0, 0] != copy["tok_emb"].data[0, 0]

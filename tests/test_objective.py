@@ -54,7 +54,6 @@ def test_total_loss_is_sum_of_parts():
     assert float(bd.total.data) == pytest.approx(
         float(bd.cross_entropy.data) + float(bd.z_loss.data), abs=1e-14
     )
-    assert bd.n_tokens == 6
 
 
 def test_mask_excludes_rows_from_value():

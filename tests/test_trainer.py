@@ -290,7 +290,8 @@ def test_step_rng_is_independent_of_history():
 def test_halt_on_divergence_stops_early():
     cfg, opt, batch_fn = tiny_setup(total_steps=30)
     params = init_params(cfg, seed=5)
-    mon = DivergenceMonitor(window=2, slope_threshold=-1.0)  # trips immediately
+    mon = DivergenceMonitor()
+    mon.update(float("nan"))  # tripped before the first step
     result = train_loop(
         params, cfg, opt, batch_fn, seed=13,
         monitor=mon, halt_on_divergence=True,
