@@ -34,7 +34,7 @@ from chamtoy.model import init_params, preset  # noqa: E402
 from chamtoy.numerics import (  # noqa: E402
     Tensor, attend, embedding, gated_silu, lm_loss, normalize, rotate_pairs,
 )
-from chamtoy.trainer import OptimConfig, adamw_step, init_opt_state  # noqa: E402
+from chamtoy.trainer import adamw_step, init_opt_state  # noqa: E402
 
 B, S, D, H, HD, FF, VOCAB = 8, 64, 64, 4, 16, 128, 700
 F32 = np.float32
@@ -189,6 +189,5 @@ def test_adamw_step(benchmark):
     for p in params.values():
         p.grad = rng.normal(size=p.shape)
     state = init_opt_state(params)
-    opt = OptimConfig(lr=1e-3)
-    benchmark(adamw_step, params, state, 1e-3, opt)
+    benchmark(adamw_step, params, state, 1e-3)
     assert state["t"] > 0

@@ -471,12 +471,11 @@ def _swap(n: int) -> np.ndarray:
 def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
     """Masked mean cross-entropy plus z_coeff * masked mean(log^2 Z), as one node.
 
-    logits is [..., vocab] with one row per entry of `mask`.  targets None
-    leaves out the cross-entropy; z_coeff 0 leaves out the z term.  One
-    max-shifted exponential feeds both: the log-probability keeps the
-    form shifted - log(sum), so integer logits shifted by an integer give
-    a bit-identical cross-entropy, and log Z is max + log(sum).  Returns
-    the loss node and the two terms as floats.
+    logits is [..., vocab] with one row per entry of `mask`.  z_coeff 0
+    leaves out the z term.  One max-shifted exponential feeds both: the
+    log-probability keeps the form shifted - log(sum), so integer logits
+    shifted by an integer give a bit-identical cross-entropy, and log Z is
+    max + log(sum).  Returns the loss node and the two terms as floats.
     """
     flat = logits.data.reshape(mask.shape[0], -1)
     mask = mask.astype(flat.dtype, copy=False)
@@ -484,11 +483,11 @@ def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
     top = flat.max(axis=-1)
     soft = flat - top[:, None]
     rows = np.arange(mask.shape[0])
-    picked = None if targets is None else soft[rows, targets]
+    picked = soft[rows, targets]
     np.exp(soft, out=soft)
     sums = soft.sum(axis=-1)
     log_sums = np.log(sums)
-    ce = 0.0 if targets is None else float((-(picked - log_sums) * mask).sum() * per_row)
+    ce = float((-(picked - log_sums) * mask).sum() * per_row)
     log_z = top + log_sums
     z = float((log_z * log_z * mask).sum() * per_row * z_coeff) if z_coeff else 0.0
 
@@ -497,13 +496,12 @@ def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
         # weight * 2 z_coeff log Z * softmax for the z term
         # g as a Python float, so a 0-d g cannot set the gradient's dtype
         weight = mask * (float(g) * per_row)
-        row = float(targets is not None) + (2.0 * z_coeff * log_z if z_coeff else 0.0)
+        row = 1.0 + (2.0 * z_coeff * log_z if z_coeff else 0.0)
         # soft holds the unnormalized exponentials: 1 / sums turns them into
         # the softmax, in place, since a released closure never runs again
         grad = soft
         grad *= (weight * row / sums)[:, None]
-        if targets is not None:
-            grad[rows, targets] -= weight
+        grad[rows, targets] -= weight
         logits._take(grad.reshape(logits.shape))
 
     return logits._make(np.array(ce + z, dtype=flat.dtype), (logits,), backward_fn), ce, z

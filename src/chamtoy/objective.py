@@ -1,9 +1,9 @@
-"""Training objective: masked cross-entropy plus a softmax-normalizer penalty.
+"""Training objective, `total_loss`: masked cross-entropy plus the penalty
+z_coeff * mean(log^2 Z), Z the softmax partition function per token.
 
-The penalty term is coeff * mean(log^2 Z) where Z is the softmax partition
-function per token.  Cross-entropy is invariant to shifting all logits by a
-constant; log Z is not, so the penalty anchors the normalizer near 1 and
-keeps logit magnitudes from drifting during long runs.
+Cross-entropy is invariant to shifting all logits by a constant; log Z is
+not, so the penalty anchors the normalizer near 1 and keeps logit
+magnitudes from drifting during long runs.
 """
 
 from __future__ import annotations
@@ -18,50 +18,28 @@ from .numerics import Tensor, lm_loss
 @dataclass
 class LossBreakdown:
     total: Tensor
-    cross_entropy: Tensor
-    z_loss: Tensor
+    cross_entropy: float
+    z_loss: float
 
 
-def _rows(logits: Tensor, targets, mask):
-    """Per-row targets (None stays None) and float mask, checked against logits."""
+def total_loss(logits: Tensor, targets, mask=None, z_coeff: float = 1e-5) -> LossBreakdown:
+    """Mean cross-entropy plus normalizer penalty over tokens where mask is 1.
+
+    Masked positions contribute exactly zero to both the value and the
+    gradient, so frozen prompt tokens cannot leak into the update.  Only
+    `total` carries the graph; the two parts are plain floats.
+    """
     if logits.ndim not in (2, 3):
         raise ValueError(f"logits must be rank 2 or 3, got shape {logits.shape}")
     rows = logits.size // logits.shape[-1]
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.int64).reshape(-1)
-        if targets.shape[0] != rows:
-            raise ValueError("targets do not match logits rows")
-        if np.any(targets < 0) or np.any(targets >= logits.shape[-1]):
-            raise IndexError("target id out of vocabulary range")
+    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    if targets.shape[0] != rows:
+        raise ValueError("targets do not match logits rows")
+    if np.any(targets < 0) or np.any(targets >= logits.shape[-1]):
+        raise IndexError("target id out of vocabulary range")
     mask = np.ones(rows) if mask is None else np.asarray(mask, dtype=np.float64).reshape(-1)
     if mask.shape[0] != rows:
         raise ValueError("mask does not match logits rows")
     if mask.sum() == 0:
         raise ValueError("loss mask selects no tokens")
-    return targets, mask
-
-
-def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
-    """Mean negative log-likelihood over tokens where mask is 1.
-
-    Masked positions contribute exactly zero to both the value and the
-    gradient, so frozen prompt tokens cannot leak into the update.
-    """
-    targets, mask = _rows(logits, targets, mask)
-    return lm_loss(logits, targets, mask, 0.0)[0]
-
-
-def z_loss(logits: Tensor, mask=None, coeff: float = 1e-5) -> Tensor:
-    """coeff * mean(log^2 Z) over unmasked tokens, Z = sum(exp(logits))."""
-    _, mask = _rows(logits, None, mask)
-    return lm_loss(logits, None, mask, coeff)[0]
-
-
-def total_loss(logits: Tensor, targets, mask=None, z_coeff: float = 1e-5) -> LossBreakdown:
-    """Cross-entropy plus normalizer penalty under one shared mask.
-
-    Only `total` carries the graph; the two parts are plain values.
-    """
-    targets, mask = _rows(logits, targets, mask)
-    total, ce, zl = lm_loss(logits, targets, mask, z_coeff)
-    return LossBreakdown(total, Tensor(ce), Tensor(zl))
+    return LossBreakdown(*lm_loss(logits, targets, mask, z_coeff))

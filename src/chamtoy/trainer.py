@@ -20,36 +20,33 @@ from .numerics import Tensor
 from .objective import total_loss
 
 
+# the paper's one optimizer recipe (arXiv 2405.09818 §2.3): AdamW, clipping
+# at a global norm, and a schedule that ends at FINAL_LR_FRACTION of its peak
+BETA1 = 0.9
+BETA2 = 0.95
+EPS = 1e-5
+WEIGHT_DECAY = 0.1
+CLIP_NORM = 1.0
+FINAL_LR_FRACTION = 0.01
+
+
 @dataclass
 class OptimConfig:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-5
-    weight_decay: float = 0.1
-    clip_norm: float = 1.0
     warmup_steps: int = 4000
     total_steps: int = 10000
     schedule: str = "exp-decay"  # or "cosine"
-    final_lr_fraction: float = 0.01
 
     def __post_init__(self):
-        for name in ("lr", "eps", "clip_norm"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be finite and non-negative, got {self.weight_decay}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be non-negative, got {self.warmup_steps}")
         if self.schedule not in ("exp-decay", "cosine"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if not 0 < self.final_lr_fraction <= 1:
-            raise ValueError("final_lr_fraction must be in (0, 1]")
+            raise ValueError(f"schedule must be exp-decay or cosine, got {self.schedule!r}")
         if self.warmup_steps >= self.total_steps:
-            raise ValueError("warmup must be shorter than the run")
+            raise ValueError(f"warmup_steps must be below total_steps, "
+                             f"got {self.warmup_steps} and {self.total_steps}")
 
 
 def init_opt_state(params: dict[str, Tensor]) -> dict:
@@ -61,7 +58,7 @@ def init_opt_state(params: dict[str, Tensor]) -> dict:
 
 
 def lr_at(step: int, cfg: OptimConfig) -> float:
-    """Linear warmup, then decay to final_lr_fraction of the peak.
+    """Linear warmup, then decay to FINAL_LR_FRACTION of the peak.
 
     exp-decay multiplies by a constant factor per step so the floor is
     reached exactly on the last step; cosine follows half a cosine wave
@@ -72,8 +69,8 @@ def lr_at(step: int, cfg: OptimConfig) -> float:
     span = cfg.total_steps - cfg.warmup_steps
     progress = min((step - cfg.warmup_steps + 1) / span, 1.0)
     if cfg.schedule == "exp-decay":
-        return cfg.lr * cfg.final_lr_fraction ** progress
-    floor = cfg.lr * cfg.final_lr_fraction
+        return cfg.lr * FINAL_LR_FRACTION ** progress
+    floor = cfg.lr * FINAL_LR_FRACTION
     return floor + 0.5 * (cfg.lr - floor) * (1.0 + math.cos(math.pi * progress))
 
 
@@ -95,7 +92,7 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
-def adamw_step(params: dict[str, Tensor], state: dict, lr: float, cfg: OptimConfig) -> None:
+def adamw_step(params: dict[str, Tensor], state: dict, lr: float) -> None:
     """One decoupled-weight-decay Adam update.
 
     Decay is applied to the weights first, then the moment update; only
@@ -103,21 +100,21 @@ def adamw_step(params: dict[str, Tensor], state: dict, lr: float, cfg: OptimConf
     """
     state["t"] += 1
     t = state["t"]
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         if p.grad is None:
             continue
         g = p.grad
-        if cfg.weight_decay > 0.0 and p.data.ndim >= 2:
-            p.data *= 1.0 - lr * cfg.weight_decay
+        if p.data.ndim >= 2:
+            p.data *= 1.0 - lr * WEIGHT_DECAY
         m = state["m"][name]
         v = state["v"][name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 # ----------------------------------------------------------------------
@@ -252,16 +249,16 @@ def train_loop(
                 g = leaves[k].grad
                 p.grad = None if g is None else g.astype(np.float64)
 
-            grad_norm = clip_global_norm(params, opt_cfg.clip_norm)
+            grad_norm = clip_global_norm(params, CLIP_NORM)
             lr = lr_at(step, opt_cfg)
-            adamw_step(params, opt_state, lr, opt_cfg)
+            adamw_step(params, opt_state, lr)
             hidden = aux["hidden"].data.astype(np.float64)
             output_rms = float(np.sqrt(np.mean(hidden * hidden)))
 
         row = {
             "step": step,
-            "ce": float(breakdown.cross_entropy.data),
-            "z_loss": float(breakdown.z_loss.data),
+            "ce": breakdown.cross_entropy,
+            "z_loss": breakdown.z_loss,
             "lr": lr,
             "grad_norm": grad_norm,
             "output_rms": output_rms,

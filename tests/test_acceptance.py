@@ -44,7 +44,7 @@ from chamtoy.model import (
 from chamtoy.numerics import (
     Tensor, attend, embedding, gated_silu, lm_loss, normalize, rotate_pairs,
 )
-from chamtoy.objective import cross_entropy, total_loss, z_loss
+from chamtoy.objective import total_loss
 from chamtoy.tokenizer import (
     MixedVocab,
     TokenKind,
@@ -92,7 +92,7 @@ def _op_roster():
         lambda rng: (lambda ts: ts[0] @ ts[1], [r(rng, 2, 3, 4), r(rng, 4, 5)]),
         lambda rng: (lambda ts: ts[0].sum(axis=-1), [r(rng, 3, 4)]),
         lambda rng: (lambda ts: lm_loss(ts[0], np.array([2, 0, 3]), rows, 0.1)[0], [r(rng, 3, 4)]),
-        lambda rng: (lambda ts: lm_loss(ts[0], None, rows, 0.1)[0], [r(rng, 2, 3, 4)]),
+        lambda rng: (lambda ts: lm_loss(ts[0], np.array([5, 0, 7]), rows, 0.1)[0], [r(rng, 2, 3, 4)]),
         lambda rng: (
             lambda ts: attend(ts[0], ts[1], ts[2]),
             [r(rng, 1, 4, 5, 2), r(rng, 1, 2, 5, 2), r(rng, 1, 2, 5, 2)],
@@ -186,19 +186,21 @@ def test_criterion_02_shift_invariance():
             base = Tensor(z[None, :], requires_grad=True)
             shifted = Tensor(z[None, :] + float(c), requires_grad=True)
             targets = np.array([0])
-            ce = [cross_entropy(t, targets) for t in (base, shifted)]
-            assert float(ce[0].data) == float(ce[1].data)
+            # at z_coeff 0 the loss is the cross-entropy alone
+            ce = [total_loss(t, targets, z_coeff=0.0) for t in (base, shifted)]
+            assert ce[0].cross_entropy == ce[1].cross_entropy
+            assert float(ce[0].total.data) == float(ce[1].total.data)
 
             # the gradient is softmax minus one-hot, from lm_loss's shared
             # exponentials: the softmax that training uses
             for loss in ce:
-                loss.backward()
+                loss.total.backward()
             assert np.array_equal(base.grad, shifted.grad)
 
             if c != 0:
                 log_z = float(np.logaddexp.reduce(z))
                 assume(abs(2.0 * log_z + c) > 1e-6)
-                assert float(z_loss(base).data) != float(z_loss(shifted).data)
+                assert total_loss(base, targets).z_loss != total_loss(shifted, targets).z_loss
 
         prop()
         info["detail"] = "300 hypothesis examples"
@@ -211,7 +213,7 @@ def test_criterion_02_shift_invariance():
 
 def test_criterion_03_z_loss_value():
     with verdict(3, "z-loss on zero logits, vocab 4, coeff 1e-5") as info:
-        value = float(z_loss(Tensor(np.zeros((1, 4)))).data)
+        value = total_loss(Tensor(np.zeros((1, 4))), [0]).z_loss
         assert abs(value - 1.92181e-5) <= 1e-10
         assert value == 1e-5 * math.log(4.0) ** 2
         info["detail"] = f"value {value:.10e}"

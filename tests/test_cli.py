@@ -74,8 +74,7 @@ def test_schema_keys_are_fixed():
         "model.d_model", "model.dropout", "model.ffn_hidden", "model.max_seq", "model.n_heads",
         "model.n_kv_heads", "model.n_layers", "model.norm_eps", "model.norm_strategy",
         "model.preset", "model.qk_norm", "model.z_coeff",
-        "optim.beta1", "optim.beta2", "optim.clip_norm", "optim.eps", "optim.final_lr_fraction",
-        "optim.lr", "optim.schedule", "optim.warmup_steps", "optim.weight_decay",
+        "optim.lr", "optim.schedule", "optim.warmup_steps",
         "tokenizer.image_codes", "tokenizer.image_size", "tokenizer.kmeans_iters",
         "tokenizer.patch", "tokenizer.vocab_size",
         "train.batch_size", "train.halt_on_divergence", "train.seed", "train.seq_len",
@@ -98,6 +97,12 @@ def test_config_file_errors(tmp_path):
     bad.write_text("just-one-token\n")
     with pytest.raises(ConfigError):
         make_run_config(ns(config=str(bad)))
+    # the optimizer recipe's values are constants of trainer.py, not keys
+    for key in ("optim.beta1", "optim.beta2", "optim.eps", "optim.weight_decay",
+                "optim.clip_norm", "optim.final_lr_fraction"):
+        bad.write_text(f"{key} 0.5\n")
+        with pytest.raises(ConfigError, match=f"^unknown configuration key '{key}'$"):
+            make_run_config(ns(config=str(bad)))
 
 
 def test_seed_resolution(monkeypatch):
@@ -432,9 +437,19 @@ def test_bad_mixture_weights_exit_2_before_any_work(setting, corpus_dir, tokeniz
 
 BAD_MODEL_AND_OPTIM = [
     "model.dropout=1.5", "model.dropout=-0.5", "model.n_layers=0", "model.n_layers=-2",
-    "model.max_seq=0", "model.norm_eps=-1", "model.z_coeff=-1", "optim.eps=0", "optim.lr=-1",
-    "optim.beta1=2", "optim.warmup_steps=-3", "optim.clip_norm=0", "optim.clip_norm=-1",
+    "model.max_seq=0", "model.norm_eps=-1", "model.z_coeff=-1", "optim.lr=-1",
+    "optim.warmup_steps=-3", "optim.schedule=linear",
+    # a run no longer than its warmup (2 steps here, 40 on sft) is the warmup's error
+    "train.steps=2",
+    # the optimizer recipe's values are constants of trainer.py: no key sets them
+    "optim.eps=0", "optim.beta1=2", "optim.clip_norm=0", "optim.clip_norm=-1",
 ]
+# how the message starts where it does not name the key's own field
+MESSAGE_OF_KEY = {
+    "train.steps": "warmup_steps must ",
+    **{key: f"unknown configuration key '{key}'"
+       for key in ("optim.eps", "optim.beta1", "optim.clip_norm")},
+}
 
 
 @pytest.mark.parametrize("command, setting", [
@@ -456,8 +471,8 @@ def test_bad_model_and_optim_values_exit_2_naming_the_field(
     code = main([*argv, "--data-dir", str(corpus_dir), "--out-dir", str(tmp_path / "out"),
                  "--set", setting])
     assert code == EXIT_USAGE
-    field = key.split(".")[1]
-    assert capsys.readouterr().err.startswith(f"configuration error: {field} must ")
+    start = MESSAGE_OF_KEY.get(key, f"{key.split('.')[1]} must ")
+    assert capsys.readouterr().err.startswith(f"configuration error: {start}")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,11 +1,16 @@
+import tempfile
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chamtoy.data import MixtureSpec, PretrainBatcher
 from chamtoy.model import (
     ModelConfig,
+    NormStrategy,
     init_params,
     load_checkpoint,
     preset,
@@ -14,7 +19,13 @@ from chamtoy.model import (
 from chamtoy.numerics import Tensor
 from chamtoy.objective import total_loss
 from chamtoy.trainer import (
+    BETA1,
+    BETA2,
+    CLIP_NORM,
+    EPS,
+    FINAL_LR_FRACTION,
     LOG_FIELDS,
+    WEIGHT_DECAY,
     DivergenceMonitor,
     OptimConfig,
     adamw_step,
@@ -28,25 +39,18 @@ from chamtoy.trainer import (
 )
 
 
-def small_opt(**kw):
-    base = dict(lr=1e-3, warmup_steps=2, total_steps=50)
-    base.update(kw)
-    return OptimConfig(**base)
-
-
 # ----------------------------------------------------------------------
 # optimizer
 # ----------------------------------------------------------------------
 
 
 def test_adamw_first_step_hand_value():
-    # m_hat = 1, v_hat = 1 -> update = lr / (1 + eps)
+    # decay by 1 - lr * 0.1 first; then m_hat = 1, v_hat = 1 -> update = lr / (1 + eps)
     p = {"w": Tensor(np.array([[1.0]]), requires_grad=True)}
     p["w"].grad = np.array([[1.0]])
     state = init_opt_state(p)
-    cfg = small_opt(lr=0.1, weight_decay=0.0)
-    adamw_step(p, state, lr=0.1, cfg=cfg)
-    expected = 1.0 - 0.1 / (1.0 + 1e-5)
+    adamw_step(p, state, lr=0.1)
+    expected = 1.0 * (1.0 - 0.1 * 0.1) - 0.1 / (1.0 + 1e-5)
     assert p["w"].data[0, 0] == pytest.approx(expected, abs=1e-12)
     assert state["t"] == 1
 
@@ -56,8 +60,7 @@ def test_weight_decay_is_decoupled_and_first():
     p = {"w": Tensor(np.array([[2.0]]), requires_grad=True)}
     p["w"].grad = np.array([[0.0]])
     state = init_opt_state(p)
-    cfg = small_opt(lr=0.5, weight_decay=0.1)
-    adamw_step(p, state, lr=0.5, cfg=cfg)
+    adamw_step(p, state, lr=0.5)
     assert p["w"].data[0, 0] == pytest.approx(2.0 * (1.0 - 0.5 * 0.1), abs=1e-15)
 
 
@@ -65,18 +68,17 @@ def test_weight_decay_skips_gain_vectors():
     p = {"g": Tensor(np.array([2.0]), requires_grad=True)}
     p["g"].grad = np.array([0.0])
     state = init_opt_state(p)
-    cfg = small_opt(lr=0.5, weight_decay=0.1)
-    adamw_step(p, state, lr=0.5, cfg=cfg)
+    adamw_step(p, state, lr=0.5)
     assert p["g"].data[0] == 2.0
 
 
 def test_adamw_defaults_match_recipe():
-    cfg = OptimConfig()
-    assert (cfg.beta1, cfg.beta2) == (0.9, 0.95)
-    assert cfg.eps == 1e-5
-    assert cfg.weight_decay == 0.1
-    assert cfg.clip_norm == 1.0
-    assert cfg.warmup_steps == 4000
+    assert (BETA1, BETA2) == (0.9, 0.95)
+    assert EPS == 1e-5
+    assert WEIGHT_DECAY == 0.1
+    assert CLIP_NORM == 1.0
+    assert FINAL_LR_FRACTION == 0.01
+    assert OptimConfig().warmup_steps == 4000
 
 
 def test_clip_global_norm():
@@ -150,9 +152,9 @@ def test_cosine_schedule_endpoints():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^schedule must be exp-decay or cosine, got 'linear'$"):
         OptimConfig(schedule="linear")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^warmup_steps must be below total_steps, got 100 and 100$"):
         OptimConfig(warmup_steps=100, total_steps=100)
 
 
@@ -219,10 +221,11 @@ def test_monitor_latches():
 
 
 def tiny_setup(total_steps=20, seed=0, **cfg_kw):
-    cfg = ModelConfig(
-        vocab_size=48, d_model=16, n_layers=1, n_heads=2, n_kv_heads=2,
-        ffn_hidden=32, max_seq=32, **cfg_kw,
-    )
+    cfg = ModelConfig(**{
+        **dict(vocab_size=48, d_model=16, n_layers=1, n_heads=2, n_kv_heads=2,
+               ffn_hidden=32, max_seq=32),
+        **cfg_kw,
+    })
     docs_rng = np.random.default_rng(123)
     docs = {"text": [list(docs_rng.integers(0, 48, size=20)) for _ in range(8)]}
     batcher = PretrainBatcher(docs, MixtureSpec(stage1={"text": 1.0}), total_steps, 2, 12)
@@ -277,6 +280,55 @@ def test_resume_from_checkpoint_is_bit_exact(tmp_path):
 
     for k in straight.params:
         assert np.array_equal(straight.params[k].data, resumed.params[k].data), k
+
+
+# each preset's overrides at tiny_setup's geometry; 34b-recipe's grouped
+# KV heads are one per two query heads here, as its 2 are per 4 at toy size
+PRESET_OVERRIDES = {
+    "toy": {},
+    "7b-recipe": dict(dropout=0.1),
+    "34b-recipe": dict(n_kv_heads=1),
+    "llama2-recipe": dict(z_coeff=0.0, qk_norm=False, norm_strategy=NormStrategy.PRE_NORM),
+}
+RESUME_STEPS = 8
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_runs():
+    """(preset, schedule) -> the setup and its one-leg reference run."""
+    runs = {}
+    for name, overrides in PRESET_OVERRIDES.items():
+        for schedule in ("exp-decay", "cosine"):
+            cfg, opt, batch_fn = tiny_setup(RESUME_STEPS, **overrides)
+            opt = replace(opt, schedule=schedule)
+            run = train_loop(init_params(cfg, seed=4), cfg, opt, batch_fn, seed=11)
+            runs[name, schedule] = (cfg, opt, batch_fn, run)
+    return runs
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_resume_at_any_step_is_bit_exact_on_every_preset(uninterrupted_runs, data):
+    # params, AdamW moments and step count, and the log all match one
+    # uninterrupted run, whichever step the checkpoint was written at
+    for (name, schedule), (cfg, opt, batch_fn, straight) in uninterrupted_runs.items():
+        split = data.draw(st.integers(1, RESUME_STEPS - 1), label=f"{name} {schedule} split")
+        first = train_loop(init_params(cfg, seed=4), cfg, opt, batch_fn, seed=11,
+                           end_step=split)
+        with tempfile.TemporaryDirectory() as tmp:
+            ck = Path(tmp) / "ck"
+            save_checkpoint(ck, first.params, cfg, opt_state=first.opt_state,
+                            step=first.final_step)
+            loaded, cfg2, opt_state, step = load_checkpoint(ck)
+        second = train_loop(loaded, cfg2, opt, batch_fn, seed=11,
+                            start_step=step, opt_state=opt_state)
+        assert first.rows + second.rows == straight.rows
+        assert second.opt_state["t"] == straight.opt_state["t"] == RESUME_STEPS
+        for k, p in straight.params.items():
+            assert np.array_equal(second.params[k].data, p.data), k
+            for moment in ("m", "v"):
+                assert np.array_equal(second.opt_state[moment][k],
+                                      straight.opt_state[moment][k]), (moment, k)
 
 
 def test_step_rng_is_independent_of_history():
