@@ -3,16 +3,18 @@
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks/test_nodes.py \
         --benchmark-only --benchmark-json=nodes.json
 
-Each fused node of ``chamtoy.numerics`` (and AdamW from the trainer) is
-timed on the inputs one toy-preset step hands it: batch 8 x 64, d_model
-64, 4 query and 4 key/value heads of width 16, SwiGLU width 128 and a
-700-token vocabulary, in float32 as ``train_loop`` computes.  A node's
-``forward`` case builds the node from inputs that require gradients, as
-training does; its ``backward`` case runs the node's backward closure on
-a fixed upstream gradient, on a node built afresh (untimed) from cleared
-input gradients each round.
-AdamW updates the float64 master weights of the whole toy model.  The
-head split and merge of ``chamtoy.layers`` are timed the same way.
+Each fused node of ``chamtoy.numerics`` and ``chamtoy.layers`` (and AdamW
+from the trainer) is timed on the inputs one toy-preset step hands it:
+batch 8 x 64, d_model 64, 4 query and 4 key/value heads of width 16,
+SwiGLU width 128 and a 700-token vocabulary, in float32 as ``train_loop``
+computes.  A node's ``forward`` case builds the node from inputs that
+require gradients, as training does; its ``backward`` case runs the
+node's backward closure on a fixed upstream gradient, on a node built
+afresh (untimed) from cleared input gradients each round.  The attention
+node (from the q/k/v product to the merged heads) and the SwiGLU node
+also have ``-decode`` cases: one row, the attention node's over a
+13-position cache.  AdamW updates the float64 master weights of the whole
+toy model.
 
 The file sits outside ``testpaths``; ``tests/test_benchmarks.py`` runs it
 once with ``--benchmark-disable`` (one untimed call per case), so a node
@@ -29,11 +31,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from chamtoy.layers import merge_heads, split_heads  # noqa: E402
+from chamtoy.layers import KVCache, _attention_node, swiglu  # noqa: E402
 from chamtoy.model import init_params, preset  # noqa: E402
-from chamtoy.numerics import (  # noqa: E402
-    Tensor, attend, embedding, gated_silu, lm_loss, normalize, rotate_pairs,
-)
+from chamtoy.numerics import Tensor, embedding, lm_loss, normalize  # noqa: E402
 from chamtoy.trainer import adamw_step, init_opt_state  # noqa: E402
 
 B, S, D, H, HD, FF, VOCAB = 8, 64, 64, 4, 16, 128, 700
@@ -49,16 +49,15 @@ def _leaf(a):
 
 
 def _heads(rng):
-    """A [b, h, s, hd] view laid out as split_heads leaves it; the QK norm
-    and v see this layout, RoPE and the queries and keys of attend a
-    contiguous copy."""
+    """A [b, h, s, hd] view laid out as the attention node's head split
+    leaves it, the layout its QK norm reads."""
     return rng.normal(size=(B, S, H, HD)).astype(F32).transpose(0, 2, 1, 3)
 
 
 def _rope():
-    """rotate_pairs' two [S, HD] tables.  Only their shape and dtype matter
-    to the timing, so they are drawn here rather than taken from a
-    revision's own rotary tables, whose layout may change."""
+    """Two [S, HD] rotary tables.  Only their shape and dtype matter to the
+    timing, so they are drawn here rather than taken from a revision's own
+    rotary tables, whose layout may change."""
     c, s = _rng().uniform(-1.0, 1.0, size=(2, S, HD)).astype(F32)
     return c, s
 
@@ -83,22 +82,6 @@ def _case_matmul_qkv():
     return (lambda: x @ w), [x, w]
 
 
-def _case_rotate_pairs():
-    c, s = _rope()
-    x = _leaf(_heads(_rng()))
-    return (lambda: rotate_pairs(x, c, s)), [x]
-
-
-def _case_split_heads():
-    x = _leaf(_rng().normal(size=(B, S, D)))
-    return (lambda: split_heads(x, H)), [x]
-
-
-def _case_merge_heads():
-    x = _leaf(_rng().normal(size=(B, H, S, HD)))
-    return (lambda: merge_heads(x)), [x]
-
-
 def _case_normalize_rms():
     rng = _rng()
     x, g = _leaf(rng.normal(size=(B, S, D))), _leaf(np.ones(D))
@@ -110,24 +93,29 @@ def _case_normalize_qk():
     return (lambda: normalize(x, g, 1e-5, center=True)), [x, g]
 
 
-def _case_normalize_qk_rotate():
-    """The QK norm and its rotation, one node."""
+def _case_attention(rows=(B, S), cached=0):
+    """The attention node, QK norm on, from a [b, s, 3 d] q/k/v product.
+    With a cache, each call writes its row into a cache object of its own
+    over the same buffers, so every round sees `cached` positions."""
     c, s = _rope()
-    x, g = Tensor(_heads(_rng()), requires_grad=True), _leaf(np.ones(HD))
-    return (lambda: normalize(x, g, 1e-5, center=True, rotate=(c, s))), [x, g]
-
-
-def _case_attend():
     rng = _rng()
-    q, k = _leaf(_heads(rng)), _leaf(_heads(rng))
-    v = Tensor(_heads(rng), requires_grad=True)
-    return (lambda: attend(q, k, v)), [q, k, v]
+    qkv = _leaf(rng.normal(size=rows + (3 * D,)))
+    q_gain, k_gain = _leaf(np.ones(HD)), _leaf(np.ones(HD))
+    k, v = rng.normal(size=(2, 1, H, cached + 1, HD)).astype(F32)
+
+    def node():
+        cache = KVCache(k, v, cached) if cached else None
+        return _attention_node(qkv, H, H, c, s, q_gain, k_gain, 1e-5, cache)[0]
+
+    return node, [qkv, q_gain, k_gain]
 
 
-def _case_gated_silu():
+def _case_swiglu(rows=(B, S)):
     rng = _rng()
-    a, b = _leaf(rng.normal(size=(B, S, FF))), _leaf(rng.normal(size=(B, S, FF)))
-    return (lambda: gated_silu(a, b)), [a, b]
+    x = _leaf(rng.normal(size=rows + (D,)))
+    w_gate, w_up = (_leaf(rng.normal(0.0, 0.02, size=(D, FF))) for _ in range(2))
+    w_down = _leaf(rng.normal(0.0, 0.02, size=(FF, D)))
+    return (lambda: swiglu(x, w_gate, w_up, w_down)), [x, w_gate, w_up, w_down]
 
 
 def _case_lm_loss():
@@ -142,14 +130,12 @@ CASES = {
     "embedding": _case_embedding,
     "matmul": _case_matmul,
     "matmul-qkv": _case_matmul_qkv,
-    "rotate_pairs": _case_rotate_pairs,
-    "split_heads": _case_split_heads,
-    "merge_heads": _case_merge_heads,
     "normalize-rms": _case_normalize_rms,
     "normalize-qk": _case_normalize_qk,
-    "normalize-qk-rotate": _case_normalize_qk_rotate,
-    "attend": _case_attend,
-    "gated_silu": _case_gated_silu,
+    "attention": _case_attention,
+    "attention-decode": lambda: _case_attention(rows=(1, 1), cached=13),
+    "swiglu": _case_swiglu,
+    "swiglu-decode": lambda: _case_swiglu(rows=(1, 1)),
     "lm_loss": _case_lm_loss,
 }
 

@@ -68,9 +68,8 @@ def _released(grad: np.ndarray) -> None:
 class Tensor:
     """A dense n-dimensional array participating in reverse-mode autodiff.
 
-    `data` is a float64 or float32 numpy array, not always contiguous:
-    `split_heads` returns a strided view of its input, which the nodes that
-    want C order (`normalize`, `rotate_pairs`) copy first.  `grad` is
+    `data` is a float64 or float32 numpy array, not always contiguous
+    (a kernel that wants C order copies a strided input first).  `grad` is
     lazily allocated during the reverse pass and always matches `data` in
     shape. Tensors are treated as immutable after construction except for
     gradient accumulation (and in-place parameter updates by the
@@ -287,55 +286,69 @@ class Tensor:
 # ----------------------------------------------------------------------
 
 
-def normalize(x: Tensor, gain: Tensor, eps: float, center: bool,
-              rotate: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+def normalize(x: Tensor, gain: Tensor, eps: float, center: bool) -> Tensor:
     """gain * h / sqrt(mean(h^2) + eps) over the last axis, as one node.
 
     h is x minus its mean over the last axis when `center` is set (layer
     norm) and x itself otherwise (RMS norm).  `gain` holds one value per
-    channel of the last axis and meets any leading shape.  `rotate`, the
-    tables (c, s) that `rotate_pairs` takes, rotates the output in the same
-    node (the normalized and rotated queries and keys): the result equals
-    rotate_pairs(normalize(x, ...), c, s) bit for bit, and the backward
-    un-rotates the upstream gradient first.
+    channel of the last axis and meets any leading shape.  The arithmetic
+    is `normalize_forward` and `normalize_backward`, which the attention
+    node calls for its QK norm as well.
+    """
+    out, unit, inv = normalize_forward(x.data, gain.data, eps, center)
+
+    def backward_fn(g):
+        if gain.requires_grad:
+            gain._take(gain_gradient(g, unit))
+        if x.requires_grad:
+            x._take(normalize_backward(g, gain.data, unit, inv, center))
+
+    return x._make(out, (x, gain), backward_fn)
+
+
+def normalize_forward(x: np.ndarray, gain: np.ndarray, eps: float, center: bool):
+    """The arrays of `normalize`: (out, unit, inv), where unit is the
+    normalized h before the gain and inv each row's 1 / sqrt(mean(h^2) + eps),
+    the two that `normalize_backward` reads.
 
     Every row sum, forward and backward, is a GEMV against a cached ones
     vector: over the QK norm's 16-wide rows numpy's ``sum(-1)`` is several
-    times slower than the matrix-vector product.  The gain gradient is one
-    more GEMV, a ones row over the flattened rows.  A strided x (the
+    times slower than the matrix-vector product.  A strided x (the
     split-heads view of the QK norm) is copied to C order first, so that no
-    pass of the node or of its consumers mixes two memory layouts.
+    pass of the kernel or of its consumers mixes two memory layouts.
     """
     n = x.shape[-1]
     scale = 1.0 / n
-    ones = _ones(n, x.data.dtype)
-    xd = np.ascontiguousarray(x.data)
+    ones = _ones(n, x.dtype)
+    xd = np.ascontiguousarray(x)
     h = xd - ((xd @ ones) * scale)[..., None] if center else xd
     inv = (((h * h) @ ones) * scale + eps) ** -0.5
     unit = h * inv[..., None]
-    # dropped before the rotation allocates, which then reuses their memory
+    # dropped before the output allocates, which then reuses their memory
     del xd, h
-    out = unit * gain.data
-    if rotate is not None:
-        c, s = rotate
-        out = _turn(out, c, s)
+    return unit * gain, unit, inv
 
-    def backward_fn(g):
-        if rotate is not None:
-            g = _turn_back(g, c, s)
-        if gain.requires_grad:
-            rows = (g * unit).reshape(-1, n)
-            gain._take(_ones(rows.shape[0], rows.dtype) @ rows)
-        if x.requires_grad:
-            g_h = g * gain.data
-            inner = (((g_h * unit) @ ones) * scale)[..., None]
-            g_h -= unit * inner
-            g_h *= inv[..., None]
-            if center:
-                g_h -= ((g_h @ ones) * scale)[..., None]
-            x._take(g_h)
 
-    return x._make(out, (x, gain), backward_fn)
+def normalize_backward(g: np.ndarray, gain: np.ndarray, unit: np.ndarray, inv: np.ndarray,
+                       center: bool) -> np.ndarray:
+    """The input's gradient under `normalize_forward`, from the upstream g."""
+    n = unit.shape[-1]
+    scale = 1.0 / n
+    ones = _ones(n, g.dtype)
+    g_h = g * gain
+    inner = (((g_h * unit) @ ones) * scale)[..., None]
+    g_h -= unit * inner
+    g_h *= inv[..., None]
+    if center:
+        g_h -= ((g_h @ ones) * scale)[..., None]
+    return g_h
+
+
+def gain_gradient(g: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """The gain's gradient under `normalize_forward`: a ones row over the
+    flattened rows of g * unit, one GEMV."""
+    rows = (g * unit).reshape(-1, unit.shape[-1])
+    return _ones(rows.shape[0], rows.dtype) @ rows
 
 
 @functools.lru_cache(maxsize=32)
@@ -346,13 +359,14 @@ def _ones(n: int, dtype) -> np.ndarray:
     return ones
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(hd)) v as one node, over grouped key/value heads.
+def attend_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """softmax(q k^T / sqrt(hd)) v over grouped key/value heads.
 
-    q is [b, h, s, hd], k and v are [b, kv, t, hd] and the output is
-    [b, h, s, hd]; query head i reads key head i // (h / kv).  The
-    attention is causal: the s queries are the last s of the t key
-    positions, and each sees no key after its own.
+    q is [b, h, s, hd], k and v are [b, kv, t, hd]; query head i reads key
+    head i // (h / kv).  The attention is causal: the s queries are the
+    last s of the t key positions, and each sees no key after its own.
+    Returns (out, exps, sums): out is [b, h, s, hd], and exps and sums are
+    what `attend_backward` reads.
 
     The scores are held keys-major, k (q / sqrt(hd))^T of shape
     [b, kv, t, g * s] with g = h / kv, so the softmax's max and sum reduce
@@ -362,99 +376,67 @@ def attend(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     (a decode step).  The exponentials stay unnormalized: the output and the
     upstream gradient, rows of hd values, are divided by each query's sum
     instead.
-
-    The backward is FlashAttention's dS = P * (dP - D) (arXiv 2205.14135),
-    untiled.  D = rowsum(dP * P) is one einsum over the keys axis, with no
-    temporary of the scores' size.  FlashAttention's rowsum(dO * O) is
-    equal in exact arithmetic, but only rowsum(dP * P) cancels dP - D
-    exactly when a query sees a single key, whose score gradient is then
-    exactly zero.
     """
     b, h, s, hd = q.shape
     kv, t = k.shape[1:3]
     scale = 1.0 / math.sqrt(hd)
-    q3 = q.data.reshape(b, kv, -1, hd)
-    exps = k.data @ (q3 * scale).swapaxes(-1, -2)
+    q3 = q.reshape(b, kv, -1, hd)
+    exps = k @ (q3 * scale).swapaxes(-1, -2)
     if s > 1:
         hidden = np.arange(t)[:, None] > np.arange(t - s, t)
         np.copyto(exps, -np.inf, where=np.tile(hidden, (1, h // kv)))
     exps -= exps.max(axis=-2, keepdims=True)
     np.exp(exps, out=exps)
     sums = exps.sum(axis=-2)
-    out = exps.swapaxes(-1, -2) @ v.data
+    out = exps.swapaxes(-1, -2) @ v
     out /= sums[..., None]
-
-    def backward_fn(g):
-        # dO / sum, so that products with the unnormalized exps carry P
-        g3 = g.reshape(out.shape) / sums[..., None]
-        if v.requires_grad:
-            v._take(exps @ g3)
-        ds = v.data @ g3.swapaxes(-1, -2)
-        ds -= (np.einsum("...tr,...tr->...r", ds, exps) / sums)[..., None, :]
-        ds *= exps
-        if q.requires_grad:
-            gq = ds.swapaxes(-1, -2) @ k.data
-            gq *= scale
-            q._take(gq.reshape(q.shape))
-        if k.requires_grad:
-            gk = ds @ q3
-            gk *= scale
-            k._take(gk)
-
-    return q._make(out.reshape(q.shape), (q, k, v), backward_fn)
+    return out.reshape(q.shape), exps, sums
 
 
-def gated_silu(a: Tensor, b: Tensor) -> Tensor:
-    """silu(a) * b as one node, the sigmoid from a single exp(-|a|) pass.
+def attend_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                    exps: np.ndarray, sums: np.ndarray):
+    """(gq, gk, gv) under `attend_forward`, from the upstream g [b, h, s, hd].
 
-    sigmoid(a) = max(e, [a >= 0]) / (1 + e) with e = exp(-|a|): the
-    numerator is 1 where a >= 0 and e elsewhere, picked by a max against
-    the 0/1 sign indicator instead of a masked select, which numpy runs
-    an order of magnitude slower on an unpredictable sign pattern.
+    FlashAttention's dS = P * (dP - D) (arXiv 2205.14135), untiled.
+    D = rowsum(dP * P) is one einsum over the keys axis, with no temporary
+    of the scores' size.  FlashAttention's rowsum(dO * O) is equal in exact
+    arithmetic, but only rowsum(dP * P) cancels dP - D exactly when a query
+    sees a single key, whose score gradient is then exactly zero.
     """
-    e = np.exp(-np.abs(a.data))
-    sig = np.maximum(e, a.data >= 0)
-    e += 1.0
-    sig /= e
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._take(g * b.data * sig * (1.0 + a.data * (1.0 - sig)))
-        if b.requires_grad:
-            b._take(g * (a.data * sig))
-
-    return a._make(a.data * sig * b.data, (a, b), backward_fn)
-
-
-def rotate_pairs(x: Tensor, c: np.ndarray, s: np.ndarray) -> Tensor:
-    """x*c + x[..., swap]*s as one node, where swap exchanges channels 2i
-    and 2i+1.  swap is its own inverse, so the backward is
-    g*c + (g*s)[..., swap].  A strided x (split heads with no QK norm) is
-    copied to C order first, the layout the gather returns, so that the
-    sum does not mix two layouts."""
-    xd = np.ascontiguousarray(x.data)
-
-    def backward_fn(g):
-        x._take(_turn_back(g, c, s))
-
-    return x._make(_turn(xd, c, s), (x,), backward_fn)
+    b, h, s, hd = q.shape
+    kv = k.shape[1]
+    scale = 1.0 / math.sqrt(hd)
+    q3 = q.reshape(b, kv, -1, hd)
+    # dO / sum, so that products with the unnormalized exps carry P
+    g3 = g.reshape(q3.shape) / sums[..., None]
+    gv = exps @ g3
+    ds = v @ g3.swapaxes(-1, -2)
+    ds -= (np.einsum("...tr,...tr->...r", ds, exps) / sums)[..., None, :]
+    ds *= exps
+    gq = ds.swapaxes(-1, -2) @ k
+    gq *= scale
+    gk = ds @ q3
+    gk *= scale
+    return gq.reshape(q.shape), gk, gv
 
 
-def _turn(a: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """a*c + a[..., swap]*s as a new C-order array, summed in the other
-    order, which IEEE addition leaves bit-identical.  take keeps C order,
-    where a[..., swap] puts the channel axis outermost in memory, and each
-    pass that mixes the two layouts runs several times slower.  The method,
-    not np.take, whose Python wrapper costs as much as the gather at one
-    decode row."""
+def turn(a: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """a*c + a[..., swap]*s as a new C-order array, where swap exchanges
+    channels 2i and 2i+1: the rotary rotation by `layers.rope_tables`' rows
+    c and s.  It is summed in the other order, which IEEE addition leaves
+    bit-identical.  take keeps C order, where a[..., swap] puts the channel
+    axis outermost in memory, and each pass that mixes the two layouts runs
+    several times slower.  The method, not np.take, whose Python wrapper
+    costs as much as the gather at one decode row."""
     out = a.take(_swap(a.shape[-1]), axis=-1)
     out *= s
     out += a * c
     return out
 
 
-def _turn_back(g: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """g*c + (g*s)[..., swap], the transpose of `_turn`, likewise."""
+def turn_back(g: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g*c + (g*s)[..., swap], the transpose of `turn` (swap is its own
+    inverse), likewise."""
     out = (g * s).take(_swap(g.shape[-1]), axis=-1)
     out += g * c
     return out
@@ -471,12 +453,16 @@ def _swap(n: int) -> np.ndarray:
 def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
     """Masked mean cross-entropy plus z_coeff * masked mean(log^2 Z), as one node.
 
-    logits is [..., vocab] with one row per entry of `mask`.  z_coeff 0
-    leaves out the z term.  One max-shifted exponential feeds both: the
-    log-probability keeps the form shifted - log(sum), so integer logits
-    shifted by an integer give a bit-identical cross-entropy, and log Z is
-    max + log(sum).  Returns the loss node and the two terms as floats.
+    logits is [..., vocab] with one row per entry of `mask`; other shapes
+    raise `ShapeMismatchError`.  z_coeff 0 leaves out the z term.  One
+    max-shifted exponential feeds both: the log-probability keeps the form
+    shifted - log(sum), so integer logits shifted by an integer give a
+    bit-identical cross-entropy, and log Z is max + log(sum).  Returns the loss node and the two terms as floats.
     """
+    if logits.size != mask.shape[0] * logits.shape[-1]:
+        raise ShapeMismatchError(
+            f"lm_loss: logits of shape {logits.shape} do not have one row per entry "
+            f"of a {mask.shape[0]}-entry mask")
     flat = logits.data.reshape(mask.shape[0], -1)
     mask = mask.astype(flat.dtype, copy=False)
     per_row = 1.0 / float(mask.sum())

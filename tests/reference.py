@@ -2,7 +2,7 @@
 algorithms, for the equivalence properties in test_tokenizer.py and
 test_evalkit.py, the oracle that reads packed instruction-tuning rows
 back for test_data.py, the attention scores that the QK-norm bound
-tests read from the queries and keys attention hands to `attend`, and
+tests read from the queries and keys attention hands to `attend_forward`, and
 the decoder's sampler over the whole vocabulary for test_decoder.py.
 
 Each is the direct reading of its definition that the library replaces

@@ -32,7 +32,7 @@ from chamtoy.data import (
 )
 from chamtoy.decoder import DecodePolicy, generate_fused, generate_stream, Finished
 from chamtoy.evalkit import WinRateSummary, bootstrap_ci, majority_vote
-from chamtoy.layers import layer_norm, rms_norm, swiglu
+from chamtoy.layers import apply_rope_at, attention, layer_norm, rms_norm, rope_tables, swiglu
 from chamtoy.model import (
     ModelConfig,
     NormStrategy,
@@ -41,9 +41,7 @@ from chamtoy.model import (
     model_forward,
     preset,
 )
-from chamtoy.numerics import (
-    Tensor, attend, embedding, gated_silu, lm_loss, normalize, rotate_pairs,
-)
+from chamtoy.numerics import Tensor, embedding, lm_loss
 from chamtoy.objective import total_loss
 from chamtoy.tokenizer import (
     MixedVocab,
@@ -84,31 +82,44 @@ def _op_roster():
         return rng.normal(size=shape)
 
     rows = np.array([1.0, 0.0, 1.0])
-    c, s = np.random.default_rng(0).normal(size=(2, 3, 4))  # rotate_pairs' tables
+    six_rows = np.array([1.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+    c, s = np.random.default_rng(0).normal(size=(2, 3, 4))  # apply_rope_at's tables
+    cos, sin = rope_tables(4, 8)
+
+    def attention_node(n_heads, n_kv_heads, seq, qk_norm):
+        """x, wqkv and wo (and the two QK gains) into the attention node
+        between its two products, head width 4."""
+        d, hd = 4 * n_heads, 4
+        inputs = [(1, seq, d), (d, d + 2 * n_kv_heads * hd), (d, d)] + [(hd,)] * (2 * qk_norm)
+        return lambda rng: (
+            lambda ts: attention(ts[0], ts[1], ts[2], n_heads, n_kv_heads, cos, sin, *ts[3:])[0],
+            [r(rng, *shape) for shape in inputs],
+        )
+
     return [
         lambda rng: (lambda ts: ts[0] + ts[1], [r(rng, 3, 4), r(rng, 4)]),
         lambda rng: (lambda ts: ts[0] * ts[1], [r(rng, 3, 4), r(rng, 4)]),
-        lambda rng: (lambda ts: gated_silu(ts[0], ts[1]), [r(rng, 3, 4) * 2.0, r(rng, 3, 4)]),
+        lambda rng: (
+            lambda ts: swiglu(ts[0], ts[1], ts[2], ts[3]),
+            [r(rng, 2, 3, 4) * 2.0, r(rng, 4, 5), r(rng, 4, 5), r(rng, 5, 3)],
+        ),
         lambda rng: (lambda ts: ts[0] @ ts[1], [r(rng, 2, 3, 4), r(rng, 4, 5)]),
         lambda rng: (lambda ts: ts[0].sum(axis=-1), [r(rng, 3, 4)]),
         lambda rng: (lambda ts: lm_loss(ts[0], np.array([2, 0, 3]), rows, 0.1)[0], [r(rng, 3, 4)]),
-        lambda rng: (lambda ts: lm_loss(ts[0], np.array([5, 0, 7]), rows, 0.1)[0], [r(rng, 2, 3, 4)]),
         lambda rng: (
-            lambda ts: attend(ts[0], ts[1], ts[2]),
-            [r(rng, 1, 4, 5, 2), r(rng, 1, 2, 5, 2), r(rng, 1, 2, 5, 2)],
+            lambda ts: lm_loss(ts[0], np.array([3, 0, 2, 1, 1, 0]), six_rows, 0.1)[0],
+            [r(rng, 2, 3, 4)],
         ),
-        lambda rng: (lambda ts: rotate_pairs(ts[0], c, s), [r(rng, 2, 3, 4)]),
-        lambda rng: (
-            lambda ts: attend(ts[0], ts[1], ts[2]),
-            [r(rng, 1, 2, 2, 2), r(rng, 1, 1, 5, 2), r(rng, 1, 1, 5, 2)],
-        ),
+        # QK norm on, four query heads over two key/value heads
+        attention_node(4, 2, 5, qk_norm=True),
+        lambda rng: (lambda ts: apply_rope_at(ts[0], c, s, 0), [r(rng, 2, 3, 4)]),
+        # a one-position sequence: its query sees one key
+        attention_node(2, 2, 1, qk_norm=True),
         lambda rng: (lambda ts: embedding(ts[0], np.array([[1, 3], [0, 0]])), [r(rng, 5, 4)]),
         lambda rng: (lambda ts: rms_norm(ts[0], ts[1]), [r(rng, 3, 4), r(rng, 4)]),
         lambda rng: (lambda ts: layer_norm(ts[0], ts[1]), [r(rng, 2, 3, 4), r(rng, 4)]),
-        lambda rng: (
-            lambda ts: normalize(ts[0], ts[1], 1e-5, True, rotate=(c, s)),
-            [r(rng, 2, 3, 4), r(rng, 4)],
-        ),
+        # QK norm off, grouped key/value heads
+        attention_node(2, 1, 4, qk_norm=False),
         lambda rng: (
             lambda ts: swiglu(ts[0], ts[1], ts[2], ts[3]),
             [r(rng, 2, 4), r(rng, 4, 6), r(rng, 4, 6), r(rng, 6, 4)],
@@ -231,7 +242,8 @@ def test_criterion_04_qk_logit_bound(monkeypatch):
         cfg = ModelConfig(vocab_size=8, d_model=d_model, n_layers=1, n_heads=n_heads,
                           n_kv_heads=n_heads, max_seq=128, qk_norm=True)
         params = init_params(cfg)
-        # the scores are read from the queries and keys the live block hands to attend
+        # the scores are read from the queries and keys the live block hands
+        # to attend_forward
         seen = capture_attend_inputs(monkeypatch)
         worst, positions = 0.0, 0
         for seed in range(25):

@@ -3,17 +3,18 @@ import pytest
 
 from chamtoy import layers
 from chamtoy.layers import (
+    KVCache,
     apply_rope_at,
     attention,
     dropout,
     layer_norm,
-    merge_heads,
     rms_norm,
     rope_tables,
-    split_heads,
     swiglu,
 )
-from chamtoy.numerics import Tensor, attend, gated_silu, normalize, rotate_pairs
+from chamtoy.numerics import (
+    Tensor, attend_backward, attend_forward, normalize, turn, turn_back,
+)
 
 from reference import attention_scores
 from test_numerics import assert_grad_close, check_op_gradient, finite_difference
@@ -94,8 +95,10 @@ def test_normalize_matches_composition_and_finite_differences(center, shape):
 
 
 def test_gated_silu_hand_value():
-    # silu(1) * 1 = 1 * sigmoid(1) = 0.7310585786300049
-    out = gated_silu(Tensor([1.0]), Tensor([1.0])).data[0]
+    # silu(1) * 1 = 1 * sigmoid(1) = 0.7310585786300049, through SwiGLU's
+    # gate with every product an identity
+    one = Tensor([[1.0]])
+    out = swiglu(Tensor([1.0]), one, one, one).data[0]
     assert out == pytest.approx(0.7310585786300049, abs=1e-12)
 
 
@@ -108,7 +111,9 @@ def test_swiglu_shapes_and_gradient():
     tensors, w = scalar_loss_grad(
         lambda ts: swiglu(ts[0], ts[1], ts[2], ts[3]), [x, w1, w3, w2]
     )
-    assert swiglu(Tensor(x), Tensor(w1), Tensor(w3), Tensor(w2)).shape == (2, 3, 4)
+    out = swiglu(*(Tensor(a, requires_grad=True) for a in (x, w1, w3, w2)))
+    assert out.shape == (2, 3, 4)
+    assert len(out._parents) == 4  # the three products and the gate are one node
 
     arrays = [x, w1, w3, w2]
     for k in range(4):
@@ -199,7 +204,6 @@ def test_rotation_node_matches_permutation_matmul_and_finite_differences(offset)
     swap = np.eye(6).reshape(3, 2, 6)[:, ::-1].reshape(6, 6)
     out = apply_rope_at(Tensor(x), rope_c, rope_s, offset).data
     assert np.array_equal(out, x * c + (x @ swap) * s)
-    assert np.array_equal(rotate_pairs(Tensor(x), c, s).data, out)
     check_op_gradient(lambda ts: apply_rope_at(ts[0], rope_c, rope_s, offset), [x])
 
 
@@ -214,6 +218,11 @@ def test_rope_tables_are_cached_read_only_and_cast_from_float64():
     assert c32.dtype == s32.dtype == np.float32
     assert np.array_equal(c32, c64.astype(np.float32))
     assert np.array_equal(s32, s64.astype(np.float32))
+    with pytest.raises(ValueError, match="^rotary embeddings need an even head dimension$"):
+        rope_tables(5, 16)
+    with pytest.raises(ValueError, match="^rotary table of 16 positions is shorter than the "
+                                         "17 positions needed$"):
+        apply_rope_at(Tensor(np.ones((1, 2, 8))), c64, s64, 15)
 
 
 def test_dropout_identity_cases():
@@ -221,6 +230,9 @@ def test_dropout_identity_cases():
     rng = np.random.default_rng(9)
     assert dropout(x, 0.0, rng, training=True) is x
     assert dropout(x, 0.5, rng, training=False) is x
+    for p in (1.0, 1.5):
+        with pytest.raises(ValueError, match=f"^dropout probability out of range: {p}$"):
+            dropout(x, p, rng, training=True)
 
 
 def test_dropout_scaling_and_rate():
@@ -235,80 +247,105 @@ def test_dropout_scaling_and_rate():
 
 
 def test_split_merge_heads_roundtrip():
-    x = Tensor(np.arange(24.0).reshape(1, 3, 8))
-    assert np.array_equal(merge_heads(split_heads(x, 2)).data, x.data)
+    # a first position sees its own key alone, so with the identity as wo
+    # the node's head split and merge hand back its value columns exactly
+    rng = np.random.default_rng(20)
+    d, n_heads = 8, 2
+    x = Tensor(rng.normal(size=(1, 3, d)))
+    wqkv = Tensor(rng.normal(size=(d, 3 * d)))
+    cos, sin = rope_tables(d // n_heads, 3)
+    out, _ = attention(x, wqkv, Tensor(np.eye(d)), n_heads, n_heads, cos, sin)
+    assert np.array_equal(out.data[0, 0], (x @ wqkv).data[0, 0, 2 * d:])
 
 
-@pytest.mark.parametrize("n_heads", [4, 2])
-def test_split_and_merge_heads_are_one_node_each_with_finite_difference_gradients(n_heads):
+@pytest.mark.parametrize("n_kv_heads", [4, 2])
+def test_attention_is_one_node_between_its_two_products(n_kv_heads):
     rng = np.random.default_rng(12)
-    hd = 8 // n_heads
-    check_op_gradient(lambda ts: split_heads(ts[0], n_heads), [rng.normal(size=(2, 3, 8))])
-    check_op_gradient(lambda ts: merge_heads(ts[0]), [rng.normal(size=(2, n_heads, 3, hd))])
-    x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
-    heads = split_heads(x, n_heads)
-    merged = merge_heads(heads)
-    assert heads.shape == (2, n_heads, 3, hd)
-    assert len(heads._parents) == 1 and heads._parents[0] is x
-    assert len(merged._parents) == 1 and merged._parents[0] is heads
+    d, n_heads, hd = 8, 4, 2
+    p = make_attn_params(rng, d, n_heads, n_kv_heads)
+    x, wqkv, wo, gain = (Tensor(a, requires_grad=True)
+                         for a in (rng.normal(size=(2, 3, d)), fuse_qkv(p), p["wo"], np.ones(hd)))
+    cos, sin = rope_tables(hd, 3)
+    out, _ = attention(x, wqkv, wo, n_heads, n_kv_heads, cos, sin, q_gain=gain, k_gain=gain)
+    merged, product_weight = out._parents
+    qkv, *gains = merged._parents
+    assert product_weight is wo and merged.shape == (2, 3, d)
+    assert len(gains) == 2 and all(g is gain for g in gains)
+    assert qkv._parents == (x, wqkv)
 
 
 @pytest.mark.parametrize("n_kv_heads", [4, 2])
 def test_split_heads_column_ranges_add_into_one_gradient_buffer(n_kv_heads):
-    # the q, k and v heads of one fused product, as attention splits it
+    # the q, k and v heads of one fused product, as the attention node
+    # splits it: its backward writes each range's gradient into its own
+    # columns of one buffer, exactly as the kernels compute them
     rng = np.random.default_rng(18)
     n_heads, hd, s = 4, 2, 3
     d, kv = n_heads * hd, n_kv_heads * hd
-    ranges = ((n_heads, 0, d), (n_kv_heads, d, d + kv), (n_kv_heads, d + kv, None))
+    cos, sin = rope_tables(hd, s)
 
-    def heads(x):
-        return [split_heads(x, n, start, stop) for n, start, stop in ranges]
+    def node(qkv):
+        return layers._attention_node(qkv, n_heads, n_kv_heads, cos, sin, None, None, 1e-5,
+                                      None)[0]
 
-    check_op_gradient(lambda ts: attend(*heads(ts[0])),
-                      [rng.normal(size=(2, s, d + 2 * kv))])
-    x = Tensor(rng.normal(size=(2, s, d + 2 * kv)), requires_grad=True)
-    # the query range read twice: its two gradients must add
-    parts = heads(x) + [split_heads(x, n_heads, 0, d)]
-    weights = [rng.normal(size=p.shape) for p in parts]
-    total = None
-    for part, w, (_, start, stop) in zip(parts, weights, ranges + ranges[:1]):
-        assert len(part._parents) == 1 and part._parents[0] is x
-        cols = x.data[..., start:stop]
-        assert np.array_equal(part.data, cols.reshape(2, s, -1, hd).transpose(0, 2, 1, 3))
-        term = (part * Tensor(w)).sum()
-        total = term if total is None else total + term
-    total.backward()
-    # each range's gradient lands in its own columns of one buffer, exactly
-    grads = [w.transpose(0, 2, 1, 3).reshape(2, s, -1) for w in weights]
-    assert np.array_equal(x.grad, np.concatenate([grads[0] + grads[3], grads[1], grads[2]], -1))
+    check_op_gradient(lambda ts: node(ts[0]), [rng.normal(size=(2, s, d + 2 * kv))])
+    qkv = Tensor(rng.normal(size=(2, s, d + 2 * kv)), requires_grad=True)
+    merged = node(qkv)
+    w = rng.normal(size=merged.shape)
+    (merged * Tensor(w)).sum().backward()
+    heads = qkv.data.reshape(2, s, -1, hd).transpose(0, 2, 1, 3)
+    q, k = (turn(np.ascontiguousarray(heads[:, cols]), cos, sin)
+            for cols in (slice(0, n_heads), slice(n_heads, n_heads + n_kv_heads)))
+    v = heads[:, n_heads + n_kv_heads:]
+    _, exps, sums = attend_forward(q, k, v)
+    gq, gk, gv = attend_backward(w.reshape(2, s, n_heads, hd).transpose(0, 2, 1, 3),
+                                 q, k, v, exps, sums)
+    ranges = [turn_back(gq, cos, sin), turn_back(gk, cos, sin), gv]
+    expected = np.concatenate([g.transpose(0, 2, 1, 3).reshape(2, s, -1) for g in ranges], -1)
+    assert np.array_equal(qkv.grad, expected)
+
+
+def test_attention_with_a_cache_holds_the_past_fixed_in_its_gradient():
+    # the cache carries no graph: its earlier positions are constants, and
+    # the call's own queries, keys and values, and both gains, get the
+    # gradient that finite differences give with those positions fixed
+    rng = np.random.default_rng(21)
+    n_heads, n_kv_heads, hd = 4, 2, 4
+    d, kv = n_heads * hd, n_kv_heads * hd
+    cos, sin = rope_tables(hd, 8)
+    past_k, past_v = rng.normal(size=(2, 1, n_kv_heads, 8, hd))
+
+    def node(ts):
+        cache = KVCache(past_k.copy(), past_v.copy(), 5)
+        merged, out_cache = layers._attention_node(ts[0], n_heads, n_kv_heads, cos, sin, ts[1],
+                                                   ts[2], 1e-5, cache)
+        assert out_cache is cache and cache.length == 7
+        return merged
+
+    check_op_gradient(node, [rng.normal(size=(1, 2, d + 2 * kv)), rng.normal(size=hd),
+                             rng.normal(size=hd)])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_normalize_with_rotation_equals_rotate_pairs_of_normalize(dtype):
+def test_attention_qk_path_equals_layer_norm_then_apply_rope_at(dtype):
+    # the QK norm and rotation inside the attention node, against the
+    # layer_norm and apply_rope_at nodes in turn, forward and backward
     rng = np.random.default_rng(19)
-    c, s = (t[2:7].astype(dtype) for t in rope_tables(6, 8))
-    # split-heads layout [b, h, seq, hd], a strided view as the QK norm sees it
+    table_c, table_s = (t.astype(dtype) for t in rope_tables(6, 8))
+    # split-heads layout [b, h, seq, hd], a strided view as the node reads it
     x = (rng.normal(size=(2, 5, 3, 6)) * 3.0 + 1.0).astype(dtype).transpose(0, 2, 1, 3)
     g = rng.normal(size=6).astype(dtype)
-    w = Tensor(rng.normal(size=x.shape).astype(dtype))
-    results = []
-    for op in (lambda ts: normalize(ts[0], ts[1], 1e-5, True, rotate=(c, s)),
-               lambda ts: rotate_pairs(normalize(ts[0], ts[1], 1e-5, True), c, s)):
-        ts = [Tensor(x, requires_grad=True), Tensor(g, requires_grad=True)]
-        out = op(ts)
-        (out * w).sum().backward()
-        results.append([out.data, ts[0].grad, ts[1].grad])
-    for fused, apart in zip(*results):
-        assert fused.dtype == dtype
-        assert np.array_equal(fused, apart)
-    # attention's call: the same node through apply_rope_at at offset 2
-    table_c, table_s = (t.astype(dtype) for t in rope_tables(6, 8))
-    via_rope = apply_rope_at(Tensor(x), table_c, table_s, 2, Tensor(g), 1e-5).data
-    assert np.array_equal(via_rope, results[0][0])
-    if dtype == np.float64:
-        for center in (True, False):
-            check_op_gradient(lambda ts: normalize(ts[0], ts[1], 1e-5, center, rotate=(c, s)),
-                              [x, g])
+    w = rng.normal(size=x.shape).astype(dtype)
+    ts = [Tensor(x, requires_grad=True), Tensor(g, requires_grad=True)]
+    apart = apply_rope_at(layer_norm(ts[0], ts[1]), table_c, table_s, 2)
+    (apart * Tensor(w)).sum().backward()
+    gain = Tensor(g, requires_grad=True)
+    c, s = table_c[2:7], table_s[2:7]
+    fused, saved = layers._qk_forward(x, gain, 1e-5, c, s)
+    g_x = layers._qk_backward(w, gain, saved, c, s)
+    for got, want in ((fused, apart.data), (g_x, ts[0].grad), (gain.grad, ts[1].grad)):
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
 
 
 def make_attn_params(rng, d, n_heads, n_kv_heads):
@@ -401,8 +438,12 @@ def test_attention_head_count_validation():
     rng = np.random.default_rng(15)
     p = {k: Tensor(v) for k, v in make_attn_params(rng, 8, 4, 4).items()}
     cos, sin = rope_tables(2, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^query head count must be a multiple of kv head count$"):
         run_attention(Tensor(rng.normal(size=(1, 4, 8))), p, 4, 3, cos, sin)
+    # the rotary tables must reach the last position
+    with pytest.raises(ValueError, match="^rotary table of 4 positions is shorter than the "
+                                         "5 positions needed$"):
+        run_attention(Tensor(rng.normal(size=(1, 5, 8))), p, 4, 4, cos, sin)
 
 
 def test_incremental_kv_matches_full_forward():
@@ -427,14 +468,15 @@ def test_incremental_kv_matches_full_forward():
 
 
 def capture_attend_inputs(monkeypatch):
-    """Record the (q, k) arrays that each call of attention hands to attend."""
+    """Record the (q, k) arrays that each call of attention hands to
+    attend_forward: the live block's normalized and rotated queries and keys."""
     seen = []
 
     def recording(q, k, v):
-        seen.append((q.data, k.data))
-        return attend(q, k, v)
+        seen.append((q, k))
+        return attend_forward(q, k, v)
 
-    monkeypatch.setattr(layers, "attend", recording)
+    monkeypatch.setattr(layers, "attend_forward", recording)
     return seen
 
 

@@ -181,7 +181,7 @@ def test_backward_frees_every_interior_node_the_caller_does_not_hold():
             if node._backward_fn is not None:
                 refs.append((any(node is t for t in held), weakref.ref(node.data)))
     del node
-    assert len(refs) == 59 - len(leaves)
+    assert len(refs) == 41 - len(leaves)
 
     gc.disable()  # freed by reference counts alone, as the pass goes
     try:
@@ -231,12 +231,14 @@ def test_kv_cache_carries_no_graph():
     assert step["kv"][0].k.shape[2] == 5
 
 
-def test_kv_step_builds_37_nodes_on_the_toy_preset(monkeypatch):
-    # per layer: one q/k/v product, three head splits, one norm-and-rotation
-    # node each for q and k, attend, the merge and its output product, then
-    # the two norms, adds and feed-forward (45 nodes with three products
-    # and the norm and rotation apart); the last-position head selects
-    # nothing at one row, so decoding's KV step makes the same nodes
+def test_kv_step_builds_19_nodes_on_the_toy_preset(monkeypatch):
+    # the embedding, then per layer the q/k/v product, the attention node
+    # (head split, QK norm and rotation, cache write, softmax-attention and
+    # merge), its output product, the SwiGLU node (three products and the
+    # gate) and the two norms and adds, then the final norm and the head
+    # (37 nodes with the head split, norms, attend and merge apart and the
+    # feed-forward in four); the last-position head selects nothing at one
+    # row, so decoding's KV step makes the same nodes
     cfg = preset("toy", 48)
     params = _frozen(init_params(cfg, seed=1))
     ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(1, 6))
@@ -252,7 +254,7 @@ def test_kv_step_builds_37_nodes_on_the_toy_preset(monkeypatch):
     for last_only in (False, True):
         made.clear()
         model_forward(params, cfg, ids[:, 5:], past_kv=prefill["kv"], last_only=last_only)
-        assert len(made) == 37
+        assert len(made) == 19
 
 
 def toy_kv_step():
@@ -280,7 +282,7 @@ def test_kv_step_makes_a_fixed_number_of_python_calls_on_the_toy_preset():
             model_forward(params, cfg, ids, past_kv=cache, last_only=last_only)
         finally:
             sys.setprofile(None)
-        assert len(calls) == 206
+        assert len(calls) == 120
 
 
 def tiny_decoder():

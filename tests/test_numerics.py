@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from chamtoy.layers import apply_rope_at, attention, swiglu
 from chamtoy.numerics import (
     ShapeMismatchError,
     Tensor,
-    attend,
+    attend_backward,
+    attend_forward,
     embedding,
-    gated_silu,
     lm_loss,
     normalize,
-    rotate_pairs,
 )
 from chamtoy.objective import total_loss
 
@@ -282,6 +282,27 @@ def test_grad_shape_matches_data():
 # ----------------------------------------------------------------------
 
 
+def attend(q, k, v):
+    """The attend kernels as a node of their own, so that their gradients
+    meet finite differences and the reverse pass as one op."""
+    out, exps, sums = attend_forward(q.data, k.data, v.data)
+
+    def backward_fn(g):
+        for t, grad in zip((q, k, v), attend_backward(g, q.data, k.data, v.data, exps, sums)):
+            if t.requires_grad:
+                t._take(grad)
+
+    return q._make(out, (q, k, v), backward_fn)
+
+
+def gated_silu(a, b):
+    """silu(a) * b through the SwiGLU node, its three products identities
+    (exact: each output sums one product by 1 and zeros)."""
+    rows, width = a.shape
+    return swiglu(Tensor(np.eye(rows, dtype=a.data.dtype)), a, b,
+                  Tensor(np.eye(width, dtype=a.data.dtype)))
+
+
 def _softmax_ref(x, mask):
     x = np.where(mask, -np.inf, x)
     e = np.exp(x - x.max(axis=-1, keepdims=True))
@@ -374,6 +395,10 @@ def test_lm_loss_matches_composition_and_finite_differences():
     t = Tensor(logits, requires_grad=True)
     lm_loss(t, targets, mask, 0.1)[0].backward()
     assert np.all(t.grad[mask == 0.0] == 0.0)
+    # one row per mask entry: 6 rows of 7 are not 3 rows of 14
+    with pytest.raises(ShapeMismatchError, match=r"^lm_loss: logits of shape \(6, 7\) do not have "
+                                                  r"one row per entry of a 3-entry mask$"):
+        lm_loss(Tensor(logits), targets[:3], mask[:3], 0.1)
 
 
 # ----------------------------------------------------------------------
@@ -400,6 +425,14 @@ def _kernel_cases(scale):
     def r(*shape):
         return rng.normal(size=shape) * scale
 
+    def tables(ts):
+        """The tables in the compute dtype, as the model caches them."""
+        return tuple(t.astype(ts[0].data.dtype) for t in (c, sn))
+
+    def attend_at(ts, gains):
+        return attention(ts[0], ts[1], ts[2], h, kv, *tables(ts), *gains)[0]
+
+    d, width = h * hd, (h + 2 * kv) * hd
     return [
         ("attend", lambda ts: attend(ts[0], ts[1], ts[2]),
          [r(b, h, s, hd), r(b, kv, s, hd), r(b, kv, s, hd)]),
@@ -408,15 +441,15 @@ def _kernel_cases(scale):
         ("rms-norm", lambda ts: normalize(ts[0], ts[1], 1e-5, False), [r(3, 5, 8), r(8)]),
         ("qk-norm", lambda ts: normalize(ts[0], ts[1], 1e-5, True),
          [r(b, s, h, hd).transpose(0, 2, 1, 3), r(hd)]),
-        ("gated-silu", lambda ts: gated_silu(ts[0], ts[1]), [r(3, 4, 6), r(3, 4, 6)]),
-        # the tables in the compute dtype, as the model caches them
-        ("rotate-pairs", lambda ts: rotate_pairs(ts[0], *(t.astype(ts[0].data.dtype) for t in (c, sn))),
-         [r(b, h, s, hd)]),
+        # the gate, inside the SwiGLU node
+        ("gated-silu", lambda ts: swiglu(ts[0], ts[1], ts[2], ts[3]),
+         [r(3, 4, 6), r(6, 5), r(6, 5), r(5, 6)]),
+        ("rotate-pairs", lambda ts: apply_rope_at(ts[0], *tables(ts), 0), [r(b, h, s, hd)]),
         ("lm-loss", lambda ts: lm_loss(ts[0], targets, rows, 0.1)[0], [r(2, 3, 7)]),
-        ("qk-norm-rotate",
-         lambda ts: normalize(ts[0], ts[1], 1e-5, True,
-                              rotate=tuple(t.astype(ts[0].data.dtype) for t in (c, sn))),
-         [r(b, s, h, hd).transpose(0, 2, 1, 3), r(hd)]),
+        # the attention node: split, QK norm, rotation, softmax-attention, merge
+        ("qk-norm-rotate", lambda ts: attend_at(ts, ts[3:]),
+         [r(b, s, d), r(d, width), r(d, d), r(hd), r(hd)]),
+        ("attention", lambda ts: attend_at(ts, ()), [r(b, s, d), r(d, width), r(d, d)]),
     ]
 
 

@@ -408,9 +408,10 @@ def test_step_computes_in_float32_and_keeps_float64_masters(tmp_path, monkeypatc
 
     leaves = [n for n in nodes if n._backward_fn is None]
     assert len(leaves) == len(result.params)
-    # one q/k/v product and one norm-and-rotation node for each of q and k
-    # (71 tensors with three products and the norm and rotation apart)
-    assert len(nodes) == 59
+    # per layer one q/k/v product, one attention node and one SwiGLU node
+    # (59 tensors with the attention core in seven nodes and the
+    # feed-forward in four)
+    assert len(nodes) == 41
     for node in nodes:
         assert node.data.dtype == np.float32, node
     for leaf in leaves:
