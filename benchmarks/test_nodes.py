@@ -14,7 +14,10 @@ afresh (untimed) from cleared input gradients each round.  The attention
 node (from the q/k/v product to the merged heads) and the SwiGLU node
 also have ``-decode`` cases: one row, the attention node's over a
 13-position cache.  AdamW updates the float64 master weights of the whole
-toy model.
+toy model.  ``train-step`` times one whole ``train_loop`` step of the toy
+model: the float32 copy of the masters, both shards' forward and backward
+(the second on the worker thread where two CPUs are usable), the float64
+gradient sum, clipping, AdamW and the log row.
 
 The file sits outside ``testpaths``; ``tests/test_benchmarks.py`` runs it
 once with ``--benchmark-disable`` (one untimed call per case), so a node
@@ -34,7 +37,7 @@ import pytest  # noqa: E402
 from chamtoy.layers import KVCache, _attention_node, swiglu  # noqa: E402
 from chamtoy.model import init_params, preset  # noqa: E402
 from chamtoy.numerics import Tensor, embedding, lm_loss, normalize  # noqa: E402
-from chamtoy.trainer import adamw_step, init_opt_state  # noqa: E402
+from chamtoy.trainer import OptimConfig, adamw_step, init_opt_state, train_loop  # noqa: E402
 
 B, S, D, H, HD, FF, VOCAB = 8, 64, 64, 4, 16, 128, 700
 F32 = np.float32
@@ -177,3 +180,20 @@ def test_adamw_step(benchmark):
     state = init_opt_state(params)
     benchmark(adamw_step, params, state, 1e-3)
     assert state["t"] > 0
+
+
+def test_train_step(benchmark):
+    cfg = preset("toy", vocab_size=VOCAB)
+    params = init_params(cfg, seed=0)
+    ids = _rng().integers(0, VOCAB, size=(B, S + 1))
+    mask = np.ones((B, S))
+    opt_cfg = OptimConfig(lr=1e-3, warmup_steps=1, total_steps=10**9)
+    state = init_opt_state(params)
+
+    def step():
+        t = state["t"]
+        train_loop(params, cfg, opt_cfg, lambda step, rng: (ids[:, :-1], ids[:, 1:], mask),
+                   start_step=t, end_step=t + 1, opt_state=state)
+
+    benchmark(step)
+    assert state["t"] > 0 and all(p.grad.dtype == np.float64 for p in params.values())

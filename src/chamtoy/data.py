@@ -333,6 +333,7 @@ _PATTERNS = ("solid", "hgrad", "vgrad", "checker", "square")
 
 
 def _render_pattern(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    """One of the _PATTERNS, the only kinds its caller draws."""
     lo, hi = int(rng.integers(0, 60)), int(rng.integers(180, 256))
     img = np.full((size, size), lo, dtype=np.uint8)
     if kind == "solid":
@@ -345,13 +346,11 @@ def _render_pattern(kind: str, size: int, rng: np.random.Generator) -> np.ndarra
         cell = int(rng.choice([4, 8]))
         yy, xx = np.indices((size, size))
         img = np.where(((yy // cell + xx // cell) % 2) == 0, lo, hi).astype(np.uint8)
-    elif kind == "square":
+    else:  # square
         side = int(rng.integers(size // 4, size // 2))
         y0 = int(rng.integers(0, size - side))
         x0 = int(rng.integers(0, size - side))
         img[y0:y0 + side, x0:x0 + side] = hi
-    else:
-        raise ValueError(f"unknown pattern {kind!r}")
     return img
 
 

@@ -3,14 +3,22 @@
 Determinism contract: every step derives its own generator from
 (seed, step), and optimizer state plus parameters are the only carried
 state.  A run checkpointed at step k and resumed reproduces the
-uninterrupted run bit for bit.
+uninterrupted run bit for bit.  Each batch is split into SHARDS fixed row
+ranges whose gradients are summed in shard order; the first runs on the
+calling thread and the others on one worker thread, or inline in a
+process with one usable CPU.  Each shard's arithmetic is the same on
+either thread, and neither the shard count nor any generator depends on
+the CPU count or on thread timing, so no output does either.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -197,8 +205,65 @@ class TrainResult:
 
 
 def step_rng(seed: int, step: int) -> np.random.Generator:
-    """The one generator for everything random inside a step."""
+    """The generator of one step: batch_fn draws from it first, then it
+    seeds one generator per shard for that shard's dropout, SHARDS of them
+    whatever the batch size, so every draw depends on (seed, step) alone."""
     return np.random.default_rng((seed, step))
+
+
+# fixed row ranges per batch; a constant, so that no output depends on the
+# machine a run happens on
+SHARDS = 2
+# runs shards 1.. while the calling thread runs shard 0, since numpy
+# releases the GIL inside its ufunc loops and GEMMs
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="chamtoy-shard")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shard_pass(weights, model_cfg, inputs, targets, mask, share, rng):
+    """One shard's forward, and its loss and backward when its mask selects
+    tokens, in float32 on leaves of its own over the shared `weights`.
+
+    `share` is the shard's part of the batch's masked tokens and weights
+    its loss, so that the shards' terms and gradients sum to those of the
+    batch's masked mean.  Returns the float32 gradients (None for a shard
+    without tokens), share * ce, share * z_loss and the sum of squares of
+    the hidden state the monitor reads.
+    """
+    # numpy's error state is per thread, so the worker enters its own;
+    # non-finite values are the monitor's to flag, not numpy's to warn about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        learns = share > 0.0
+        leaves = {k: Tensor(w, requires_grad=learns) for k, w in weights.items()}
+        logits, aux = model_forward(leaves, model_cfg, inputs, rng=rng, training=True)
+        sum_sq = float(np.sum(np.square(aux["hidden"].data, dtype=np.float64)))
+        # so that the backward frees the logits and each layer's cache as it goes
+        del aux
+        if not learns:
+            return None, 0.0, 0.0, sum_sq
+        breakdown = total_loss(logits, targets, mask=mask, z_coeff=model_cfg.z_coeff)
+        del logits
+        # a float32 factor, so that the weighting node stays float32 too
+        (breakdown.total * np.float32(share)).backward()
+        return ({k: leaf.grad for k, leaf in leaves.items()},
+                share * breakdown.cross_entropy, share * breakdown.z_loss, sum_sq)
+
+
+def _run_shards(jobs: list, threaded: bool) -> list:
+    """Each job's result in order: the first job on the calling thread and
+    the rest on the worker thread, or all of them here when not threaded."""
+    later = [_WORKER.submit(job) for job in jobs[1:]] if threaded else []
+    try:
+        first = jobs[0]()
+    finally:
+        wait(later)  # no shard outlives its step, even when the first raised
+    rest = [f.result() for f in later] if threaded else [job() for job in jobs[1:]]
+    return [first, *rest]
 
 
 def train_loop(
@@ -217,7 +282,11 @@ def train_loop(
     """Run optimization steps [start_step, end_step).
 
     batch_fn(step, rng) must return (inputs, targets, loss_mask) and draw
-    all of its randomness from the rng it is handed.
+    all of its randomness from the rng it is handed.  Rows [0, ceil(b/2))
+    and [ceil(b/2), b) of each batch are the two shards (one, for a batch
+    of one row); each runs forward and backward in float32 over one copy
+    of the float64 masters, and the gradient is shard 0's plus shard 1's.
+    Clipping, AdamW and the monitor then work in float64 on the sum.
     """
     if opt_state is None:
         opt_state = init_opt_state(params)
@@ -226,6 +295,9 @@ def train_loop(
     rows = []
     if end_step is None:
         end_step = opt_cfg.total_steps
+    # with one usable CPU a worker thread only adds switching: shard 1 runs
+    # after shard 0 here, with the same arithmetic
+    threaded = _usable_cpus() > 1
 
     step = start_step
     for step in range(start_step, end_step):
@@ -234,37 +306,40 @@ def train_loop(
         for p in params.values():
             p.grad = None
         rng = step_rng(seed, step)
-        inputs, targets, mask = batch_fn(step, rng)
+        inputs, targets, mask = map(np.asarray, batch_fn(step, rng))
+        shard_rngs = [np.random.default_rng(s) for s in rng.integers(2**63, size=SHARDS)]
+        n_masked = float(mask.sum())
+        if not n_masked > 0.0:
+            raise ValueError("loss mask selects no tokens")
+        cuts = [-(-len(inputs) * i // SHARDS) for i in range(SHARDS + 1)]
 
-        # non-finite values are the monitor's to flag, not numpy's to warn about
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # forward and backward in float32 on copies of the float64 master
-            # weights; clipping, AdamW and the monitor work in float64
-            leaves = {k: Tensor(p.data.astype(np.float32), requires_grad=True)
-                      for k, p in params.items()}
-            logits, aux = model_forward(leaves, model_cfg, inputs, rng=rng, training=True)
-            breakdown = total_loss(logits, targets, mask=mask, z_coeff=model_cfg.z_coeff)
-            breakdown.total.backward()
+            weights = {k: p.data.astype(np.float32) for k, p in params.items()}
+            jobs = [partial(_shard_pass, weights, model_cfg, inputs[lo:hi], targets[lo:hi],
+                            mask[lo:hi], float(mask[lo:hi].sum()) / n_masked, shard_rng)
+                    for lo, hi, shard_rng in zip(cuts, cuts[1:], shard_rngs) if hi > lo]
+            grads, ces, z_losses, sum_sqs = zip(*_run_shards(jobs, threaded))
+            # the first learning shard's gradient upcast, plus the others' in order
+            first, *rest = [shard for shard in grads if shard is not None]
             for k, p in params.items():
-                g = leaves[k].grad
-                p.grad = None if g is None else g.astype(np.float64)
-
+                if first[k] is not None:
+                    p.grad = first[k].astype(np.float64)
+                    for shard in rest:
+                        p.grad += shard[k]
             grad_norm = clip_global_norm(params, CLIP_NORM)
             lr = lr_at(step, opt_cfg)
             adamw_step(params, opt_state, lr)
-            hidden = aux["hidden"].data.astype(np.float64)
-            output_rms = float(np.sqrt(np.mean(hidden * hidden)))
 
         row = {
             "step": step,
-            "ce": breakdown.cross_entropy,
-            "z_loss": breakdown.z_loss,
+            "ce": sum(ces),
+            "z_loss": sum(z_losses),
             "lr": lr,
             "grad_norm": grad_norm,
-            "output_rms": output_rms,
+            "output_rms": math.sqrt(sum(sum_sqs) / (inputs.size * model_cfg.d_model)),
         }
         # so that no array of this step is live during the next one's forward
-        del logits, aux, breakdown, hidden
+        del weights, jobs, grads, first, rest
         diverged = monitor.observe(row)
         row["diverged"] = int(diverged)
         rows.append(row)

@@ -56,6 +56,8 @@ def test_stage2_halves_base_weights():
     w2 = effective_weights(spec, 2)
     assert w2["A"] == pytest.approx(1.0 / 3.0)
     assert w2["B"] == pytest.approx(2.0 / 3.0)
+    with pytest.raises(ValueError, match="^stage must be 1 or 2, got 3$"):
+        effective_weights(spec, 3)
 
 
 def test_stage2_merges_overlapping_sources():
@@ -187,6 +189,9 @@ def test_pack_rejects_oversized():
     assert rej.index == 1 and rej.length == 42 and rej.capacity == 15
     # accepted examples still pack in order
     assert unpack_rows(res, VOCAB) == [1, VOCAB.sep, 2, VOCAB.eos] * 2
+    # a row with room for its BOS alone holds no example
+    with pytest.raises(ValueError, match="^max_len too small to hold any example$"):
+        pack_sft([ok], max_len=1, vocab=VOCAB)
 
 
 def test_pack_mask_never_hits_padding_or_prompt():
@@ -213,6 +218,11 @@ def test_jsonl_loaders(tmp_path):
     g.write_text('{"text": "ok"}\n{oops\n')
     with pytest.raises(ValueError, match="bad.jsonl:2"):
         load_text_corpus(g)
+
+    a = tmp_path / "array.jsonl"
+    a.write_text('{"text": "ok"}\n["text"]\n')
+    with pytest.raises(ValueError, match=r"array\.jsonl:2: expected an object per line$"):
+        load_text_corpus(a)
 
     h = tmp_path / "missing.jsonl"
     h.write_text('{"caption": "no image"}\n')

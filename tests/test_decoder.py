@@ -302,6 +302,9 @@ def test_prompt_with_no_room_rejected_before_any_forward(monkeypatch):
         for drive in both_drivers(params, cfg, prompt, policy(mode="text-only")):
             with pytest.raises(ValueError, match="no room under max_seq"):
                 drive()
+    for drive in both_drivers(params, cfg, [], policy(mode="text-only")):
+        with pytest.raises(ValueError, match=r"^prompt must contain at least one token \(BOS works\)$"):
+            drive()
     assert calls == []
     # one position left: one token, then the context is full
     prompt = [VOCAB.bos] + [5] * (cfg.max_seq - 2)

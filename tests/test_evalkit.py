@@ -371,6 +371,8 @@ def test_summarize_marginals_sum_to_overall():
         assert sum(v.wins for v in s[block].values()) == overall.wins
         assert sum(v.ties for v in s[block].values()) == overall.ties
         assert sum(v.losses for v in s[block].values()) == overall.losses
+    with pytest.raises(ValueError, match="^no judgments to summarize$"):
+        summarize_judgments(iter(()))
 
 
 def test_judgment_win_rate_statistic():

@@ -96,6 +96,13 @@ def test_bpe_load_rejects_garbage(tmp_path):
     f.write_text("bpe-v1\n0 97 98\n2 256 99\n")
     with pytest.raises(ValueError, match="merge ranks out of order at line '2'"):
         BPETokenizer.load(f)
+    f.write_text("bpe-v1\n0 97 98\n1 97 98\n")
+    with pytest.raises(ValueError, match="^duplicate merge pair$"):
+        BPETokenizer.load(f)
+    # id 257 is the second merge's own, so the first cannot use it
+    f.write_text("bpe-v1\n0 97 257\n1 97 98\n")
+    with pytest.raises(ValueError, match="^merge references an id not yet defined$"):
+        BPETokenizer.load(f)
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,6 +198,10 @@ def test_patch_extraction_layout():
 def test_patch_extraction_rejects_bad_size():
     with pytest.raises(ValueError):
         extract_patches(np.zeros((5, 4), dtype=np.uint8), 2)
+    with pytest.raises(ValueError, match="^expected a 2-d or 3-d image array$"):
+        extract_patches(np.zeros((1, 4, 4, 1), dtype=np.uint8), 2)
+    with pytest.raises(ValueError, match=r"^float images must lie in \[0, 1\]$"):
+        extract_patches(np.full((4, 4), 1.5), 2)
 
 
 @pytest.mark.parametrize("patch", [0, -2])
@@ -328,6 +339,9 @@ def test_decode_tokens_validates_ids():
         decode_tokens(np.zeros(5, dtype=int), book, 16, 16)
     with pytest.raises(ValueError):
         decode_tokens(np.full(16, 99), book, 16, 16)
+    # make_images(1) draws one-channel images, so the codebook has one channel
+    with pytest.raises(ValueError, match="^image channel count does not match codebook$"):
+        encode_image(np.zeros((16, 16, 3), dtype=np.uint8), book)
 
 
 # ----------------------------------------------------------------------
@@ -368,6 +382,8 @@ def test_vocab_image_mapping_roundtrip():
 def test_vocab_floor_on_text_size():
     with pytest.raises(ValueError):
         MixedVocab(n_text=100, n_image=16)
+    with pytest.raises(ValueError, match="^image vocabulary must be non-empty$"):
+        MixedVocab(n_text=256, n_image=0)
 
 
 # ----------------------------------------------------------------------
@@ -415,11 +431,16 @@ def test_pixmap_rejects_truncation(tmp_path):
     f.write_bytes(b"P5\n4 4\n255\n\x01\x02")
     with pytest.raises(ValueError):
         read_pixmap(f)
+    f.write_bytes(b"P5\n4 4\n")
+    with pytest.raises(ValueError, match="^pixmap header ended unexpectedly$"):
+        read_pixmap(f)
 
 
 def test_pixmap_write_requires_uint8(tmp_path):
     with pytest.raises(ValueError):
         write_pixmap(tmp_path / "f.pgm", np.zeros((4, 4)))
+    with pytest.raises(ValueError, match=r"^cannot write array of shape \(4, 4, 2\) as a pixmap$"):
+        write_pixmap(tmp_path / "f.pgm", np.zeros((4, 4, 2), dtype=np.uint8))
 
 
 def test_uint8_conversion_rounds():

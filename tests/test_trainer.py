@@ -1,5 +1,9 @@
+import math
+import sys
 import tempfile
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +17,7 @@ from chamtoy.model import (
     NormStrategy,
     init_params,
     load_checkpoint,
+    model_forward,
     preset,
     save_checkpoint,
 )
@@ -25,9 +30,11 @@ from chamtoy.trainer import (
     EPS,
     FINAL_LR_FRACTION,
     LOG_FIELDS,
+    SHARDS,
     WEIGHT_DECAY,
     DivergenceMonitor,
     OptimConfig,
+    _shard_pass,
     adamw_step,
     clip_global_norm,
     init_opt_state,
@@ -377,45 +384,53 @@ def test_log_roundtrip(tmp_path):
     assert back == result.rows
 
 
-def record_step_graph(monkeypatch) -> list:
-    """Make train_loop append every tensor of each step's graph to the
-    returned list, which keeps them alive; the graph is walked as the loss
-    is made, since backward releases it."""
-    nodes = []
+def record_step_graphs(monkeypatch) -> list:
+    """Make train_loop append each shard's graph, as the list of its
+    tensors, to the returned list, which keeps them alive; a graph is
+    walked as its loss is made, since backward releases it."""
+    graphs = []
 
     def recording_total_loss(*args, **kwargs):
         breakdown = total_loss(*args, **kwargs)
-        seen, stack = set(), [breakdown.total]
+        nodes, seen, stack = [], set(), [breakdown.total]
         while stack:
             node = stack.pop()
             if id(node) not in seen:
                 seen.add(id(node))
                 nodes.append(node)
                 stack.extend(node._parents)
+        graphs.append(nodes)
         return breakdown
 
     monkeypatch.setattr("chamtoy.trainer.total_loss", recording_total_loss)
-    return nodes
+    return graphs
 
 
 def test_step_computes_in_float32_and_keeps_float64_masters(tmp_path, monkeypatch):
     # a float64 operand anywhere in the step would promote the graph
     # downstream of it and give back the float32 saving
-    nodes = record_step_graph(monkeypatch)
+    graphs = record_step_graphs(monkeypatch)
     cfg = preset("toy", 48)
     _, opt, batch_fn = tiny_setup()
     result = train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, seed=5, end_step=1)
 
-    leaves = [n for n in nodes if n._backward_fn is None]
-    assert len(leaves) == len(result.params)
-    # per layer one q/k/v product, one attention node and one SwiGLU node
-    # (59 tensors with the attention core in seven nodes and the
-    # feed-forward in four)
-    assert len(nodes) == 41
-    for node in nodes:
-        assert node.data.dtype == np.float32, node
-    for leaf in leaves:
-        assert leaf.grad.dtype == np.float32, leaf
+    # one graph per shard, each on leaves of its own
+    assert len(graphs) == SHARDS
+    for nodes in graphs:
+        leaves = [n for n in nodes if n._backward_fn is None]
+        assert len(leaves) == len(result.params)
+        # per layer one q/k/v product, one attention node and one SwiGLU node
+        # (59 tensors with the attention core in seven nodes and the
+        # feed-forward in four)
+        assert len(nodes) == 41
+        for node in nodes:
+            assert node.data.dtype == np.float32, node
+        for leaf in leaves:
+            assert leaf.grad.dtype == np.float32, leaf
+    # over one float32 copy of the masters, which the shards share
+    first, second = ([n for n in nodes if n._backward_fn is None] for nodes in graphs)
+    assert not {id(n) for n in first} & {id(n) for n in second}
+    assert {id(n.data) for n in first} == {id(n.data) for n in second}
 
     for k, p in result.params.items():
         for arr in (p.data, p.grad, result.opt_state["m"][k], result.opt_state["v"][k]):
@@ -435,11 +450,12 @@ def test_handed_over_gradients_alias_nothing(monkeypatch):
     # nodes hand the gradient arrays they make over instead of copying
     # them, so each .grad must still be an array of its own: one shared
     # with another gradient or with any tensor's data would be summed into
-    nodes = record_step_graph(monkeypatch)
+    graphs = record_step_graphs(monkeypatch)
     cfg = preset("toy", 48)
     _, opt, batch_fn = tiny_setup()
     train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, seed=5, end_step=1)
 
+    nodes = [node for graph in graphs for node in graph]
     grads = [n.grad for n in nodes if n.grad is not None]
     assert len(grads) == len(nodes)  # the leaves' among them
     for i, grad in enumerate(grads):
@@ -451,10 +467,12 @@ def test_handed_over_gradients_alias_nothing(monkeypatch):
 
 def test_three_toy_steps_peak_under_17_5_mb():
     # backward frees each interior node as it goes, nodes hand their fresh
-    # gradients over, and train_loop carries no array of a step into the
-    # next: about 15.5 MB traced, against 19.1 when each first gradient
-    # was copied and the last step's logits and float64 gradients were
-    # live during the next forward, and 36 when the graph stayed alive
+    # gradients over, each shard drops its logits before its backward, and
+    # train_loop carries no array of a step into the next: about 14.7 MB
+    # traced with the batch in two shards (15.5 as one pass that held its
+    # logits), against 19.1 when each first gradient was copied and the
+    # last step's logits and float64 gradients were live during the next
+    # forward, and 36 when the graph stayed alive
     cfg = preset("toy", 700)
     params = init_params(cfg, seed=0)
     rows = np.random.default_rng(0).integers(0, 700, size=(3, 8, 65))
@@ -470,3 +488,149 @@ def test_three_toy_steps_peak_under_17_5_mb():
     finally:
         tracemalloc.stop()
     assert peak <= 17.5e6, peak / 1e6
+
+
+# ----------------------------------------------------------------------
+# the batch as shards
+# ----------------------------------------------------------------------
+
+
+def fixed_batch(rows, seq=12, vocab=48, mask=None):
+    """A batch_fn that hands every step the same [rows, seq] batch."""
+    ids = np.random.default_rng(rows).integers(0, vocab, size=(rows, seq + 1))
+    mask = np.ones((rows, seq)) if mask is None else mask
+    return lambda step, rng: (ids[:, :-1], ids[:, 1:], mask)
+
+
+def full_batch_pass(params, cfg, batch_fn):
+    """The float64 gradients, ce, z_loss and output RMS of one float32
+    forward and backward over the whole batch, unsharded."""
+    inputs, targets, mask = batch_fn(0, None)
+    leaves = {k: Tensor(p.data.astype(np.float32), requires_grad=True) for k, p in params.items()}
+    logits, aux = model_forward(leaves, cfg, inputs, training=True)
+    breakdown = total_loss(logits, targets, mask=mask, z_coeff=cfg.z_coeff)
+    breakdown.total.backward()
+    hidden = aux["hidden"].data.astype(np.float64)
+    grads = {k: leaf.grad.astype(np.float64) for k, leaf in leaves.items()}
+    return grads, breakdown.cross_entropy, breakdown.z_loss, float(np.sqrt(np.mean(hidden * hidden)))
+
+
+def record_shards(monkeypatch, cpus: int) -> list:
+    """Run train_loop as on `cpus` usable CPUs, and append (thread name,
+    rows) for each shard it runs to the returned list."""
+    shards = []
+
+    def recording_shard_pass(weights, model_cfg, inputs, *args):
+        shards.append((threading.current_thread().name, len(inputs)))
+        return _shard_pass(weights, model_cfg, inputs, *args)
+
+    monkeypatch.setattr("chamtoy.trainer._usable_cpus", lambda: cpus)
+    monkeypatch.setattr("chamtoy.trainer._shard_pass", recording_shard_pass)
+    return shards
+
+
+def assert_step_matches_full_pass(cfg, batch_fn, *, exact=False):
+    """One train_loop step against full_batch_pass: within float32 rounding,
+    relative to each gradient's largest entry, or bit for bit."""
+    params = init_params(cfg, seed=3)
+    grads, ce, z, rms = full_batch_pass(params, cfg, batch_fn)
+    opt = OptimConfig(lr=1e-3, warmup_steps=1, total_steps=10)
+    result = train_loop(params, cfg, opt, batch_fn, seed=0, end_step=1)
+    row = result.rows[0]
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    close = (lambda a, b: a == b) if exact else (lambda a, b: a == pytest.approx(b, rel=1e-6))
+    assert close(row["ce"], ce) and close(row["z_loss"], z) and close(row["output_rms"], rms), row
+    assert close(row["grad_norm"], norm), row
+    scale = min(1.0, CLIP_NORM / row["grad_norm"])  # as clip_global_norm left them
+    for k, g in grads.items():
+        got, want = result.params[k].grad, g * scale
+        if exact:
+            assert np.array_equal(got, want), k
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want)), k
+
+
+@pytest.mark.parametrize("empty", [None, 0, 1], ids=["full", "shard-0-empty", "shard-1-empty"])
+@pytest.mark.parametrize("name", ["toy", "34b-recipe", "llama2-recipe"])
+def test_sharded_step_matches_one_full_batch_pass(name, empty):
+    # each shard's loss weighted by its share of the masked tokens sums to
+    # the batch's masked mean; a shard with none (as in an SFT batch whose
+    # rows are all prompt) runs its forward alone, for the output RMS
+    mask = np.ones((4, 12))
+    mask[:, :3] = 0
+    if empty is not None:
+        mask[2 * empty:2 * empty + 2] = 0
+    assert_step_matches_full_pass(preset(name, 48), fixed_batch(4, mask=mask))
+
+
+def test_batch_of_one_row_is_one_shard_and_the_full_pass(monkeypatch):
+    shards = record_shards(monkeypatch, cpus=2)
+    assert_step_matches_full_pass(preset("toy", 48), fixed_batch(1), exact=True)
+    assert shards == [(threading.current_thread().name, 1)]
+
+
+def test_odd_batch_splits_three_and_two(monkeypatch):
+    shards = record_shards(monkeypatch, cpus=2)
+    assert_step_matches_full_pass(preset("toy", 48), fixed_batch(5))
+    assert sorted(rows for _, rows in shards) == [2, 3]
+    assert dict(shards)[threading.current_thread().name] == 3
+
+
+@pytest.mark.parametrize("name", ["toy", "7b-recipe"])
+def test_shards_give_one_run_inline_and_on_the_worker(monkeypatch, name):
+    # the worker thread changes when a shard runs, not what it computes;
+    # 7b-recipe's dropout draws from each shard's own generator
+    cfg = preset(name, 48)
+    opt = OptimConfig(lr=3e-3, warmup_steps=2, total_steps=10)
+    runs = {}
+    interval = sys.getswitchinterval()
+    for cpus in (1, 2):
+        shards = record_shards(monkeypatch, cpus)
+        sys.setswitchinterval(1e-6)  # the two threads take turns as often as they can
+        try:
+            runs[cpus] = train_loop(init_params(cfg, seed=2), cfg, opt, fixed_batch(5), seed=7,
+                                    end_step=4)
+        finally:
+            sys.setswitchinterval(interval)
+        threads = {thread for thread, _ in shards}
+        assert len(shards) == 4 * SHARDS
+        assert (len(threads) == 1) == (cpus == 1), threads
+    inline, worker = runs[1], runs[2]
+    assert inline.rows == worker.rows
+    assert inline.opt_state["t"] == worker.opt_state["t"] == 4
+    for k, p in inline.params.items():
+        assert np.array_equal(p.data, worker.params[k].data), k
+        for moment in ("m", "v"):
+            assert np.array_equal(inline.opt_state[moment][k], worker.opt_state[moment][k]), k
+
+
+def test_overflow_on_the_worker_warns_nothing(monkeypatch):
+    # numpy's error state is per thread: the worker enters its own, or the
+    # overflow of a shard it runs would warn (and fail under pytest)
+    monkeypatch.setattr("chamtoy.trainer._usable_cpus", lambda: 2)
+    cfg, _, batch_fn = tiny_setup()
+    opt = OptimConfig(lr=1e200, warmup_steps=1, total_steps=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, seed=3)
+    assert not math.isfinite(result.rows[1]["ce"])
+    assert result.monitor.diverged_at == 1
+
+
+def test_worker_errors_reraise_on_the_calling_thread(monkeypatch):
+    shards = record_shards(monkeypatch, cpus=2)
+    inputs, targets, mask = fixed_batch(4)(0, None)
+    targets = targets.copy()
+    targets[3, 0] = 48  # in shard 1 only
+    cfg, opt, _ = tiny_setup()
+    with pytest.raises(IndexError, match="^target id out of vocabulary range$"):
+        train_loop(init_params(cfg, seed=1), cfg, opt, lambda step, rng: (inputs, targets, mask),
+                   end_step=1)
+    assert len({thread for thread, _ in shards}) == 2
+
+
+def test_batch_without_masked_tokens_is_refused():
+    cfg, opt, _ = tiny_setup()
+    with pytest.raises(ValueError, match="^loss mask selects no tokens$"):
+        train_loop(init_params(cfg, seed=1), cfg, opt, fixed_batch(2, mask=np.zeros((2, 12))),
+                   end_step=1)
