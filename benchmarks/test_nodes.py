@@ -14,10 +14,13 @@ afresh (untimed) from cleared input gradients each round.  The attention
 node (from the q/k/v product to the merged heads) and the SwiGLU node
 also have ``-decode`` cases: one row, the attention node's over a
 13-position cache.  AdamW updates the float64 master weights of the whole
-toy model.  ``train-step`` times one whole ``train_loop`` step of the toy
+toy model.  ``train-step`` times whole ``train_loop`` steps of the toy
 model: the float32 copy of the masters, both shards' forward and backward
-(the second on the worker thread where two CPUs are usable), the float64
-gradient sum, clipping, AdamW and the log row.
+(the second in the forked worker process where two CPUs are usable), the
+float64 gradient sum, clipping, AdamW and the log row.  Each round is one
+``train_loop`` call of STEPS_PER_CALL steps, so that the fork is spread
+over its steps as in a real run; its ``extra_info`` holds the minimum,
+median and IQR per step in ms.
 
 The file sits outside ``testpaths``; ``tests/test_benchmarks.py`` runs it
 once with ``--benchmark-disable`` (one untimed call per case), so a node
@@ -182,6 +185,9 @@ def test_adamw_step(benchmark):
     assert state["t"] > 0
 
 
+STEPS_PER_CALL = 8
+
+
 def test_train_step(benchmark):
     cfg = preset("toy", vocab_size=VOCAB)
     params = init_params(cfg, seed=0)
@@ -190,10 +196,15 @@ def test_train_step(benchmark):
     opt_cfg = OptimConfig(lr=1e-3, warmup_steps=1, total_steps=10**9)
     state = init_opt_state(params)
 
-    def step():
+    def steps():
         t = state["t"]
         train_loop(params, cfg, opt_cfg, lambda step, rng: (ids[:, :-1], ids[:, 1:], mask),
-                   start_step=t, end_step=t + 1, opt_state=state)
+                   start_step=t, end_step=t + STEPS_PER_CALL, opt_state=state)
 
-    benchmark(step)
-    assert state["t"] > 0 and all(p.grad.dtype == np.float64 for p in params.values())
+    benchmark(steps)
+    assert state["t"] >= STEPS_PER_CALL
+    assert all(p.grad.dtype == np.float64 for p in params.values())
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        per_call = benchmark.stats.stats
+        benchmark.extra_info.update({f"step_ms_{key}": getattr(per_call, key) * 1e3 / STEPS_PER_CALL
+                                     for key in ("min", "median", "iqr")})

@@ -18,6 +18,12 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+# One BLAS thread unless the caller chose otherwise, set before numpy
+# loads: a process holding a BLAS pool runs each batch's second shard
+# inline instead of in a forked worker (see trainer._forks).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from .data import (

@@ -4,21 +4,24 @@ Determinism contract: every step derives its own generator from
 (seed, step), and optimizer state plus parameters are the only carried
 state.  A run checkpointed at step k and resumed reproduces the
 uninterrupted run bit for bit.  Each batch is split into SHARDS fixed row
-ranges whose gradients are summed in shard order; the first runs on the
-calling thread and the others on one worker thread, or inline in a
-process with one usable CPU.  Each shard's arithmetic is the same on
-either thread, and neither the shard count nor any generator depends on
-the CPU count or on thread timing, so no output does either.
+ranges whose gradients are summed in shard order.  Shard 0 runs on the
+calling thread.  Shard 1 runs in a child process that train_loop forks
+for the call, where that is safe and pays (see `_forks`), and otherwise
+inline after shard 0.  Each shard's arithmetic is the same in either
+process, and neither the shard count nor any generator depends on the
+CPU count or on which path ran, so no output does either.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import mmap
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import signal
+import sys
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -206,17 +209,15 @@ class TrainResult:
 
 def step_rng(seed: int, step: int) -> np.random.Generator:
     """The generator of one step: batch_fn draws from it first, then it
-    seeds one generator per shard for that shard's dropout, SHARDS of them
-    whatever the batch size, so every draw depends on (seed, step) alone."""
+    draws one integer seed per shard for that shard's dropout generator,
+    SHARDS of them whatever the batch size, so every draw depends on
+    (seed, step) alone, in either process."""
     return np.random.default_rng((seed, step))
 
 
 # fixed row ranges per batch; a constant, so that no output depends on the
 # machine a run happens on
 SHARDS = 2
-# runs shards 1.. while the calling thread runs shard 0, since numpy
-# releases the GIL inside its ufunc loops and GEMMs
-_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="chamtoy-shard")
 
 
 def _usable_cpus() -> int:
@@ -225,9 +226,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _shard_pass(weights, model_cfg, inputs, targets, mask, share, rng):
+def _forks() -> bool:
+    """Whether train_loop runs shard 1 in a forked child process.
+
+    Only with a second usable CPU, and only from a process with one native
+    thread: forking a multi-threaded process is unsafe, and a live BLAS
+    pool makes the two shards' GEMMs fight over the CPUs.  The thread
+    count is read from /proc, so elsewhere than Linux shard 1 runs inline.
+    A daemonic multiprocessing worker (a Pool's) may not start children.
+    """
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return False
+    return ("fork" in multiprocessing.get_all_start_methods() and _usable_cpus() > 1
+            and threads == 1 and not multiprocessing.current_process().daemon)
+
+
+def _shard_pass(weights, model_cfg, inputs, targets, mask, share, seed):
     """One shard's forward, and its loss and backward when its mask selects
-    tokens, in float32 on leaves of its own over the shared `weights`.
+    tokens, in float32 on leaves of its own over the shared `weights`;
+    dropout draws from `default_rng(seed)`.
 
     `share` is the shard's part of the batch's masked tokens and weights
     its loss, so that the shards' terms and gradients sum to those of the
@@ -235,12 +254,12 @@ def _shard_pass(weights, model_cfg, inputs, targets, mask, share, rng):
     without tokens), share * ce, share * z_loss and the sum of squares of
     the hidden state the monitor reads.
     """
-    # numpy's error state is per thread, so the worker enters its own;
     # non-finite values are the monitor's to flag, not numpy's to warn about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         learns = share > 0.0
         leaves = {k: Tensor(w, requires_grad=learns) for k, w in weights.items()}
-        logits, aux = model_forward(leaves, model_cfg, inputs, rng=rng, training=True)
+        logits, aux = model_forward(leaves, model_cfg, inputs, rng=np.random.default_rng(seed),
+                                    training=True)
         sum_sq = float(np.sum(np.square(aux["hidden"].data, dtype=np.float64)))
         # so that the backward frees the logits and each layer's cache as it goes
         del aux
@@ -254,16 +273,97 @@ def _shard_pass(weights, model_cfg, inputs, targets, mask, share, rng):
                 share * breakdown.cross_entropy, share * breakdown.z_loss, sum_sq)
 
 
-def _run_shards(jobs: list, threaded: bool) -> list:
-    """Each job's result in order: the first job on the calling thread and
-    the rest on the worker thread, or all of them here when not threaded."""
-    later = [_WORKER.submit(job) for job in jobs[1:]] if threaded else []
+def _serve(conn, parent_end, weights, grads, model_cfg) -> None:
+    """The child's loop: one shard pass per job received, its gradients
+    written into `grads`, until the parent closes its end of the pipe."""
+    parent_end.close()  # or the pipe would never read EOF here
+    # the child writes nothing: a warning its shard raises is the parent's
+    # to print, from its own shard
+    sys.stdout = sys.stderr = None
     try:
-        first = jobs[0]()
-    finally:
-        wait(later)  # no shard outlives its step, even when the first raised
-    rest = [f.result() for f in later] if threaded else [job() for job in jobs[1:]]
-    return [first, *rest]
+        while True:
+            job = conn.recv()
+            try:
+                shard_grads, ce, z, sum_sq = _shard_pass(weights, model_cfg, *job)
+                names = None if shard_grads is None else [
+                    k for k, g in shard_grads.items() if g is not None]
+                for k in names or ():
+                    np.copyto(grads[k], shard_grads[k])
+                reply = (names, ce, z, sum_sq)
+            except Exception as exc:
+                reply = exc
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass  # the parent is done, or gone
+
+
+class _ShardWorker:
+    """Shard 1 of every step of one train_loop call, in a forked child.
+
+    The float32 weights and the child's float32 gradients are arrays in
+    one anonymous shared mapping, which the child inherits.  A pipe
+    carries each step's shard to the child, and back the names of the
+    gradients it wrote, share * ce, share * z_loss and the sum of squares,
+    or the exception it raised.  The pipe's order is the only
+    synchronisation: the parent reads a step's gradients before it sends
+    the next step, and writes the weights only between the two.
+    """
+
+    def __init__(self, params: dict[str, Tensor], model_cfg: ModelConfig):
+        # each array starts on a 64-byte line
+        spans = [-(-p.data.size // 16) * 16 for p in params.values()]
+        flat = np.frombuffer(mmap.mmap(-1, 4 * 2 * sum(spans)), dtype=np.float32)
+        self.weights, self.grads = {}, {}
+        offset = 0
+        for table in (self.weights, self.grads):
+            for (k, p), span in zip(params.items(), spans):
+                table[k] = flat[offset:offset + p.data.size].reshape(p.data.shape)
+                offset += span
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self._process = ctx.Process(
+            target=_serve, args=(child_end, self._conn, self.weights, self.grads, model_cfg),
+            name="chamtoy-shard", daemon=True)
+        # the child starts with SIGINT blocked and keeps it so: Ctrl-C is the
+        # parent's to handle, and the child leaves when the parent closes the pipe
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self._process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            child_end.close()
+
+    def send(self, job: tuple) -> None:
+        self._conn.send(job)
+
+    def receive(self) -> tuple:
+        """The result of the job sent last, as `_shard_pass` returns it."""
+        try:
+            reply = self._conn.recv()
+        except EOFError:
+            self._process.join()
+            raise ChildProcessError(f"the shard worker process exited with code "
+                                    f"{self._process.exitcode}") from None
+        if isinstance(reply, BaseException):
+            raise reply
+        names, ce, z, sum_sq = reply
+        grads = None if names is None else {k: self.grads[k] if k in names else None
+                                            for k in self.grads}
+        return grads, ce, z, sum_sq
+
+    def close(self) -> None:
+        self._conn.close()  # the child reads EOF once its job is done, and exits
+        self._process.join()
+
+
+def _run_shards(weights, model_cfg, jobs: list, worker: _ShardWorker | None) -> list:
+    """Each shard's `_shard_pass` result in order: shard 0 here while shard
+    1 runs in the worker, or both here when there is no worker."""
+    if worker is None or len(jobs) == 1:
+        return [_shard_pass(weights, model_cfg, *job) for job in jobs]
+    zero, one = jobs
+    worker.send(one)
+    return [_shard_pass(weights, model_cfg, *zero), worker.receive()]
 
 
 def train_loop(
@@ -286,6 +386,8 @@ def train_loop(
     and [ceil(b/2), b) of each batch are the two shards (one, for a batch
     of one row); each runs forward and backward in float32 over one copy
     of the float64 masters, and the gradient is shard 0's plus shard 1's.
+    Shard 1 runs in a child process forked for the call where `_forks`
+    allows it, and after shard 0 otherwise; no child outlives the call.
     Clipping, AdamW and the monitor then work in float64 on the sum.
     """
     if opt_state is None:
@@ -295,56 +397,62 @@ def train_loop(
     rows = []
     if end_step is None:
         end_step = opt_cfg.total_steps
-    # with one usable CPU a worker thread only adds switching: shard 1 runs
-    # after shard 0 here, with the same arithmetic
-    threaded = _usable_cpus() > 1
+    worker = _ShardWorker(params, model_cfg) if end_step > start_step and _forks() else None
+    # one float32 copy of the masters, rewritten each step, which the shards share
+    weights = worker.weights if worker else {
+        k: np.empty(p.data.shape, np.float32) for k, p in params.items()}
 
     step = start_step
-    for step in range(start_step, end_step):
-        # the last step's float64 gradients stay on the masters for the
-        # caller, and go before this step allocates
-        for p in params.values():
-            p.grad = None
-        rng = step_rng(seed, step)
-        inputs, targets, mask = map(np.asarray, batch_fn(step, rng))
-        shard_rngs = [np.random.default_rng(s) for s in rng.integers(2**63, size=SHARDS)]
-        n_masked = float(mask.sum())
-        if not n_masked > 0.0:
-            raise ValueError("loss mask selects no tokens")
-        cuts = [-(-len(inputs) * i // SHARDS) for i in range(SHARDS + 1)]
+    try:
+        for step in range(start_step, end_step):
+            # the last step's float64 gradients stay on the masters for the
+            # caller, and go before this step allocates
+            for p in params.values():
+                p.grad = None
+            rng = step_rng(seed, step)
+            inputs, targets, mask = map(np.asarray, batch_fn(step, rng))
+            seeds = rng.integers(2**63, size=SHARDS)
+            n_masked = float(mask.sum())
+            if not n_masked > 0.0:
+                raise ValueError("loss mask selects no tokens")
+            cuts = [-(-len(inputs) * i // SHARDS) for i in range(SHARDS + 1)]
 
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            weights = {k: p.data.astype(np.float32) for k, p in params.items()}
-            jobs = [partial(_shard_pass, weights, model_cfg, inputs[lo:hi], targets[lo:hi],
-                            mask[lo:hi], float(mask[lo:hi].sum()) / n_masked, shard_rng)
-                    for lo, hi, shard_rng in zip(cuts, cuts[1:], shard_rngs) if hi > lo]
-            grads, ces, z_losses, sum_sqs = zip(*_run_shards(jobs, threaded))
-            # the first learning shard's gradient upcast, plus the others' in order
-            first, *rest = [shard for shard in grads if shard is not None]
-            for k, p in params.items():
-                if first[k] is not None:
-                    p.grad = first[k].astype(np.float64)
-                    for shard in rest:
-                        p.grad += shard[k]
-            grad_norm = clip_global_norm(params, CLIP_NORM)
-            lr = lr_at(step, opt_cfg)
-            adamw_step(params, opt_state, lr)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for k, p in params.items():
+                    np.copyto(weights[k], p.data, casting="same_kind")
+                jobs = [(inputs[lo:hi], targets[lo:hi], mask[lo:hi],
+                         float(mask[lo:hi].sum()) / n_masked, shard_seed)
+                        for lo, hi, shard_seed in zip(cuts, cuts[1:], seeds) if hi > lo]
+                grads, ces, z_losses, sum_sqs = zip(*_run_shards(weights, model_cfg, jobs, worker))
+                # the first learning shard's gradient upcast, plus the others' in order
+                first, *rest = [shard for shard in grads if shard is not None]
+                for k, p in params.items():
+                    if first[k] is not None:
+                        p.grad = first[k].astype(np.float64)
+                        for shard in rest:
+                            p.grad += shard[k]
+                grad_norm = clip_global_norm(params, CLIP_NORM)
+                lr = lr_at(step, opt_cfg)
+                adamw_step(params, opt_state, lr)
 
-        row = {
-            "step": step,
-            "ce": sum(ces),
-            "z_loss": sum(z_losses),
-            "lr": lr,
-            "grad_norm": grad_norm,
-            "output_rms": math.sqrt(sum(sum_sqs) / (inputs.size * model_cfg.d_model)),
-        }
-        # so that no array of this step is live during the next one's forward
-        del weights, jobs, grads, first, rest
-        diverged = monitor.observe(row)
-        row["diverged"] = int(diverged)
-        rows.append(row)
-        if halt_on_divergence and diverged:
-            break
+            row = {
+                "step": step,
+                "ce": sum(ces),
+                "z_loss": sum(z_losses),
+                "lr": lr,
+                "grad_norm": grad_norm,
+                "output_rms": math.sqrt(sum(sum_sqs) / (inputs.size * model_cfg.d_model)),
+            }
+            # so that no array of this step is live during the next one's forward
+            del jobs, grads, first, rest
+            diverged = monitor.observe(row)
+            row["diverged"] = int(diverged)
+            rows.append(row)
+            if halt_on_divergence and diverged:
+                break
+    finally:
+        if worker is not None:
+            worker.close()  # no process outlives the call
 
     return TrainResult(
         params=params, opt_state=opt_state, rows=rows, monitor=monitor,

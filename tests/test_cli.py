@@ -170,6 +170,22 @@ def test_module_entry_point():
     assert "tokenizer-train" in out.stdout
 
 
+def test_cli_pins_one_blas_thread_unless_the_caller_chose():
+    # a process holding a BLAS pool runs the second shard of each batch
+    # inline instead of in the forked worker
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = (f"import os, chamtoy.cli, chamtoy.trainer as t; "
+            f"print(*(os.environ[v] for v in {blas!r}), t._forks(), t._usable_cpus())")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    for chosen in (None, "2"):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env if chosen is None else {**env, blas[0]: chosen}, check=True)
+        *values, forks, cpus = out.stdout.split()
+        assert values == [chosen or "1", "1", "1"], out.stdout
+        if chosen is None:
+            assert forks == str(int(cpus) > 1 and sys.platform == "linux"), out.stdout
+
+
 # ----------------------------------------------------------------------
 # pipeline: corpus -> tokenizer -> pretrain -> sft -> generate
 # ----------------------------------------------------------------------

@@ -696,6 +696,83 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     assert step == 2
 
 
+class HalfWrites:
+    """A file that writes half of what it is handed, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+
+def failing_at(real, when):
+    """A Path method that raises where `when(self, *args)` holds."""
+    def method(self, *args, **kwargs):
+        if when(self, *args):
+            raise OSError("disk full")
+        return real(self, *args, **kwargs)
+    return method
+
+
+SAVE_OPERATIONS = ["make-temporary", "open-weights", "write-weights", "write-manifest",
+                   "write-config", "rename-to-old", "rename-into-place"]
+
+
+@pytest.mark.parametrize("operation", SAVE_OPERATIONS)
+def test_save_failing_at_any_file_operation_keeps_previous_checkpoint(tmp_path, monkeypatch,
+                                                                       operation):
+    cfg = tiny_cfg()
+    ck, tmp, old = tmp_path / "ck", tmp_path / "ck.tmp", tmp_path / "ck.old"
+    first, second = init_params(cfg, seed=17), init_params(cfg, seed=18)
+    opt = {"m": {k: np.full(p.shape, 0.5) for k, p in first.items()},
+           "v": {k: np.full(p.shape, 0.25) for k, p in first.items()}, "t": 3}
+    save_checkpoint(ck, first, cfg, opt_state=opt, step=3)
+
+    if operation == "make-temporary":
+        monkeypatch.setattr(Path, "mkdir", failing_at(Path.mkdir, lambda self, *a: self == tmp))
+    elif operation in ("open-weights", "write-weights"):
+        def opening(file, *args, **kwargs):
+            if Path(file).name == "weights.bin" and operation == "open-weights":
+                raise OSError("disk full")
+            fh = open(file, *args, **kwargs)
+            return HalfWrites(fh) if Path(file).name == "weights.bin" else fh
+        monkeypatch.setattr("chamtoy.model.open", opening, raising=False)
+    elif operation.startswith("write-"):
+        name = operation.removeprefix("write-") + ".txt"
+        monkeypatch.setattr(Path, "write_text",
+                            failing_at(Path.write_text, lambda self, *a: self.name == name))
+    else:
+        target = old if operation == "rename-to-old" else ck
+        monkeypatch.setattr(Path, "rename",
+                            failing_at(Path.rename, lambda self, dest: Path(dest) == target))
+    with pytest.raises(OSError, match="^disk full$"):
+        save_checkpoint(ck, second, cfg, opt_state=opt, step=4)
+    monkeypatch.undo()
+
+    loaded, _, loaded_opt, step = load_checkpoint(ck)
+    assert step == 3 and loaded_opt["t"] == 3
+    for k in first:
+        assert np.array_equal(loaded[k].data, first[k].data), k
+        for moment in ("m", "v"):
+            assert np.array_equal(loaded_opt[moment][k], opt[moment][k]), k
+
+    # the next save succeeds and clears what the failed one left
+    save_checkpoint(ck, second, cfg, step=4)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ck"]
+    loaded, _, _, step = load_checkpoint(ck)
+    assert step == 4
+    for k in second:
+        assert np.array_equal(loaded[k].data, second[k].data), k
+
+
 def test_save_stopped_between_renames_loads_previous_checkpoint(tmp_path, monkeypatch):
     cfg = tiny_cfg()
     ck = tmp_path / "ck"

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -34,6 +37,7 @@ from chamtoy.trainer import (
     WEIGHT_DECAY,
     DivergenceMonitor,
     OptimConfig,
+    _forks,
     _shard_pass,
     adamw_step,
     clip_global_norm,
@@ -387,8 +391,10 @@ def test_log_roundtrip(tmp_path):
 def record_step_graphs(monkeypatch) -> list:
     """Make train_loop append each shard's graph, as the list of its
     tensors, to the returned list, which keeps them alive; a graph is
-    walked as its loss is made, since backward releases it."""
+    walked as its loss is made, since backward releases it.  Both shards
+    run inline, since a forked worker's graphs never reach this process."""
     graphs = []
+    monkeypatch.setattr("chamtoy.trainer._forks", lambda: False)
 
     def recording_total_loss(*args, **kwargs):
         breakdown = total_loss(*args, **kwargs)
@@ -515,18 +521,21 @@ def full_batch_pass(params, cfg, batch_fn):
     return grads, breakdown.cross_entropy, breakdown.z_loss, float(np.sqrt(np.mean(hidden * hidden)))
 
 
-def record_shards(monkeypatch, cpus: int) -> list:
-    """Run train_loop as on `cpus` usable CPUs, and append (thread name,
-    rows) for each shard it runs to the returned list."""
-    shards = []
+def record_shards(monkeypatch, tmp_path, forks: bool):
+    """Run train_loop with its shard worker process or without, and return
+    a function that lists (process id, rows) for each shard run so far; a
+    file collects them, since a forked worker's lists die with it."""
+    log = tmp_path / f"shards-{forks}.txt"
+    log.touch()
 
     def recording_shard_pass(weights, model_cfg, inputs, *args):
-        shards.append((threading.current_thread().name, len(inputs)))
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(inputs)}\n")
         return _shard_pass(weights, model_cfg, inputs, *args)
 
-    monkeypatch.setattr("chamtoy.trainer._usable_cpus", lambda: cpus)
+    monkeypatch.setattr("chamtoy.trainer._forks", lambda: forks)
     monkeypatch.setattr("chamtoy.trainer._shard_pass", recording_shard_pass)
-    return shards
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
 
 def assert_step_matches_full_pass(cfg, batch_fn, *, exact=False):
@@ -563,51 +572,75 @@ def test_sharded_step_matches_one_full_batch_pass(name, empty):
     assert_step_matches_full_pass(preset(name, 48), fixed_batch(4, mask=mask))
 
 
-def test_batch_of_one_row_is_one_shard_and_the_full_pass(monkeypatch):
-    shards = record_shards(monkeypatch, cpus=2)
+def test_batch_of_one_row_is_one_shard_and_the_full_pass(monkeypatch, tmp_path):
+    shards = record_shards(monkeypatch, tmp_path, forks=True)
     assert_step_matches_full_pass(preset("toy", 48), fixed_batch(1), exact=True)
-    assert shards == [(threading.current_thread().name, 1)]
+    assert shards() == [(os.getpid(), 1)]
+    assert multiprocessing.active_children() == []
 
 
-def test_odd_batch_splits_three_and_two(monkeypatch):
-    shards = record_shards(monkeypatch, cpus=2)
+def test_odd_batch_splits_three_and_two(monkeypatch, tmp_path):
+    shards = record_shards(monkeypatch, tmp_path, forks=True)
     assert_step_matches_full_pass(preset("toy", 48), fixed_batch(5))
-    assert sorted(rows for _, rows in shards) == [2, 3]
-    assert dict(shards)[threading.current_thread().name] == 3
+    assert sorted(rows for _, rows in shards()) == [2, 3]
+    assert dict(shards())[os.getpid()] == 3
+    assert len(dict(shards())) == 2  # shard 1, of two rows, in the worker process
 
 
-@pytest.mark.parametrize("name", ["toy", "7b-recipe"])
-def test_shards_give_one_run_inline_and_on_the_worker(monkeypatch, name):
-    # the worker thread changes when a shard runs, not what it computes;
-    # 7b-recipe's dropout draws from each shard's own generator
-    cfg = preset(name, 48)
+def run_inline_and_forked(monkeypatch, tmp_path, cfg, batch_fn, steps=4):
+    """train_loop's results with shard 1 inline and in the worker process,
+    after checking where each shard ran and that no process is left."""
     opt = OptimConfig(lr=3e-3, warmup_steps=2, total_steps=10)
     runs = {}
-    interval = sys.getswitchinterval()
-    for cpus in (1, 2):
-        shards = record_shards(monkeypatch, cpus)
-        sys.setswitchinterval(1e-6)  # the two threads take turns as often as they can
-        try:
-            runs[cpus] = train_loop(init_params(cfg, seed=2), cfg, opt, fixed_batch(5), seed=7,
-                                    end_step=4)
-        finally:
-            sys.setswitchinterval(interval)
-        threads = {thread for thread, _ in shards}
-        assert len(shards) == 4 * SHARDS
-        assert (len(threads) == 1) == (cpus == 1), threads
-    inline, worker = runs[1], runs[2]
-    assert inline.rows == worker.rows
-    assert inline.opt_state["t"] == worker.opt_state["t"] == 4
+    for forks in (False, True):
+        shards = record_shards(monkeypatch, tmp_path, forks)
+        runs[forks] = train_loop(init_params(cfg, seed=2), cfg, opt, batch_fn, seed=7,
+                                 end_step=steps)
+        pids = [pid for pid, _ in shards()]
+        assert len(pids) == steps * SHARDS
+        # shard 0 runs here either way, shard 1 in one worker for the call
+        assert pids.count(os.getpid()) == steps * (1 if forks else SHARDS), pids
+        assert len(set(pids)) == (2 if forks else 1), pids
+        assert multiprocessing.active_children() == []
+    return runs[False], runs[True]
+
+
+def assert_same_runs(inline, forked):
+    assert inline.rows == forked.rows
+    assert inline.opt_state["t"] == forked.opt_state["t"]
     for k, p in inline.params.items():
-        assert np.array_equal(p.data, worker.params[k].data), k
+        assert np.array_equal(p.data, forked.params[k].data), k
         for moment in ("m", "v"):
-            assert np.array_equal(inline.opt_state[moment][k], worker.opt_state[moment][k]), k
+            assert np.array_equal(inline.opt_state[moment][k], forked.opt_state[moment][k]), k
+
+
+@pytest.mark.parametrize("name", ["toy", "7b-recipe", "34b-recipe", "llama2-recipe"])
+def test_shards_give_one_run_inline_and_on_the_worker(monkeypatch, tmp_path, name):
+    # the worker process changes where shard 1 runs, not what it computes;
+    # 7b-recipe's dropout draws from each shard's own generator
+    inline, forked = run_inline_and_forked(monkeypatch, tmp_path, preset(name, 48), fixed_batch(5))
+    assert forked.opt_state["t"] == 4
+    assert_same_runs(inline, forked)
+
+
+@pytest.mark.parametrize("empty", [0, 1], ids=["shard-0-empty", "shard-1-empty"])
+def test_shard_without_tokens_runs_alike_in_the_worker(monkeypatch, tmp_path, empty):
+    # a shard whose mask selects no token sends back no gradient, not the
+    # one it wrote a step before
+    mask = np.ones((4, 12))
+    mask[2 * empty:2 * empty + 2] = 0
+    full, emptied = fixed_batch(4), fixed_batch(4, mask=mask)
+    batch_fn = lambda step, rng: (emptied if step % 2 else full)(step, rng)
+    inline, forked = run_inline_and_forked(monkeypatch, tmp_path, preset("7b-recipe", 48),
+                                           batch_fn)
+    assert_same_runs(inline, forked)
 
 
 def test_overflow_on_the_worker_warns_nothing(monkeypatch):
-    # numpy's error state is per thread: the worker enters its own, or the
-    # overflow of a shard it runs would warn (and fail under pytest)
-    monkeypatch.setattr("chamtoy.trainer._usable_cpus", lambda: 2)
+    # the worker process starts with numpy's default error state and this
+    # test's warning filters: it enters its own error state, or the
+    # overflow of its shard would come back as an exception
+    monkeypatch.setattr("chamtoy.trainer._forks", lambda: True)
     cfg, _, batch_fn = tiny_setup()
     opt = OptimConfig(lr=1e200, warmup_steps=1, total_steps=4)
     with warnings.catch_warnings():
@@ -615,18 +648,126 @@ def test_overflow_on_the_worker_warns_nothing(monkeypatch):
         result = train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, seed=3)
     assert not math.isfinite(result.rows[1]["ce"])
     assert result.monitor.diverged_at == 1
+    assert multiprocessing.active_children() == []
 
 
-def test_worker_errors_reraise_on_the_calling_thread(monkeypatch):
-    shards = record_shards(monkeypatch, cpus=2)
+def raise_in_one_shard(monkeypatch, tmp_path, row):
+    """A one-step run whose shard holding `row` raises, with the worker
+    process; returns where each shard ran."""
+    shards = record_shards(monkeypatch, tmp_path, forks=True)
     inputs, targets, mask = fixed_batch(4)(0, None)
     targets = targets.copy()
-    targets[3, 0] = 48  # in shard 1 only
+    targets[row, 0] = 48
     cfg, opt, _ = tiny_setup()
     with pytest.raises(IndexError, match="^target id out of vocabulary range$"):
         train_loop(init_params(cfg, seed=1), cfg, opt, lambda step, rng: (inputs, targets, mask),
                    end_step=1)
-    assert len({thread for thread, _ in shards}) == 2
+    assert multiprocessing.active_children() == []
+    return shards()
+
+
+def test_worker_errors_reraise_on_the_calling_thread(monkeypatch, tmp_path):
+    # the exception crosses the pipe with its type and message
+    assert len(dict(raise_in_one_shard(monkeypatch, tmp_path, row=3))) == 2
+
+
+def test_errors_in_shard_0_end_the_worker_too(monkeypatch, tmp_path):
+    assert len(dict(raise_in_one_shard(monkeypatch, tmp_path, row=0))) == 2
+
+
+def test_worker_that_dies_is_an_error(monkeypatch):
+    here = os.getpid()
+
+    def dying_shard_pass(*args):
+        if os.getpid() != here:
+            os._exit(3)
+        return _shard_pass(*args)
+
+    monkeypatch.setattr("chamtoy.trainer._forks", lambda: True)
+    monkeypatch.setattr("chamtoy.trainer._shard_pass", dying_shard_pass)
+    cfg, opt, batch_fn = tiny_setup()
+    with pytest.raises(ChildProcessError, match="^the shard worker process exited with code 3$"):
+        train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, end_step=2)
+    assert multiprocessing.active_children() == []
+
+
+def src_env(**extra) -> dict:
+    """This process's environment, with this tree's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+CTRL_C = """
+import multiprocessing, os, signal
+import numpy as np
+from chamtoy import trainer
+from chamtoy.model import ModelConfig, init_params
+trainer._forks = lambda: True
+cfg = ModelConfig(vocab_size=48, d_model=16, n_layers=1, n_heads=2, n_kv_heads=2,
+                  ffn_hidden=32, max_seq=32)
+ids = np.random.default_rng(0).integers(0, 48, size=(4, 13))
+workers = []
+print("started")  # still buffered when the worker forks, and printed once
+
+def batch_fn(step, rng):
+    if step == 2:
+        workers.extend(p.pid for p in multiprocessing.active_children())
+        os.killpg(0, signal.SIGINT)  # as Ctrl-C does, to the parent and its worker
+    return ids[:, :-1], ids[:, 1:], np.ones((4, 12))
+
+try:
+    trainer.train_loop(init_params(cfg, seed=0), cfg,
+                       trainer.OptimConfig(lr=1e-3, warmup_steps=1, total_steps=10), batch_fn)
+except KeyboardInterrupt:
+    for pid in workers:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            print("worker gone")
+    print("interrupted", multiprocessing.active_children())
+"""
+
+
+def test_ctrl_c_ends_the_worker_with_the_call():
+    # the worker blocks SIGINT and leaves when train_loop closes its pipe;
+    # it writes nothing, and the caller gets the KeyboardInterrupt
+    out = subprocess.run([sys.executable, "-c", CTRL_C], capture_output=True, text=True,
+                         env=src_env(), start_new_session=True, timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "started\nworker gone\ninterrupted []\n"
+
+
+POOL = """
+import multiprocessing
+from chamtoy import trainer
+here = trainer._forks(), trainer._usable_cpus()  # before the pool starts its threads
+with multiprocessing.get_context("spawn").Pool(1) as pool:
+    print(*here, pool.apply(trainer._forks))
+"""
+
+
+def test_fork_rule_wants_two_cpus_and_one_thread(monkeypatch):
+    # a second thread alive here makes fork unsafe, whatever the CPUs
+    monkeypatch.setattr("chamtoy.trainer._usable_cpus", lambda: 2)
+    done = threading.Event()
+    waiting = threading.Thread(target=done.wait)
+    waiting.start()
+    try:
+        assert not _forks()
+    finally:
+        done.set()
+        waiting.join()
+    monkeypatch.setattr("chamtoy.trainer._usable_cpus", lambda: 1)
+    assert not _forks()
+    # a fresh process whose BLAS pool is pinned to one thread forks where
+    # it has two CPUs, but not a Pool's worker, which may not start children
+    env = src_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", POOL], capture_output=True, text=True, env=env,
+                         check=True, timeout=60)
+    forks, cpus, in_pool = out.stdout.split()
+    assert forks == str(int(cpus) > 1 and sys.platform == "linux")
+    assert in_pool == "False"
 
 
 def test_batch_without_masked_tokens_is_refused():
