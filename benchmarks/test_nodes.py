@@ -3,11 +3,11 @@
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks/test_nodes.py \
         --benchmark-only --benchmark-json=nodes.json
 
-Each fused node of ``chamtoy.numerics`` and ``chamtoy.layers`` (and AdamW
-from the trainer) is timed on the inputs one toy-preset step hands it:
-batch 8 x 64, d_model 64, 4 query and 4 key/value heads of width 16,
-SwiGLU width 128 and a 700-token vocabulary, in float32 as ``train_loop``
-computes.  A node's ``forward`` case builds the node from inputs that
+Each fused node of ``chamtoy.numerics``, ``chamtoy.layers`` and
+``chamtoy.objective`` (and AdamW from the trainer) is timed on the inputs
+one toy-preset step hands it: batch 8 x 64, d_model 64, 4 query and 4
+key/value heads of width 16, SwiGLU width 128 and a 700-token vocabulary,
+in float32 as ``train_loop`` computes.  A node's ``forward`` case builds the node from inputs that
 require gradients, as training does; its ``backward`` case runs the
 node's backward closure on a fixed upstream gradient, on a node built
 afresh (untimed) from cleared input gradients each round.  The attention
@@ -39,7 +39,8 @@ import pytest  # noqa: E402
 
 from chamtoy.layers import KVCache, _attention_node, swiglu  # noqa: E402
 from chamtoy.model import init_params, preset  # noqa: E402
-from chamtoy.numerics import Tensor, embedding, lm_loss, normalize  # noqa: E402
+from chamtoy.numerics import Tensor, embedding, normalize  # noqa: E402
+from chamtoy.objective import total_loss  # noqa: E402
 from chamtoy.trainer import OptimConfig, adamw_step, init_opt_state, train_loop  # noqa: E402
 
 B, S, D, H, HD, FF, VOCAB = 8, 64, 64, 4, 16, 128, 700
@@ -124,12 +125,12 @@ def _case_swiglu(rows=(B, S)):
     return (lambda: swiglu(x, w_gate, w_up, w_down)), [x, w_gate, w_up, w_down]
 
 
-def _case_lm_loss():
+def _case_total_loss():
     rng = _rng()
     logits = _leaf(rng.normal(size=(B, S, VOCAB)))
     targets = rng.integers(0, VOCAB, size=B * S)
     mask = np.ones(B * S)
-    return (lambda: lm_loss(logits, targets, mask, 1e-5)[0]), [logits]
+    return (lambda: total_loss(logits, targets, mask, 1e-5).total), [logits]
 
 
 CASES = {
@@ -142,7 +143,7 @@ CASES = {
     "attention-decode": lambda: _case_attention(rows=(1, 1), cached=13),
     "swiglu": _case_swiglu,
     "swiglu-decode": lambda: _case_swiglu(rows=(1, 1)),
-    "lm_loss": _case_lm_loss,
+    "total_loss": _case_total_loss,
 }
 
 
@@ -161,7 +162,7 @@ def test_backward(benchmark, name):
 
     def fresh():
         # a graph of its own for each round, untimed: a backward closure may
-        # consume what its forward saved (lm_loss writes its gradient into
+        # consume what its forward saved (total_loss writes its gradient into
         # its exponentials), so it runs once
         for t in inputs:
             t.grad = None

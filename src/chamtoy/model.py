@@ -113,9 +113,8 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     """Fresh parameter dict; matrices ~ N(0, 0.02), norm gains at 1.
 
-    wqkv draws its query, key and value parts in turn and joins them, so a
-    model's weights equal those of the format-1 layout, which drew them as
-    separate matrices in that order.
+    wqkv draws its query, key and value parts in turn and joins them; that
+    draw order fixes the weights of every seed.
     """
     rng = np.random.default_rng(seed)
     kv = cfg.n_kv_heads * cfg.head_dim
@@ -343,9 +342,7 @@ def load_checkpoint(path):
     Returns (params, cfg, opt_state, step); opt_state/step are None when
     the checkpoint was saved without them.  When `path` is missing but
     `<name>.old` exists, a save stopped between its two renames, and the
-    previous checkpoint it left in `<name>.old` is read.  Format 1, which
-    stored each layer's query, key and value weights apart, loads with
-    them and their optimizer moments joined into `attn.wqkv`.
+    previous checkpoint it left in `<name>.old` is read.
     """
     path = Path(path)
     old = path.with_name(path.name + ".old")
@@ -357,7 +354,7 @@ def load_checkpoint(path):
             key, _, val = line.partition(" ")
             kv[key] = val
     version = int(kv.get("format_version", "-1"))
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise ValueError(f"checkpoint format {version} not supported (expected {FORMAT_VERSION})")
     cfg = _config_from_map(kv)
 
@@ -382,8 +379,6 @@ def load_checkpoint(path):
             opt_v[name[len("opt.v."):]] = arr
         else:
             params[name] = arr
-    if version == 1:
-        params, opt_m, opt_v = (_fuse_qkv(arrays) for arrays in (params, opt_m, opt_v))
 
     expected = _param_shapes(cfg)
     found = {name: arr.shape for name, arr in params.items()}
@@ -400,18 +395,6 @@ def load_checkpoint(path):
     if opt_m:
         opt_state = {"m": opt_m, "v": opt_v, "t": int(kv.get("opt.t", "0"))}
     step = int(kv["opt.step"]) if "opt.step" in kv else None
-    # in init order, where _fuse_qkv appended each wqkv last
+    # in init order, not the manifest's: clipping sums gradients in this order
     return {name: Tensor(params[name], requires_grad=True) for name in expected}, cfg, opt_state, step
 
-
-def _fuse_qkv(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Join format 1's separate attn.wq, attn.wk and attn.wv into format 2's
-    attn.wqkv; an incomplete triple is left for the shape check to report."""
-    fused = dict(arrays)
-    for name in arrays:
-        if name.endswith(".attn.wq"):
-            stem = name[:-len("wq")]
-            parts = [stem + p for p in ("wq", "wk", "wv")]
-            if all(p in fused for p in parts):
-                fused[stem + "wqkv"] = np.concatenate([fused.pop(p) for p in parts], axis=1)
-    return fused

@@ -450,49 +450,6 @@ def _swap(n: int) -> np.ndarray:
     return swap
 
 
-def lm_loss(logits: Tensor, targets, mask: np.ndarray, z_coeff: float):
-    """Masked mean cross-entropy plus z_coeff * masked mean(log^2 Z), as one node.
-
-    logits is [..., vocab] with one row per entry of `mask`; other shapes
-    raise `ShapeMismatchError`.  z_coeff 0 leaves out the z term.  One
-    max-shifted exponential feeds both: the log-probability keeps the form
-    shifted - log(sum), so integer logits shifted by an integer give a
-    bit-identical cross-entropy, and log Z is max + log(sum).  Returns the loss node and the two terms as floats.
-    """
-    if logits.size != mask.shape[0] * logits.shape[-1]:
-        raise ShapeMismatchError(
-            f"lm_loss: logits of shape {logits.shape} do not have one row per entry "
-            f"of a {mask.shape[0]}-entry mask")
-    flat = logits.data.reshape(mask.shape[0], -1)
-    mask = mask.astype(flat.dtype, copy=False)
-    per_row = 1.0 / float(mask.sum())
-    top = flat.max(axis=-1)
-    soft = flat - top[:, None]
-    rows = np.arange(mask.shape[0])
-    picked = soft[rows, targets]
-    np.exp(soft, out=soft)
-    sums = soft.sum(axis=-1)
-    log_sums = np.log(sums)
-    ce = float((-(picked - log_sums) * mask).sum() * per_row)
-    log_z = top + log_sums
-    z = float((log_z * log_z * mask).sum() * per_row * z_coeff) if z_coeff else 0.0
-
-    def backward_fn(g):
-        # per row: weight * (softmax - onehot) for the cross-entropy,
-        # weight * 2 z_coeff log Z * softmax for the z term
-        # g as a Python float, so a 0-d g cannot set the gradient's dtype
-        weight = mask * (float(g) * per_row)
-        row = 1.0 + (2.0 * z_coeff * log_z if z_coeff else 0.0)
-        # soft holds the unnormalized exponentials: 1 / sums turns them into
-        # the softmax, in place, since a released closure never runs again
-        grad = soft
-        grad *= (weight * row / sums)[:, None]
-        grad[rows, targets] -= weight
-        logits._take(grad.reshape(logits.shape))
-
-    return logits._make(np.array(ce + z, dtype=flat.dtype), (logits,), backward_fn), ce, z
-
-
 def embedding(weight: Tensor, ids) -> Tensor:
     """Row lookup `weight[ids]`; backward scatter-adds into the table."""
     ids = np.asarray(ids, dtype=np.int64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor, lm_loss
+from .numerics import Tensor
 
 
 @dataclass
@@ -23,11 +23,16 @@ class LossBreakdown:
 
 
 def total_loss(logits: Tensor, targets, mask=None, z_coeff: float = 1e-5) -> LossBreakdown:
-    """Mean cross-entropy plus normalizer penalty over tokens where mask is 1.
+    """Mean cross-entropy plus normalizer penalty over tokens where mask is 1,
+    as one autodiff node.
 
     Masked positions contribute exactly zero to both the value and the
     gradient, so frozen prompt tokens cannot leak into the update.  Only
-    `total` carries the graph; the two parts are plain floats.
+    `total` carries the graph; the two parts are plain floats.  z_coeff 0
+    leaves out the z term.  One max-shifted exponential feeds both: the
+    log-probability keeps the form shifted - log(sum), so integer logits
+    shifted by an integer give a bit-identical cross-entropy, and log Z is
+    max + log(sum).
     """
     if logits.ndim not in (2, 3):
         raise ValueError(f"logits must be rank 2 or 3, got shape {logits.shape}")
@@ -42,4 +47,32 @@ def total_loss(logits: Tensor, targets, mask=None, z_coeff: float = 1e-5) -> Los
         raise ValueError("mask does not match logits rows")
     if mask.sum() == 0:
         raise ValueError("loss mask selects no tokens")
-    return LossBreakdown(*lm_loss(logits, targets, mask, z_coeff))
+    flat = logits.data.reshape(rows, -1)
+    mask = mask.astype(flat.dtype, copy=False)
+    per_row = 1.0 / float(mask.sum())
+    top = flat.max(axis=-1)
+    soft = flat - top[:, None]
+    index = np.arange(rows)
+    picked = soft[index, targets]
+    np.exp(soft, out=soft)
+    sums = soft.sum(axis=-1)
+    log_sums = np.log(sums)
+    ce = float((-(picked - log_sums) * mask).sum() * per_row)
+    log_z = top + log_sums
+    z = float((log_z * log_z * mask).sum() * per_row * z_coeff) if z_coeff else 0.0
+
+    def backward_fn(g):
+        # per row: weight * (softmax - onehot) for the cross-entropy,
+        # weight * 2 z_coeff log Z * softmax for the z term
+        # g as a Python float, so a 0-d g cannot set the gradient's dtype
+        weight = mask * (float(g) * per_row)
+        row = 1.0 + (2.0 * z_coeff * log_z if z_coeff else 0.0)
+        # soft holds the unnormalized exponentials: 1 / sums turns them into
+        # the softmax, in place, since a released closure never runs again
+        grad = soft
+        grad *= (weight * row / sums)[:, None]
+        grad[index, targets] -= weight
+        logits._take(grad.reshape(logits.shape))
+
+    total = logits._make(np.array(ce + z, dtype=flat.dtype), (logits,), backward_fn)
+    return LossBreakdown(total, ce, z)

@@ -220,12 +220,6 @@ def step_rng(seed: int, step: int) -> np.random.Generator:
 SHARDS = 2
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _forks() -> bool:
     """Whether train_loop runs shard 1 in a forked child process.
 
@@ -239,7 +233,7 @@ def _forks() -> bool:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:
         return False
-    return ("fork" in multiprocessing.get_all_start_methods() and _usable_cpus() > 1
+    return ("fork" in multiprocessing.get_all_start_methods() and len(os.sched_getaffinity(0)) > 1
             and threads == 1 and not multiprocessing.current_process().daemon)
 
 

@@ -41,7 +41,7 @@ from chamtoy.model import (
     model_forward,
     preset,
 )
-from chamtoy.numerics import Tensor, embedding, lm_loss
+from chamtoy.numerics import Tensor, embedding
 from chamtoy.objective import total_loss
 from chamtoy.tokenizer import (
     MixedVocab,
@@ -105,9 +105,9 @@ def _op_roster():
         ),
         lambda rng: (lambda ts: ts[0] @ ts[1], [r(rng, 2, 3, 4), r(rng, 4, 5)]),
         lambda rng: (lambda ts: ts[0].sum(axis=-1), [r(rng, 3, 4)]),
-        lambda rng: (lambda ts: lm_loss(ts[0], np.array([2, 0, 3]), rows, 0.1)[0], [r(rng, 3, 4)]),
+        lambda rng: (lambda ts: total_loss(ts[0], [2, 0, 3], rows, 0.1).total, [r(rng, 3, 4)]),
         lambda rng: (
-            lambda ts: lm_loss(ts[0], np.array([3, 0, 2, 1, 1, 0]), six_rows, 0.1)[0],
+            lambda ts: total_loss(ts[0], [3, 0, 2, 1, 1, 0], six_rows, 0.1).total,
             [r(rng, 2, 3, 4)],
         ),
         # QK norm on, four query heads over two key/value heads
@@ -202,7 +202,7 @@ def test_criterion_02_shift_invariance():
             assert ce[0].cross_entropy == ce[1].cross_entropy
             assert float(ce[0].total.data) == float(ce[1].total.data)
 
-            # the gradient is softmax minus one-hot, from lm_loss's shared
+            # the gradient is softmax minus one-hot, from total_loss's shared
             # exponentials: the softmax that training uses
             for loss in ce:
                 loss.total.backward()

@@ -29,8 +29,6 @@ from chamtoy.model import NormStrategy, init_params, load_checkpoint, save_check
 from chamtoy.tokenizer import BPETokenizer, Codebook, read_pixmap
 from chamtoy.trainer import load_log, save_log
 
-from test_model import save_format_1
-
 
 def ns(config=None, set=None, seed=None):
     return argparse.Namespace(config=config, set=set, seed=seed)
@@ -175,7 +173,8 @@ def test_cli_pins_one_blas_thread_unless_the_caller_chose():
     # inline instead of in the forked worker
     blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     code = (f"import os, chamtoy.cli, chamtoy.trainer as t; "
-            f"print(*(os.environ[v] for v in {blas!r}), t._forks(), t._usable_cpus())")
+            f"print(*(os.environ[v] for v in {blas!r}), t._forks(), "
+            f"len(os.sched_getaffinity(0)))")
     env = {k: v for k, v in os.environ.items() if k not in blas}
     for chosen in (None, "2"):
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -246,13 +245,17 @@ def pretrain_dir(corpus_dir, tokenizer_dir, tmp_path_factory):
 def broken_dir(pretrain_dir, tmp_path_factory):
     """Checkpoints no command may load with the tokenizer_dir tokenizer:
     `no-norm-eps`, the pretrain checkpoint with that config.txt line cut,
-    and `vocab-minus-100` and `vocab-plus-100`, models of the pretrain
-    config for a vocabulary 100 ids smaller or larger."""
+    `format-1`, the pretrain checkpoint labelled format 1, and
+    `vocab-minus-100` and `vocab-plus-100`, models of the pretrain config
+    for a vocabulary 100 ids smaller or larger."""
     d = tmp_path_factory.mktemp("broken")
     shutil.copytree(pretrain_dir / "checkpoint", d / "no-norm-eps")
     cfgfile = d / "no-norm-eps" / "config.txt"
     kept = [l for l in cfgfile.read_text().splitlines() if not l.startswith("model.norm_eps ")]
     cfgfile.write_text("\n".join(kept) + "\n")
+    shutil.copytree(pretrain_dir / "checkpoint", d / "format-1")
+    cfgfile = d / "format-1" / "config.txt"
+    cfgfile.write_text(cfgfile.read_text().replace("format_version 2\n", "format_version 1\n"))
     _, cfg, _, _ = load_checkpoint(pretrain_dir / "checkpoint")
     for name, delta in (("vocab-minus-100", -100), ("vocab-plus-100", 100)):
         other = dataclasses.replace(cfg, vocab_size=cfg.vocab_size + delta)
@@ -296,25 +299,24 @@ def test_train_resume_extends_run(corpus_dir, tokenizer_dir, pretrain_dir, tmp_p
     assert [r["step"] for r in rows] == [6, 7, 8]
 
 
-def test_train_resumes_from_a_format_1_checkpoint(corpus_dir, tokenizer_dir, pretrain_dir,
-                                                  tmp_path):
-    # a checkpoint with separate q/k/v weights resumes exactly as its fused form
-    params, cfg, opt_state, step = load_checkpoint(pretrain_dir / "checkpoint")
-    save_format_1(tmp_path / "format1", params, cfg, opt_state=opt_state, step=step)
-    sets = [s if s != "train.steps=6" else "train.steps=9" for s in TRAIN_SETS]
-    for name in ("format1", "format2"):
-        source = tmp_path / "format1" if name == "format1" else pretrain_dir / "checkpoint"
-        code = main([
-            "train", "--data-dir", str(corpus_dir), "--tokenizer-dir", str(tokenizer_dir),
-            "--out-dir", str(tmp_path / f"from-{name}"), "--seed", "3",
-            "--resume", str(source), *sets,
-        ])
-        assert code == EXIT_OK
-    logs = [(tmp_path / f"from-{name}" / "loss.csv").read_bytes() for name in ("format1", "format2")]
-    assert logs[0] == logs[1]
-    for name in ("weights.bin", "manifest.txt", "config.txt"):
-        assert ((tmp_path / "from-format1" / "checkpoint" / name).read_bytes()
-                == (tmp_path / "from-format2" / "checkpoint" / name).read_bytes()), name
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs in a Linux affinity mask")
+def test_train_writes_the_same_bytes_on_one_cpu_as_on_all(corpus_dir, tokenizer_dir, tmp_path):
+    # one CPU runs shard 1 inline, more fork it; the CLI's one BLAS thread
+    # holds in both, and the outputs are the same bytes
+    one = min(os.sched_getaffinity(0))
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    for name, preexec in (("one-cpu", lambda: os.sched_setaffinity(0, {one})), ("all", None)):
+        subprocess.run(
+            [sys.executable, "-m", "chamtoy.cli", "train", "--data-dir", str(corpus_dir),
+             "--tokenizer-dir", str(tokenizer_dir), "--out-dir", str(tmp_path / name),
+             "--seed", "3", *TRAIN_SETS, "--set", "train.steps=4"],
+            capture_output=True, env=env, preexec_fn=preexec, check=True, timeout=120,
+        )
+    for name in ("checkpoint/weights.bin", "loss.csv"):
+        assert ((tmp_path / "one-cpu" / name).read_bytes()
+                == (tmp_path / "all" / name).read_bytes()), name
 
 
 def test_train_ablation_pair(corpus_dir, tokenizer_dir, tmp_path):
@@ -719,6 +721,9 @@ FAILURE_PATHS = {
         ["generate", "--checkpoint", "{broken}/no-norm-eps"], EXIT_FAILURE,
     ),
     "sft-init-config-incomplete": (["sft", "--init", "{broken}/no-norm-eps"], EXIT_FAILURE),
+    # only format 2 loads
+    "generate-checkpoint-format-1": (["generate", "--checkpoint", "{broken}/format-1"],
+                                     EXIT_FAILURE),
     "resume-config-incomplete": (
         ["train", *TRAIN_SETS, "--resume", "{broken}/no-norm-eps"], EXIT_FAILURE,
     ),

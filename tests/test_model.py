@@ -497,70 +497,10 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(opt2["v"][k], opt["v"][k])
 
 
-def split_qkv(arrays, cfg):
-    """Format 1's layout of a parameter or moment dict: each attn.wqkv as
-    the separate attn.wq, attn.wk and attn.wv it joins."""
-    d, kv = cfg.d_model, cfg.n_kv_heads * cfg.head_dim
-    out = {}
-    for name, arr in arrays.items():
-        if name.endswith(".attn.wqkv"):
-            stem = name[:-len("wqkv")]
-            for part, cols in zip(("wq", "wk", "wv"), np.split(arr, [d, d + kv], axis=1)):
-                out[stem + part] = cols
-        else:
-            out[name] = arr
-    return out
-
-
-def save_format_1(path, params, cfg, opt_state=None, step=None):
-    """A checkpoint as format 1 wrote it, from format-2 parameters."""
-    split = {k: Tensor(v) for k, v in split_qkv({k: t.data for k, t in params.items()}, cfg).items()}
-    if opt_state is not None:
-        opt_state = {"m": split_qkv(opt_state["m"], cfg), "v": split_qkv(opt_state["v"], cfg),
-                     "t": opt_state["t"]}
-    save_checkpoint(path, split, cfg, opt_state=opt_state, step=step)
-    cfgfile = Path(path) / "config.txt"
-    cfgfile.write_text(cfgfile.read_text().replace(
-        f"format_version {FORMAT_VERSION}", "format_version 1"))
-
-
-def test_format_1_checkpoint_loads_bit_identical(tmp_path):
-    cfg = tiny_cfg(n_heads=4, n_kv_heads=2)
-    params = init_params(cfg, seed=12)
-    rng = np.random.default_rng(12)
-    opt = {"m": {k: rng.normal(size=v.shape) for k, v in params.items()},
-           "v": {k: rng.random(size=v.shape) for k, v in params.items()}, "t": 5}
-    save_format_1(tmp_path / "ck", params, cfg, opt_state=opt, step=5)
-    manifest = (tmp_path / "ck" / "manifest.txt").read_text()
-    assert "layers.0.attn.wk 16,8 " in manifest and "attn.wqkv" not in manifest
-    loaded, cfg2, opt2, step = load_checkpoint(tmp_path / "ck")
-    assert cfg2 == cfg and step == 5 and opt2["t"] == 5
-    assert list(loaded) == list(params)
-    for k in params:
-        assert np.array_equal(loaded[k].data, params[k].data), k
-        assert np.array_equal(opt2["m"][k], opt["m"][k]), k
-        assert np.array_equal(opt2["v"][k], opt["v"][k]), k
-    ids = np.random.default_rng(13).integers(0, cfg.vocab_size, size=(1, 21))
-    want, _ = model_forward(params, cfg, ids)
-    got, _ = model_forward(_frozen(loaded), cfg, ids)
-    assert got.data.dtype == np.float64
-    assert np.array_equal(got.data, want.data)
-
-
-def test_format_1_checkpoint_missing_a_projection_is_refused(tmp_path):
-    cfg = tiny_cfg()
-    params = init_params(cfg, seed=14)
-    save_format_1(tmp_path / "ck", params, cfg)
-    manifest = tmp_path / "ck" / "manifest.txt"
-    manifest.write_text("".join(line + "\n" for line in manifest.read_text().splitlines()
-                                if not line.startswith("layers.1.attn.wv ")))
-    with pytest.raises(ValueError, match="missing \\['layers.1.attn.wqkv'\\]"):
-        load_checkpoint(tmp_path / "ck")
-
-
 @pytest.mark.parametrize("name", ["toy", "34b-recipe"])
 def test_init_params_draws_wqkv_as_separate_projections(name):
-    # the format-1 init drew every matrix in turn, wq, wk and wv apart
+    # every matrix is drawn in turn, wqkv as wq, wk and wv apart; the order
+    # fixes each seed's weights
     cfg = preset(name, vocab_size=40)
     params = init_params(cfg, seed=7)
     rng = np.random.default_rng(7)
@@ -594,7 +534,7 @@ def test_checkpoint_version_guard(tmp_path):
     cfgfile = tmp_path / "ck" / "config.txt"
     text = cfgfile.read_text()
     assert f"format_version {FORMAT_VERSION}\n" in text
-    for version in (0, 3, 99):
+    for version in (0, 1, 3, 99):
         cfgfile.write_text(text.replace(f"format_version {FORMAT_VERSION}", f"format_version {version}"))
         with pytest.raises(ValueError, match=f"checkpoint format {version} not supported"):
             load_checkpoint(tmp_path / "ck")

@@ -8,7 +8,6 @@ from chamtoy.numerics import (
     attend_backward,
     attend_forward,
     embedding,
-    lm_loss,
     normalize,
 )
 from chamtoy.objective import total_loss
@@ -102,7 +101,7 @@ def test_full_sum_of_float32_is_float32_and_so_is_its_gradient():
 
 
 def loss_softmax(x):
-    """The softmax that training uses, lm_loss's, read off the cross-entropy
+    """The softmax that training uses, total_loss's, read off the cross-entropy
     gradient: row i of it is (softmax(x[i]) - onehot(0)) / rows."""
     t = Tensor(np.atleast_2d(x), requires_grad=True)
     total_loss(t, np.zeros(t.shape[0], dtype=np.int64), z_coeff=0.0).total.backward()
@@ -376,29 +375,22 @@ def _loss_ref(logits, targets, mask, z_coeff):
     return ce, z
 
 
-def test_lm_loss_matches_composition_and_finite_differences():
+def test_total_loss_matches_composition_and_finite_differences():
     rng = np.random.default_rng(37)
     logits = rng.normal(size=(6, 7)) * 3.0 + 2.0
     targets = rng.integers(0, 7, size=6)
     mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
-    total, ce, z = lm_loss(Tensor(logits), targets, mask, 0.1)
+    bd = total_loss(Tensor(logits), targets, mask=mask, z_coeff=0.1)
+    ce, z = bd.cross_entropy, bd.z_loss
     ref_ce, ref_z = _loss_ref(logits, targets, mask, 0.1)
     assert (ce, z) == (ref_ce, ref_z)
-    assert float(total.data) == ce + z
-    # the objective's entry point is a thin caller of the same node
-    bd = total_loss(Tensor(logits), targets, mask=mask, z_coeff=0.1)
-    assert float(bd.total.data) == float(total.data)
-    assert (bd.cross_entropy, bd.z_loss) == (ce, z)
+    assert float(bd.total.data) == ce + z
     assert total_loss(Tensor(logits), targets, mask=mask, z_coeff=0.0).cross_entropy == ce
     for coeff in (0.1, 0.0):
-        check_op_gradient(lambda ts: lm_loss(ts[0], targets, mask, coeff)[0], [logits])
+        check_op_gradient(lambda ts: total_loss(ts[0], targets, mask, coeff).total, [logits])
     t = Tensor(logits, requires_grad=True)
-    lm_loss(t, targets, mask, 0.1)[0].backward()
+    total_loss(t, targets, mask, 0.1).total.backward()
     assert np.all(t.grad[mask == 0.0] == 0.0)
-    # one row per mask entry: 6 rows of 7 are not 3 rows of 14
-    with pytest.raises(ShapeMismatchError, match=r"^lm_loss: logits of shape \(6, 7\) do not have "
-                                                  r"one row per entry of a 3-entry mask$"):
-        lm_loss(Tensor(logits), targets[:3], mask[:3], 0.1)
 
 
 # ----------------------------------------------------------------------
@@ -445,7 +437,7 @@ def _kernel_cases(scale):
         ("gated-silu", lambda ts: swiglu(ts[0], ts[1], ts[2], ts[3]),
          [r(3, 4, 6), r(6, 5), r(6, 5), r(5, 6)]),
         ("rotate-pairs", lambda ts: apply_rope_at(ts[0], *tables(ts), 0), [r(b, h, s, hd)]),
-        ("lm-loss", lambda ts: lm_loss(ts[0], targets, rows, 0.1)[0], [r(2, 3, 7)]),
+        ("lm-loss", lambda ts: total_loss(ts[0], targets, rows, 0.1).total, [r(2, 3, 7)]),
         # the attention node: split, QK norm, rotation, softmax-attention, merge
         ("qk-norm-rotate", lambda ts: attend_at(ts, ts[3:]),
          [r(b, s, d), r(d, width), r(d, d), r(hd), r(hd)]),

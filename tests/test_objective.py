@@ -82,6 +82,9 @@ def test_all_zero_mask_rejected():
         total_loss(Tensor(np.zeros(3)), [0])
     with pytest.raises(ValueError, match="^targets do not match logits rows$"):
         total_loss(logits, [0, 1, 2])
+    # one row per target: 6 rows of 7 are not 3 rows of 14
+    with pytest.raises(ValueError, match="^targets do not match logits rows$"):
+        total_loss(Tensor(np.zeros((6, 7))), [0, 1, 2])
     for bad in (-1, 3):
         with pytest.raises(IndexError, match="^target id out of vocabulary range$"):
             total_loss(logits, [0, bad])

@@ -739,9 +739,9 @@ def test_ctrl_c_ends_the_worker_with_the_call():
 
 
 POOL = """
-import multiprocessing
+import multiprocessing, os
 from chamtoy import trainer
-here = trainer._forks(), trainer._usable_cpus()  # before the pool starts its threads
+here = trainer._forks(), len(os.sched_getaffinity(0))  # before the pool starts its threads
 with multiprocessing.get_context("spawn").Pool(1) as pool:
     print(*here, pool.apply(trainer._forks))
 """
@@ -749,7 +749,7 @@ with multiprocessing.get_context("spawn").Pool(1) as pool:
 
 def test_fork_rule_wants_two_cpus_and_one_thread(monkeypatch):
     # a second thread alive here makes fork unsafe, whatever the CPUs
-    monkeypatch.setattr("chamtoy.trainer._usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     done = threading.Event()
     waiting = threading.Thread(target=done.wait)
     waiting.start()
@@ -758,7 +758,7 @@ def test_fork_rule_wants_two_cpus_and_one_thread(monkeypatch):
     finally:
         done.set()
         waiting.join()
-    monkeypatch.setattr("chamtoy.trainer._usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert not _forks()
     # a fresh process whose BLAS pool is pinned to one thread forks where
     # it has two CPUs, but not a Pool's worker, which may not start children
