@@ -11,8 +11,13 @@ batches between the two workers of a workload, swapping which goes
 first on every pair, so that a slow stretch of a shared host falls on
 both sides of a pair alike:
 
-* ``train``: 5 toy-preset steps (batch 8 x 64) through ``train_loop``,
-  from the same initial parameters every time;
+* ``train``: 20 toy-preset steps (batch 8 x 64) through ``train_loop``,
+  from the same initial parameters every time, in a worker that keeps
+  every CPU of the affinity mask, so that ``train_loop`` forks its shard
+  worker as the ``chamtoy`` command does; 20 steps, so that the fork's
+  cost of about 13 ms per call is a minor share;
+* ``train-inline``: 5 such steps in a worker pinned to one CPU, so that
+  both shards and both halves of the update run in the calling process;
 * ``decode``: 3 image-only ``generate_stream`` requests of one fixed
   64-code block each, on the untrained toy model;
 * ``fit``: the tokenizer and evaluation arithmetic of one perfbench
@@ -25,8 +30,9 @@ both sides of a pair alike:
   ``cli.main``.  Its check, a digest of the merges, the codebook and
   every id plus the alpha line ``eval`` prints, must match on both sides.
 
-Each train and decode worker also records, once, after the first
-generation's timed pairs, the memory of one train unit (the 5 steps) and
+Each ``train-inline`` and decode worker also records, once, after the
+first generation's timed pairs, the memory of one train unit (the 5
+steps; the forked unit's tracemalloc would see one process of two) and
 of one decode request (the first of the 3, but on a 13-token prompt, BOS
 and 12 text ids, the length of perfbench's caption requests, so that the
 prompt's side of decode memory shows): the minor page faults
@@ -49,8 +55,10 @@ same code several percent faster than another.  So all workers are
 restarted every ``GENERATION`` pairs, each generation with an
 environment padded by a length drawn from a seeded generator, and the
 workers of a generation get equal environments.  The workers of a
-generation are also pinned to one CPU, drawn from the same generator,
-so that neither side keeps a faster or quieter CPU to itself.  Each workload
+generation but the forked ``train`` pair are also pinned to one CPU,
+drawn from the same generator, so that neither side keeps a faster or
+quieter CPU to itself; the controller runs one worker at a time, so the
+forked pair has the mask's CPUs to itself.  Each workload
 reports the median over generations of the per-generation median ratio
 change / base (below 1 means the working tree is faster), with a
 bootstrap interval over those generation ratios from
@@ -93,18 +101,23 @@ ROOT = Path(__file__).resolve().parent.parent
 GENERATION = 6  # pairs between worker restarts
 LAYOUT_SEED = 0
 PAD_MAX = 4096  # bytes of environment padding, one page of layout offsets
-TRAIN_STEPS = 5
+TRAIN_STEPS = 5  # per train-inline unit
+FORKED_STEPS = 20  # per train unit
 DECODE_SEEDS = (1, 2, 3)
 MEMORY_PROMPT_TEXT = tuple(range(97, 109))  # 12 text ids after BOS in the decode memory unit
 FIT_CORPUS = {"n_text": 600, "n_captions": 120, "n_sft": 120, "seed": 0}
 ALPHA_ITEMS, ALPHA_ANNOTATORS, ALPHA_BOOT = 80, 3, 1000
 WORKLOADS = {
-    "train": f"{TRAIN_STEPS} toy-preset train steps (batch 8 x 64) through train_loop",
+    "train": f"{FORKED_STEPS} toy-preset train steps (batch 8 x 64) through train_loop, "
+             "every CPU of the mask (forked)",
+    "train-inline": f"{TRAIN_STEPS} toy-preset train steps (batch 8 x 64) through train_loop, "
+                    "one CPU (inline)",
     "decode": f"{len(DECODE_SEEDS)} image-only generate_stream requests, one 64-code block each",
     "fit": "train_bpe, train_codebook and encode of every document of a 600-line, "
            f"120-caption corpus, and a {ALPHA_BOOT}-resample alpha bootstrap",
 }
-MEMORY_WORKLOADS = ("train", "decode")
+MEMORY_WORKLOADS = ("train-inline", "decode")
+FORKED = ("train",)  # workloads whose workers keep every CPU of the mask
 
 
 # ----------------------------------------------------------------------
@@ -127,17 +140,17 @@ def worker(tree: Path) -> None:
     cfg = preset("toy", vocab_size=vocab.total)
     init = init_params(cfg, seed=0)
     opt_cfg = OptimConfig(lr=1e-3, warmup_steps=2, total_steps=100)
-    rows = np.random.default_rng(0).integers(0, vocab.n_text, size=(TRAIN_STEPS, 8, 65))
+    rows = np.random.default_rng(0).integers(0, vocab.n_text, size=(FORKED_STEPS, 8, 65))
     policies = [DecodePolicy(block_len=64, mode="image-only", max_new_tokens=96, seed=s)
                 for s in DECODE_SEEDS]
 
     def batch(step, rng):
         return rows[step, :, :-1], rows[step, :, 1:], np.ones((8, 64))
 
-    def train():
+    def train(steps=TRAIN_STEPS):
         params = init_params(cfg, seed=0)
         start = perf_counter()
-        result = train_loop(params, cfg, opt_cfg, batch, seed=0, end_step=TRAIN_STEPS)
+        result = train_loop(params, cfg, opt_cfg, batch, seed=0, end_step=steps)
         return perf_counter() - start, result.rows[-1]["ce"]
 
     def decode():
@@ -193,9 +206,10 @@ def worker(tree: Path) -> None:
             tracemalloc.stop()
         return {"peak_mb": peak_mb, "minor_faults": faults}
 
-    jobs = {"train": train, "decode": decode, "fit": fit}
+    jobs = {"train": lambda: train(FORKED_STEPS), "train-inline": train, "decode": decode,
+            "fit": fit}
     memory_units = {
-        "train": train,
+        "train-inline": train,
         "decode": lambda: list(generate_stream(init, cfg, [vocab.bos, *MEMORY_PROMPT_TEXT],
                                                policies[0], vocab)),
     }
@@ -210,7 +224,7 @@ def worker(tree: Path) -> None:
 
 
 class Worker:
-    def __init__(self, tree: Path, pad: int, cpu: int):
+    def __init__(self, tree: Path, pad: int, cpu: int | None):
         env = dict(os.environ)
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = "1"
@@ -219,7 +233,8 @@ class Worker:
             [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
         )
-        os.sched_setaffinity(self.proc.pid, {cpu})
+        if cpu is not None:
+            os.sched_setaffinity(self.proc.pid, {cpu})
         self.info = self._read()
 
     def _read(self) -> dict:
@@ -267,7 +282,7 @@ def compare(trees: dict, pairs: int) -> dict:
     memory = {w: {} for w in MEMORY_WORKLOADS}
     for first in range(0, pairs, GENERATION):
         pad, cpu = layout.randrange(PAD_MAX), layout.choice(cpus)
-        workers = {(w, side): Worker(tree, pad, cpu)
+        workers = {(w, side): Worker(tree, pad, None if w in FORKED else cpu)
                    for w in WORKLOADS for side, tree in trees.items()}
         try:
             for (w, _), proc in workers.items():  # one unpaired warm-up batch each
@@ -306,7 +321,8 @@ def compare(trees: dict, pairs: int) -> dict:
     for w in MEMORY_WORKLOADS:
         for key in ("peak_mb", "minor_faults"):
             out[w][key] = {side: reply[key] for side, reply in memory[w].items()}
-    out["train"]["final_ce"] = checks["train"]
+    for w in ("train", "train-inline"):
+        out[w]["final_ce"] = checks[w]
     out["decode"]["same_tokens"] = checks["decode"]["base"] == checks["decode"]["change"]
     out["fit"]["check"] = checks["fit"]["change"]
     out["fit"]["same_check"] = checks["fit"]["base"] == checks["fit"]["change"]

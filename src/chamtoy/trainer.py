@@ -4,12 +4,16 @@ Determinism contract: every step derives its own generator from
 (seed, step), and optimizer state plus parameters are the only carried
 state.  A run checkpointed at step k and resumed reproduces the
 uninterrupted run bit for bit.  Each batch is split into SHARDS fixed row
-ranges whose gradients are summed in shard order.  Shard 0 runs on the
-calling thread.  Shard 1 runs in a child process that train_loop forks
-for the call, where that is safe and pays (see `_forks`), and otherwise
-inline after shard 0.  Each shard's arithmetic is the same in either
-process, and neither the shard count nor any generator depends on the
-CPU count or on which path ran, so no output does either.
+ranges whose gradients are summed, and the optimizer step into two fixed
+halves of the parameters (`_halves`, ZeRO stage 1, arXiv 1910.02054).
+Shard 0 and the first half run on the calling thread.  Shard 1 and the
+second half run in a child process that train_loop forks for the call,
+where that is safe and pays (`_forks`, FORK_MIN_STEPS), and otherwise
+inline after shard 0 and the first half.  Each shard's and each half's
+arithmetic is the same in either process, and the global norm sums the
+parameters' squares in one order, so neither the shard count, the split
+nor any generator depends on the CPU count or on which path ran, and no
+output does either.
 """
 
 from __future__ import annotations
@@ -85,22 +89,35 @@ def lr_at(step: int, cfg: OptimConfig) -> float:
     return floor + 0.5 * (cfg.lr - floor) * (1.0 + math.cos(math.pi * progress))
 
 
-def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
+def clip_global_norm(params: dict[str, Tensor | float], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm.  A float in place of a tensor is the sum of
+    squares of a gradient that another process holds and scales itself
+    (the worker's half of a train_loop step): it counts, in its place.
     """
     total = 0.0
     for p in params.values():
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+        if isinstance(p, float):
+            total += p
+        elif p.grad is not None:
+            total += _sum_of_squares(p.grad)
     norm = math.sqrt(total)
+    _scale_to(params, norm, max_norm)
+    return norm
+
+
+def _sum_of_squares(grad: np.ndarray) -> float:
+    return float(np.sum(grad * grad))
+
+
+def _scale_to(params: dict, norm: float, max_norm: float) -> None:
+    """Scale the tensors' gradients by max_norm / norm when norm exceeds max_norm."""
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for p in params.values():
-            if p.grad is not None:
+            if not isinstance(p, float) and p.grad is not None:
                 p.grad *= scale
-    return norm
 
 
 def adamw_step(params: dict[str, Tensor], state: dict, lr: float) -> None:
@@ -218,10 +235,14 @@ def step_rng(seed: int, step: int) -> np.random.Generator:
 # fixed row ranges per batch; a constant, so that no output depends on the
 # machine a run happens on
 SHARDS = 2
+# a call of fewer steps runs inline: a fork costs more than one step saves
+# (toy preset, batch 8 x 64: a forked one-step call took 1.36x the inline
+# time, a two-step call 0.92x)
+FORK_MIN_STEPS = 2
 
 
 def _forks() -> bool:
-    """Whether train_loop runs shard 1 in a forked child process.
+    """Whether this process may run shard 1 in a forked child process.
 
     Only with a second usable CPU, and only from a process with one native
     thread: forking a multi-threaded process is unsafe, and a live BLAS
@@ -235,6 +256,16 @@ def _forks() -> bool:
         return False
     return ("fork" in multiprocessing.get_all_start_methods() and len(os.sched_getaffinity(0)) > 1
             and threads == 1 and not multiprocessing.current_process().daemon)
+
+
+def _halves(params: dict[str, Tensor]) -> tuple[list[str], list[str]]:
+    """The names whose update the calling process makes and those the
+    worker makes: the prefix of `params` whose element count is nearest
+    half the total (the shorter prefix on a tie), and the rest."""
+    sizes = np.cumsum([p.data.size for p in params.values()])
+    cut = int(np.argmin(np.abs(2 * sizes - sizes[-1]))) + 1
+    names = list(params)
+    return names[:cut], names[cut:]
 
 
 def _shard_pass(weights, model_cfg, inputs, targets, mask, share, seed):
@@ -267,56 +298,160 @@ def _shard_pass(weights, model_cfg, inputs, targets, mask, share, seed):
                 share * breakdown.cross_entropy, share * breakdown.z_loss, sum_sq)
 
 
-def _serve(conn, parent_end, weights, grads, model_cfg) -> None:
-    """The child's loop: one shard pass per job received, its gradients
-    written into `grads`, until the parent closes its end of the pipe."""
+class _Layout:
+    """Where each parameter's arrays live for one train_loop call.
+
+    The float64 master and AdamW moments are the caller's own arrays, and
+    the float32 weights the shards read an array of the call; each step
+    allocates its float64 gradient sums (`_Half.add`).  With a worker
+    (`shared` a list of names), one anonymous shared mapping, which the
+    forked worker inherits, holds instead the weights, the float32 shard
+    gradients one process hands the other, every float64 gradient sum,
+    and the master and moments of each name in `shared`; `hand_back`
+    copies those masters and moments back into the caller's arrays.  Each
+    array of the mapping starts on a 64-byte line.
+    """
+
+    def __init__(self, params: dict[str, Tensor], opt_state: dict, shared: list[str] | None):
+        self.shared = shared or []
+        mapped = [] if shared is None else [
+            *((field, k, np.float32) for field in ("weights", "handed") for k in params),
+            *((field, k, np.float64) for field in ("masters", "m", "v") for k in shared),
+            *(("grad", k, np.float64) for k in params)]
+        spans = [-(-params[k].data.size * np.dtype(dtype).itemsize // 64) * 64
+                 for _, k, dtype in mapped]
+        self.buffer = mmap.mmap(-1, sum(spans)) if mapped else None
+        self.weights, self.handed, self.masters, self.m, self.v, self.grad = (
+            {} for _ in range(6))
+        for (field, k, dtype), offset in zip(mapped, np.cumsum([0, *spans]).tolist()):
+            getattr(self, field)[k] = np.ndarray(params[k].data.shape, dtype, self.buffer, offset)
+        for k, p in params.items():
+            for table, own in ((self.masters, p.data), (self.m, opt_state["m"][k]),
+                               (self.v, opt_state["v"][k])):
+                if k in table:
+                    np.copyto(table[k], own)
+                else:
+                    table[k] = own
+            if k not in self.weights:
+                self.weights[k] = np.empty(p.data.shape, np.float32)
+            np.copyto(self.weights[k], p.data, casting="same_kind")
+
+    def hand_back(self, params: dict[str, Tensor], opt_state: dict) -> None:
+        """Copy the shared masters and moments into the caller's arrays."""
+        for k in self.shared:
+            np.copyto(params[k].data, self.masters[k])
+            np.copyto(opt_state["m"][k], self.m[k])
+            np.copyto(opt_state["v"][k], self.v[k])
+
+    def hand_over(self, grads: dict | None, names: list[str]) -> list[str]:
+        """Copy the shard gradients of `names` that exist into the handed
+        arrays, for the other process; returns their names."""
+        present = [k for k in names if grads is not None and grads[k] is not None]
+        for k in present:
+            np.copyto(self.handed[k], grads[k])
+        return present
+
+    def handed_over(self, names: list[str]) -> dict:
+        return {k: self.handed[k] for k in names}
+
+
+class _Half:
+    """One process's part of the optimizer step: tensors over the layout's
+    masters and float64 gradient sums for its names, and their AdamW state."""
+
+    def __init__(self, layout: _Layout, names: list[str], t: int):
+        self.layout = layout
+        self.params = {k: Tensor(layout.masters[k]) for k in names}
+        self.state = {"m": {k: layout.m[k] for k in names},
+                      "v": {k: layout.v[k] for k in names}, "t": t}
+
+    def clear(self) -> None:
+        """Drop the last step's gradient sums, before this step allocates."""
+        for p in self.params.values():
+            p.grad = None
+
+    def add(self, shard: dict | None) -> None:
+        """Add one shard's float32 gradients into the float64 sums; the
+        first shard added since `clear` is upcast, into the mapping for a
+        shared name and into a new array otherwise.  The worker adds the
+        shards in the other order, which gives the same sums, since a
+        float64 addition commutes."""
+        for k, p in self.params.items():
+            g = shard.get(k) if shard is not None else None
+            if g is None:
+                continue
+            if p.grad is not None:
+                p.grad += g
+            elif k in self.layout.grad:
+                p.grad = self.layout.grad[k]
+                np.copyto(p.grad, g)
+            else:
+                p.grad = g.astype(np.float64)
+
+    def sums(self) -> dict[str, float]:
+        """Each gradient's sum of squares, as clip_global_norm takes them."""
+        return {k: _sum_of_squares(p.grad) for k, p in self.params.items() if p.grad is not None}
+
+    def update(self, norm: float | None, lr: float) -> None:
+        """Clip by the global `norm` unless clip_global_norm already did,
+        run AdamW, and write the float32 weights the next step reads."""
+        if norm is not None:
+            _scale_to(self.params, norm, CLIP_NORM)
+        adamw_step(self.params, self.state, lr)
+        for k, p in self.params.items():
+            np.copyto(self.layout.weights[k], p.data, casting="same_kind")
+
+
+def _serve(conn, parent_end, layout: _Layout, half: _Half, other: list[str], model_cfg) -> None:
+    """The child's loop, one step per job received, until the parent closes
+    its end of the pipe: shard 1's pass, then the worker's half of the
+    update, in the message order `_step` gives.  An exception is sent in
+    place of the next message, and ends the steps."""
     parent_end.close()  # or the pipe would never read EOF here
     # the child writes nothing: a warning its shard raises is the parent's
     # to print, from its own shard
     sys.stdout = sys.stderr = None
     try:
         while True:
-            job = conn.recv()
+            job, lr = conn.recv()
             try:
-                shard_grads, ce, z, sum_sq = _shard_pass(weights, model_cfg, *job)
-                names = None if shard_grads is None else [
-                    k for k, g in shard_grads.items() if g is not None]
-                for k in names or ():
-                    np.copyto(grads[k], shard_grads[k])
-                reply = (names, ce, z, sum_sq)
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    grads, *result = (_shard_pass(layout.weights, model_cfg, *job) if job
+                                      else (None, 0.0, 0.0, 0.0))
+                    conn.send((layout.hand_over(grads, other), *result))
+                    half.clear()
+                    half.add(grads)
+                    half.add(layout.handed_over(conn.recv()))
+                    conn.send(half.sums())
+                    half.update(conn.recv(), lr)
             except Exception as exc:
-                reply = exc
-            conn.send(reply)
+                conn.send(exc)
+                while True:  # until the parent, which raises it, closes the pipe
+                    conn.recv()
+            conn.send(None)
     except (EOFError, OSError):
         pass  # the parent is done, or gone
 
 
 class _ShardWorker:
-    """Shard 1 of every step of one train_loop call, in a forked child.
+    """Shard 1 and the second half of the update, for every step of one
+    train_loop call, in a forked child.
 
-    The float32 weights and the child's float32 gradients are arrays in
-    one anonymous shared mapping, which the child inherits.  A pipe
-    carries each step's shard to the child, and back the names of the
-    gradients it wrote, share * ce, share * z_loss and the sum of squares,
-    or the exception it raised.  The pipe's order is the only
-    synchronisation: the parent reads a step's gradients before it sends
-    the next step, and writes the weights only between the two.
+    The child inherits the layout, so both processes read and write the
+    same float32 weights, handed gradients, masters, moments and gradient
+    sums.  Per step, the pipe carries shard 1's job and the learning rate,
+    the names of the shard-0 gradients handed over, shard 1's result with
+    the names it handed over, the child's sums of squares, the global
+    norm, and an acknowledgement once the child's weights are written;
+    or, in place of any reply, the exception the child raised.  The
+    pipe's order is the only synchronisation.
     """
 
-    def __init__(self, params: dict[str, Tensor], model_cfg: ModelConfig):
-        # each array starts on a 64-byte line
-        spans = [-(-p.data.size // 16) * 16 for p in params.values()]
-        flat = np.frombuffer(mmap.mmap(-1, 4 * 2 * sum(spans)), dtype=np.float32)
-        self.weights, self.grads = {}, {}
-        offset = 0
-        for table in (self.weights, self.grads):
-            for (k, p), span in zip(params.items(), spans):
-                table[k] = flat[offset:offset + p.data.size].reshape(p.data.shape)
-                offset += span
+    def __init__(self, layout: _Layout, half: _Half, other: list[str], model_cfg: ModelConfig):
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
         self._process = ctx.Process(
-            target=_serve, args=(child_end, self._conn, self.weights, self.grads, model_cfg),
+            target=_serve, args=(child_end, self._conn, layout, half, other, model_cfg),
             name="chamtoy-shard", daemon=True)
         # the child starts with SIGINT blocked and keeps it so: Ctrl-C is the
         # parent's to handle, and the child leaves when the parent closes the pipe
@@ -327,37 +462,76 @@ class _ShardWorker:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             child_end.close()
 
-    def send(self, job: tuple) -> None:
-        self._conn.send(job)
+    def send(self, message) -> None:
+        try:
+            self._conn.send(message)
+        except OSError:
+            self._exited()
 
-    def receive(self) -> tuple:
-        """The result of the job sent last, as `_shard_pass` returns it."""
+    def receive(self):
+        """The child's next message; its exception is raised here."""
         try:
             reply = self._conn.recv()
-        except EOFError:
-            self._process.join()
-            raise ChildProcessError(f"the shard worker process exited with code "
-                                    f"{self._process.exitcode}") from None
+        except (EOFError, OSError):
+            self._exited()
         if isinstance(reply, BaseException):
             raise reply
-        names, ce, z, sum_sq = reply
-        grads = None if names is None else {k: self.grads[k] if k in names else None
-                                            for k in self.grads}
-        return grads, ce, z, sum_sq
+        return reply
+
+    def _exited(self):
+        self._process.join()
+        raise ChildProcessError(f"the shard worker process exited with code "
+                                f"{self._process.exitcode}") from None
 
     def close(self) -> None:
-        self._conn.close()  # the child reads EOF once its job is done, and exits
+        self._conn.close()  # the child reads EOF once its step is done, and exits
         self._process.join()
 
 
-def _run_shards(weights, model_cfg, jobs: list, worker: _ShardWorker | None) -> list:
-    """Each shard's `_shard_pass` result in order: shard 0 here while shard
-    1 runs in the worker, or both here when there is no worker."""
-    if worker is None or len(jobs) == 1:
-        return [_shard_pass(weights, model_cfg, *job) for job in jobs]
-    zero, one = jobs
-    worker.send(one)
-    return [_shard_pass(weights, model_cfg, *zero), worker.receive()]
+def _step(layout: _Layout, halves: list[_Half], model_cfg, jobs: list, lr: float,
+          worker: _ShardWorker | None) -> tuple[list, float]:
+    """One step's shard passes and update; returns each shard's share * ce,
+    share * z_loss and hidden sum of squares, and the pre-clip norm.
+
+    Shard 0 and the first half of the update run here.  Shard 1 and the
+    second half run in the worker, or here after the first.  Either way
+    the global norm is clip_global_norm's, over the squares of every
+    gradient in parameter order: the worker sends those of its half.
+    """
+    mine, theirs = halves
+    mine.clear()
+    theirs.clear()
+    zero, one = jobs if len(jobs) == SHARDS else (jobs[0], None)
+    if worker is not None:
+        worker.send((one, lr))
+    grads, *result = _shard_pass(layout.weights, model_cfg, *zero)
+    results = [result]
+    if worker is not None:
+        worker.send(layout.hand_over(grads, list(theirs.params)))
+        mine.add(grads)
+        handed, *result = worker.receive()
+        mine.add(layout.handed_over(handed))
+        sums = worker.receive()
+        for k, p in theirs.params.items():  # for the caller, after the last step
+            p.grad = layout.grad[k] if k in sums else None
+    else:
+        other, *result = _shard_pass(layout.weights, model_cfg, *one) if one else (None,)
+        mine.add(grads)
+        mine.add(other)
+        theirs.add(other)
+        theirs.add(grads)
+        sums = theirs.params  # clipped with the first half's
+    if one:
+        results.append(result)
+    norm = clip_global_norm({**mine.params, **sums}, CLIP_NORM)
+    if worker is not None:
+        worker.send(norm)
+    mine.update(None, lr)
+    if worker is None:
+        theirs.update(None, lr)
+    else:
+        worker.receive()  # the worker's weights are written
+    return results, norm
 
 
 def train_loop(
@@ -380,9 +554,17 @@ def train_loop(
     and [ceil(b/2), b) of each batch are the two shards (one, for a batch
     of one row); each runs forward and backward in float32 over one copy
     of the float64 masters, and the gradient is shard 0's plus shard 1's.
-    Shard 1 runs in a child process forked for the call where `_forks`
-    allows it, and after shard 0 otherwise; no child outlives the call.
-    Clipping, AdamW and the monitor then work in float64 on the sum.
+    The update is split in two fixed halves of the parameters (`_halves`):
+    each half sums its gradients, the global norm clips them, and AdamW
+    updates them in float64.  Shard 1 and the second half run in a child
+    process forked for the call when the call has at least FORK_MIN_STEPS
+    steps and `_forks` allows it, and after shard 0 and the first half
+    otherwise; no child outlives the call.  The masters and moments of the
+    first half are the caller's arrays, updated in place.  With a child,
+    the second half's live in a mapping the two processes share, and are
+    copied back into the caller's arrays when the call ends, on every exit;
+    after the child dies in its update they may be torn.  The masters keep
+    the last step's clipped float64 gradients, in arrays of their own.
     """
     if opt_state is None:
         opt_state = init_opt_state(params)
@@ -391,18 +573,20 @@ def train_loop(
     rows = []
     if end_step is None:
         end_step = opt_cfg.total_steps
-    worker = _ShardWorker(params, model_cfg) if end_step > start_step and _forks() else None
-    # one float32 copy of the masters, rewritten each step, which the shards share
-    weights = worker.weights if worker else {
-        k: np.empty(p.data.shape, np.float32) for k, p in params.items()}
+    if end_step <= start_step:
+        return TrainResult(params=params, opt_state=opt_state, rows=rows, monitor=monitor,
+                           final_step=start_step)
+    names = _halves(params)
+    forks = end_step - start_step >= FORK_MIN_STEPS and _forks()
+    for p in params.values():
+        p.grad = None  # the last call's, before this one allocates
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        layout = _Layout(params, opt_state, names[1] if forks else None)
+    halves = [_Half(layout, half, opt_state["t"]) for half in names]
+    worker = _ShardWorker(layout, halves[1], names[0], model_cfg) if forks else None
 
-    step = start_step
     try:
         for step in range(start_step, end_step):
-            # the last step's float64 gradients stay on the masters for the
-            # caller, and go before this step allocates
-            for p in params.values():
-                p.grad = None
             rng = step_rng(seed, step)
             inputs, targets, mask = map(np.asarray, batch_fn(step, rng))
             seeds = rng.integers(2**63, size=SHARDS)
@@ -410,24 +594,13 @@ def train_loop(
             if not n_masked > 0.0:
                 raise ValueError("loss mask selects no tokens")
             cuts = [-(-len(inputs) * i // SHARDS) for i in range(SHARDS + 1)]
-
+            jobs = [(inputs[lo:hi], targets[lo:hi], mask[lo:hi],
+                     float(mask[lo:hi].sum()) / n_masked, shard_seed)
+                    for lo, hi, shard_seed in zip(cuts, cuts[1:], seeds) if hi > lo]
+            lr = lr_at(step, opt_cfg)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for k, p in params.items():
-                    np.copyto(weights[k], p.data, casting="same_kind")
-                jobs = [(inputs[lo:hi], targets[lo:hi], mask[lo:hi],
-                         float(mask[lo:hi].sum()) / n_masked, shard_seed)
-                        for lo, hi, shard_seed in zip(cuts, cuts[1:], seeds) if hi > lo]
-                grads, ces, z_losses, sum_sqs = zip(*_run_shards(weights, model_cfg, jobs, worker))
-                # the first learning shard's gradient upcast, plus the others' in order
-                first, *rest = [shard for shard in grads if shard is not None]
-                for k, p in params.items():
-                    if first[k] is not None:
-                        p.grad = first[k].astype(np.float64)
-                        for shard in rest:
-                            p.grad += shard[k]
-                grad_norm = clip_global_norm(params, CLIP_NORM)
-                lr = lr_at(step, opt_cfg)
-                adamw_step(params, opt_state, lr)
+                results, grad_norm = _step(layout, halves, model_cfg, jobs, lr, worker)
+            ces, z_losses, sum_sqs = zip(*results)
 
             row = {
                 "step": step,
@@ -437,8 +610,6 @@ def train_loop(
                 "grad_norm": grad_norm,
                 "output_rms": math.sqrt(sum(sum_sqs) / (inputs.size * model_cfg.d_model)),
             }
-            # so that no array of this step is live during the next one's forward
-            del jobs, grads, first, rest
             diverged = monitor.observe(row)
             row["diverged"] = int(diverged)
             rows.append(row)
@@ -447,11 +618,16 @@ def train_loop(
     finally:
         if worker is not None:
             worker.close()  # no process outlives the call
+        # the caller's own arrays, not views of the mapping the child shared
+        layout.hand_back(params, opt_state)
+        for half in halves:
+            for k, p in half.params.items():
+                mapped = p.grad is not None and k in layout.grad
+                params[k].grad = p.grad.copy() if mapped else p.grad
+        opt_state["t"] = halves[0].state["t"]
 
-    return TrainResult(
-        params=params, opt_state=opt_state, rows=rows, monitor=monitor,
-        final_step=step + 1 if end_step > start_step else start_step,
-    )
+    return TrainResult(params=params, opt_state=opt_state, rows=rows, monitor=monitor,
+                       final_step=step + 1)
 
 
 def save_log(rows: list[dict], path) -> None:

@@ -38,6 +38,8 @@ from chamtoy.trainer import (
     DivergenceMonitor,
     OptimConfig,
     _forks,
+    _halves,
+    _Layout,
     _shard_pass,
     adamw_step,
     clip_global_norm,
@@ -521,6 +523,12 @@ def full_batch_pass(params, cfg, batch_fn):
     return grads, breakdown.cross_entropy, breakdown.z_loss, float(np.sqrt(np.mean(hidden * hidden)))
 
 
+def force_fork(monkeypatch, forks: bool) -> None:
+    """Make train_loop fork its shard worker, from calls of any length, or not."""
+    monkeypatch.setattr("chamtoy.trainer._forks", lambda: forks)
+    monkeypatch.setattr("chamtoy.trainer.FORK_MIN_STEPS", 1)
+
+
 def record_shards(monkeypatch, tmp_path, forks: bool):
     """Run train_loop with its shard worker process or without, and return
     a function that lists (process id, rows) for each shard run so far; a
@@ -533,7 +541,7 @@ def record_shards(monkeypatch, tmp_path, forks: bool):
             fh.write(f"{os.getpid()} {len(inputs)}\n")
         return _shard_pass(weights, model_cfg, inputs, *args)
 
-    monkeypatch.setattr("chamtoy.trainer._forks", lambda: forks)
+    force_fork(monkeypatch, forks)
     monkeypatch.setattr("chamtoy.trainer._shard_pass", recording_shard_pass)
     return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
@@ -587,10 +595,25 @@ def test_odd_batch_splits_three_and_two(monkeypatch, tmp_path):
     assert len(dict(shards())) == 2  # shard 1, of two rows, in the worker process
 
 
+def record_layouts(monkeypatch) -> list:
+    """Make train_loop append each call's `_Layout` to the returned list."""
+    layouts = []
+
+    class RecordingLayout(_Layout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            layouts.append(self)
+
+    monkeypatch.setattr("chamtoy.trainer._Layout", RecordingLayout)
+    return layouts
+
+
 def run_inline_and_forked(monkeypatch, tmp_path, cfg, batch_fn, steps=4):
     """train_loop's results with shard 1 inline and in the worker process,
-    after checking where each shard ran and that no process is left."""
+    after checking where each shard ran, that no process is left, and that
+    no array the forked run returns lies in the mapping it shared."""
     opt = OptimConfig(lr=3e-3, warmup_steps=2, total_steps=10)
+    layouts = record_layouts(monkeypatch)
     runs = {}
     for forks in (False, True):
         shards = record_shards(monkeypatch, tmp_path, forks)
@@ -602,7 +625,15 @@ def run_inline_and_forked(monkeypatch, tmp_path, cfg, batch_fn, steps=4):
         assert pids.count(os.getpid()) == steps * (1 if forks else SHARDS), pids
         assert len(set(pids)) == (2 if forks else 1), pids
         assert multiprocessing.active_children() == []
-    return runs[False], runs[True]
+    assert layouts[0].buffer is None
+    mapping = np.frombuffer(layouts[1].buffer, np.uint8)
+    result = runs[True]
+    arrays = [p.data for p in result.params.values()] + [
+        p.grad for p in result.params.values() if p.grad is not None] + [
+        a for moment in ("m", "v") for a in result.opt_state[moment].values()]
+    for arr in arrays:
+        assert not np.shares_memory(arr, mapping)
+    return runs[False], result
 
 
 def assert_same_runs(inline, forked):
@@ -610,6 +641,9 @@ def assert_same_runs(inline, forked):
     assert inline.opt_state["t"] == forked.opt_state["t"]
     for k, p in inline.params.items():
         assert np.array_equal(p.data, forked.params[k].data), k
+        # the last step's clipped float64 gradient, summed in either half
+        assert (p.grad is None) == (forked.params[k].grad is None), k
+        assert p.grad is None or np.array_equal(p.grad, forked.params[k].grad), k
         for moment in ("m", "v"):
             assert np.array_equal(inline.opt_state[moment][k], forked.opt_state[moment][k]), k
 
@@ -675,6 +709,66 @@ def test_errors_in_shard_0_end_the_worker_too(monkeypatch, tmp_path):
     assert len(dict(raise_in_one_shard(monkeypatch, tmp_path, row=0))) == 2
 
 
+def test_halves_cover_every_parameter_once_whatever_the_cpus(monkeypatch):
+    # the split is fixed by the shapes: the prefix nearest half the elements
+    seen = []
+
+    def recording_halves(params):
+        seen.append(_halves(params))
+        return seen[-1]
+
+    monkeypatch.setattr("chamtoy.trainer._halves", recording_halves)
+    monkeypatch.setattr("chamtoy.trainer.FORK_MIN_STEPS", 1)
+    cfg, opt, batch_fn = tiny_setup()
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, end_step=1)
+    assert seen[0] == seen[1]
+    for name in ("toy", "7b-recipe", "34b-recipe", "llama2-recipe"):
+        params = init_params(preset(name, 700), seed=0)
+        first, second = _halves(params)
+        assert first + second == list(params)
+        sizes = [sum(params[k].data.size for k in half) for half in (first, second)]
+        total = sum(sizes)
+        for cut in range(len(params) + 1):
+            prefix = sum(p.data.size for p in list(params.values())[:cut])
+            assert abs(2 * sizes[0] - total) <= abs(2 * prefix - total)
+        if name == "toy":
+            assert sizes == [85_920, 85_984]
+
+
+def fail_in_worker_update(monkeypatch, failure):
+    """Make the worker's AdamW half call `failure`, and this process's run as usual."""
+    here = os.getpid()
+
+    def failing_adamw_step(*args):
+        if os.getpid() != here:
+            failure()
+        return adamw_step(*args)
+
+    force_fork(monkeypatch, True)
+    monkeypatch.setattr("chamtoy.trainer.adamw_step", failing_adamw_step)
+
+
+def test_worker_that_dies_in_its_update_is_an_error(monkeypatch):
+    fail_in_worker_update(monkeypatch, lambda: os._exit(3))
+    cfg, opt, batch_fn = tiny_setup()
+    with pytest.raises(ChildProcessError, match="^the shard worker process exited with code 3$"):
+        train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, end_step=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_errors_in_the_worker_update_reraise_here(monkeypatch):
+    def failure():
+        raise FloatingPointError("the worker's half failed")
+
+    fail_in_worker_update(monkeypatch, failure)
+    cfg, opt, batch_fn = tiny_setup()
+    with pytest.raises(FloatingPointError, match="^the worker's half failed$"):
+        train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, end_step=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_worker_that_dies_is_an_error(monkeypatch):
     here = os.getpid()
 
@@ -683,7 +777,7 @@ def test_worker_that_dies_is_an_error(monkeypatch):
             os._exit(3)
         return _shard_pass(*args)
 
-    monkeypatch.setattr("chamtoy.trainer._forks", lambda: True)
+    force_fork(monkeypatch, True)
     monkeypatch.setattr("chamtoy.trainer._shard_pass", dying_shard_pass)
     cfg, opt, batch_fn = tiny_setup()
     with pytest.raises(ChildProcessError, match="^the shard worker process exited with code 3$"):
