@@ -32,12 +32,13 @@ both sides of a pair alike:
 
 Each ``train-inline`` and decode worker also records, once, after the
 first generation's timed pairs, the memory of one train unit (the 5
-steps; the forked unit's tracemalloc would see one process of two) and
-of one decode request (the first of the 3, but on a 13-token prompt, BOS
-and 12 text ids, the length of perfbench's caption requests, so that the
-prompt's side of decode memory shows): the minor page faults
+steps) and of one decode request (the first of the 3, but on a 13-token
+prompt, BOS and 12 text ids, the length of perfbench's caption requests,
+so that the prompt's side of decode memory shows): the minor page faults
 (``getrusage``) of one untraced run, then the tracemalloc peak of a
-second.  tracemalloc counts bytes, so the peaks repeat exactly; the fault
+second.  The forked ``train`` worker records the minor faults of one
+20-step unit in its own process, the parent of the shard worker, and no
+peak, since tracemalloc would see one process of two.  tracemalloc counts bytes, so the peaks repeat exactly; the fault
 counts move with the process layout (see below), so they compare the two
 sides of one generation only.  The report carries them as ``peak_mb``, in
 MB to 4 decimals so that a change of a few KB shows, and ``minor_faults``
@@ -116,7 +117,7 @@ WORKLOADS = {
     "fit": "train_bpe, train_codebook and encode of every document of a 600-line, "
            f"120-caption corpus, and a {ALPHA_BOOT}-resample alpha bootstrap",
 }
-MEMORY_WORKLOADS = ("train-inline", "decode")
+MEMORY_WORKLOADS = ("train", "train-inline", "decode")
 FORKED = ("train",)  # workloads whose workers keep every CPU of the mask
 
 
@@ -192,12 +193,14 @@ def worker(tree: Path) -> None:
         alpha = [line for line in printed.getvalue().splitlines() if "alpha" in line]
         return seconds, [digest.hexdigest(), code, alpha]
 
-    def memory(unit) -> dict:
-        """Minor page faults of one run of `unit`, and the peak MB that
-        tracemalloc traces while it runs again."""
+    def memory(unit, traced: bool) -> dict:
+        """Minor page faults of one run of `unit`, and, if `traced`, the
+        peak MB that tracemalloc traces while it runs again."""
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         unit()
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        if not traced:
+            return {"minor_faults": faults}
         tracemalloc.start()
         try:
             unit()
@@ -209,6 +212,7 @@ def worker(tree: Path) -> None:
     jobs = {"train": lambda: train(FORKED_STEPS), "train-inline": train, "decode": decode,
             "fit": fit}
     memory_units = {
+        "train": jobs["train"],
         "train-inline": train,
         "decode": lambda: list(generate_stream(init, cfg, [vocab.bos, *MEMORY_PROMPT_TEXT],
                                                policies[0], vocab)),
@@ -217,7 +221,7 @@ def worker(tree: Path) -> None:
     for line in sys.stdin:
         name = line.strip()
         if name.startswith("memory "):
-            print(json.dumps(memory(memory_units[name[7:]])), flush=True)
+            print(json.dumps(memory(memory_units[name[7:]], name[7:] not in FORKED)), flush=True)
             continue
         seconds, check = jobs[name]()
         print(json.dumps({"seconds": seconds, "check": check}), flush=True)
@@ -319,8 +323,9 @@ def compare(trees: dict, pairs: int) -> dict:
             "change_ms": round(1000 * median(times[w]["change"]), 2),
         }
     for w in MEMORY_WORKLOADS:
-        for key in ("peak_mb", "minor_faults"):
-            out[w][key] = {side: reply[key] for side, reply in memory[w].items()}
+        for side, reply in memory[w].items():
+            for key, value in reply.items():
+                out[w].setdefault(key, {})[side] = value
     for w in ("train", "train-inline"):
         out[w]["final_ce"] = checks[w]
     out["decode"]["same_tokens"] = checks["decode"]["base"] == checks["decode"]["change"]

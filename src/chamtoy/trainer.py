@@ -18,7 +18,9 @@ output does either.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import math
 import mmap
 import multiprocessing
@@ -26,6 +28,7 @@ import os
 import signal
 import sys
 from dataclasses import dataclass, field
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +127,10 @@ def adamw_step(params: dict[str, Tensor], state: dict, lr: float) -> None:
     """One decoupled-weight-decay Adam update.
 
     Decay is applied to the weights first, then the moment update; only
-    matrices (ndim >= 2) are decayed, norm gains are left alone.
+    matrices (ndim >= 2) are decayed, norm gains are left alone.  Each
+    parameter's update is the textbook
+    `data -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)`, in that order of
+    operations, computed in place over two parameter-sized temporaries.
     """
     state["t"] += 1
     t = state["t"]
@@ -139,10 +145,19 @@ def adamw_step(params: dict[str, Tensor], state: dict, lr: float) -> None:
         m = state["m"][name]
         v = state["v"][name]
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        scratch = np.multiply(g, 1.0 - BETA1)
+        m += scratch
+        np.multiply(g, 1.0 - BETA2, out=scratch)
+        scratch *= g
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        v += scratch
+        update = np.divide(m, bc1)
+        update *= lr
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += EPS
+        update /= scratch
+        p.data -= update
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +254,27 @@ SHARDS = 2
 # (toy preset, batch 8 x 64: a forked one-step call took 1.36x the inline
 # time, a two-step call 0.92x)
 FORK_MIN_STEPS = 2
+# glibc's allocator thresholds, set by the first train_loop call and kept
+# for the whole process: with the defaults, glibc hands the free top of
+# the caller's heap back to the kernel after each backward and faults it
+# in again in the next (about 950 minor faults per toy step in a fresh
+# process, which made the caller's pass, the forked step's critical path,
+# about 1.4 ms slower than the worker's, and the inline step about 14%
+# slower); blocks below MMAP_THRESHOLD come from the heap, and its top is
+# trimmed once TRIM_THRESHOLD bytes of it are free
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt's parameters, from glibc's malloc.h
+
+
+@cache
+def _keep_heap() -> None:
+    """Set glibc's trim and mmap thresholds, once per process; a no-op
+    where the C library has no `mallopt`."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
 
 
 def _forks() -> bool:
@@ -444,10 +480,15 @@ class _ShardWorker:
     the names it handed over, the child's sums of squares, the global
     norm, and an acknowledgement once the child's weights are written;
     or, in place of any reply, the exception the child raised.  The
-    pipe's order is the only synchronisation.
+    pipe's order is the only synchronisation.  The acknowledgement is
+    read late (`acknowledge`): the next step reads it after it sends its
+    job and before its shard 0 reads the weights, and the call's last one
+    is read as the call ends, so the child's update overlaps the parent's
+    bookkeeping.
     """
 
     def __init__(self, layout: _Layout, half: _Half, other: list[str], model_cfg: ModelConfig):
+        self.unread = False  # whether the last step's acknowledgement is still in the pipe
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
         self._process = ctx.Process(
@@ -478,6 +519,13 @@ class _ShardWorker:
             raise reply
         return reply
 
+    def acknowledge(self) -> None:
+        """Read the last step's acknowledgement, unless it is read already:
+        once it is, the child's half of the weights is written."""
+        if self.unread:
+            self.unread = False
+            self.receive()
+
     def _exited(self):
         self._process.join()
         raise ChildProcessError(f"the shard worker process exited with code "
@@ -489,14 +537,20 @@ class _ShardWorker:
 
 
 def _step(layout: _Layout, halves: list[_Half], model_cfg, jobs: list, lr: float,
-          worker: _ShardWorker | None) -> tuple[list, float]:
+          worker: _ShardWorker | None, ahead) -> tuple[list, float, object]:
     """One step's shard passes and update; returns each shard's share * ce,
-    share * z_loss and hidden sum of squares, and the pre-clip norm.
+    share * z_loss and hidden sum of squares, the pre-clip norm, and what
+    `ahead` returned (None without it).
 
     Shard 0 and the first half of the update run here.  Shard 1 and the
     second half run in the worker, or here after the first.  Either way
     the global norm is clip_global_norm's, over the squares of every
     gradient in parameter order: the worker sends those of its half.
+    `ahead`, the next step's draw, runs once shard 0's gradients are
+    added, while the worker finishes shard 1.  This returns once the first
+    half's weights are written; the worker's acknowledgement that its
+    half's are is read by the next step, before its shard 0 reads them, or
+    as the call ends.
     """
     mine, theirs = halves
     mine.clear()
@@ -504,19 +558,22 @@ def _step(layout: _Layout, halves: list[_Half], model_cfg, jobs: list, lr: float
     zero, one = jobs if len(jobs) == SHARDS else (jobs[0], None)
     if worker is not None:
         worker.send((one, lr))
+        worker.acknowledge()  # the last step's, since shard 0 reads the worker's half
     grads, *result = _shard_pass(layout.weights, model_cfg, *zero)
     results = [result]
     if worker is not None:
         worker.send(layout.hand_over(grads, list(theirs.params)))
-        mine.add(grads)
+    else:
+        other, *result = _shard_pass(layout.weights, model_cfg, *one) if one else (None,)
+    mine.add(grads)
+    drawn = ahead() if ahead is not None else None
+    if worker is not None:
         handed, *result = worker.receive()
         mine.add(layout.handed_over(handed))
         sums = worker.receive()
         for k, p in theirs.params.items():  # for the caller, after the last step
             p.grad = layout.grad[k] if k in sums else None
     else:
-        other, *result = _shard_pass(layout.weights, model_cfg, *one) if one else (None,)
-        mine.add(grads)
         mine.add(other)
         theirs.add(other)
         theirs.add(grads)
@@ -530,8 +587,29 @@ def _step(layout: _Layout, halves: list[_Half], model_cfg, jobs: list, lr: float
     if worker is None:
         theirs.update(None, lr)
     else:
-        worker.receive()  # the worker's weights are written
-    return results, norm
+        worker.unread = True
+    return results, norm, drawn
+
+
+def _draw(batch_fn, seed: int, errors: dict, step: int):
+    """Step `step`'s inputs and shard jobs, with batch_fn run in numpy's
+    error state `errors`, or the exception that drawing them raised, to
+    be raised at that step."""
+    try:
+        rng = step_rng(seed, step)
+        with np.errstate(**errors):
+            batch = batch_fn(step, rng)
+        inputs, targets, mask = map(np.asarray, batch)
+        seeds = rng.integers(2**63, size=SHARDS)
+        n_masked = float(mask.sum())
+        if not n_masked > 0.0:
+            raise ValueError("loss mask selects no tokens")
+        cuts = [-(-len(inputs) * i // SHARDS) for i in range(SHARDS + 1)]
+        return inputs, [(inputs[lo:hi], targets[lo:hi], mask[lo:hi],
+                         float(mask[lo:hi].sum()) / n_masked, shard_seed)
+                        for lo, hi, shard_seed in zip(cuts, cuts[1:], seeds) if hi > lo]
+    except Exception as exc:
+        return exc
 
 
 def train_loop(
@@ -550,21 +628,29 @@ def train_loop(
     """Run optimization steps [start_step, end_step).
 
     batch_fn(step, rng) must return (inputs, targets, loss_mask) and draw
-    all of its randomness from the rng it is handed.  Rows [0, ceil(b/2))
-    and [ceil(b/2), b) of each batch are the two shards (one, for a batch
-    of one row); each runs forward and backward in float32 over one copy
-    of the float64 masters, and the gradient is shard 0's plus shard 1's.
-    The update is split in two fixed halves of the parameters (`_halves`):
-    each half sums its gradients, the global norm clips them, and AdamW
-    updates them in float64.  Shard 1 and the second half run in a child
-    process forked for the call when the call has at least FORK_MIN_STEPS
-    steps and `_forks` allows it, and after shard 0 and the first half
-    otherwise; no child outlives the call.  The masters and moments of the
-    first half are the caller's arrays, updated in place.  With a child,
-    the second half's live in a mapping the two processes share, and are
-    copied back into the caller's arrays when the call ends, on every exit;
-    after the child dies in its update they may be torn.  The masters keep
-    the last step's clipped float64 gradients, in arrays of their own.
+    all of its randomness from the rng it is handed.  It runs one step
+    ahead: each step but the call's last draws the next step's batch while
+    shard 1 finishes, so batch_fn is called once per step, in order, and
+    never for end_step.  An exception it raises, or an empty loss mask,
+    is raised in place of that batch's step, once the steps before it are
+    done; a halt on divergence drops the batch drawn ahead.  Rows
+    [0, ceil(b/2)) and [ceil(b/2), b) of each batch are the two shards
+    (one, for a batch of one row); each runs forward and backward in
+    float32 over one copy of the float64 masters, and the gradient is
+    shard 0's plus shard 1's.  The update is split in two fixed halves of
+    the parameters (`_halves`): each half sums its gradients, the global
+    norm clips them, and AdamW updates them in float64.  Shard 1 and the
+    second half run in a child process forked for the call when the call
+    has at least FORK_MIN_STEPS steps and `_forks` allows it, and after
+    shard 0 and the first half otherwise; no child outlives the call.
+    The first call sets glibc's heap thresholds (MMAP_THRESHOLD,
+    TRIM_THRESHOLD) for the rest of the process.  The masters and moments
+    of the first half are the caller's arrays, updated in place.  With a
+    child, the second half's live in a mapping the two processes share,
+    and are copied back into the caller's arrays when the call ends, on
+    every exit, once the child's last update is done; after the child dies
+    in its update they may be torn.  The masters keep the last step's
+    clipped float64 gradients, in arrays of their own.
     """
     if opt_state is None:
         opt_state = init_opt_state(params)
@@ -578,6 +664,7 @@ def train_loop(
                            final_step=start_step)
     names = _halves(params)
     forks = end_step - start_step >= FORK_MIN_STEPS and _forks()
+    _keep_heap()  # before any fork, so that the worker inherits it
     for p in params.values():
         p.grad = None  # the last call's, before this one allocates
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -586,20 +673,18 @@ def train_loop(
     worker = _ShardWorker(layout, halves[1], names[0], model_cfg) if forks else None
 
     try:
+        # batch_fn runs in the caller's error state, also when drawn within a step
+        draw = partial(_draw, batch_fn, seed, np.geterr())
+        drawn = draw(start_step)
         for step in range(start_step, end_step):
-            rng = step_rng(seed, step)
-            inputs, targets, mask = map(np.asarray, batch_fn(step, rng))
-            seeds = rng.integers(2**63, size=SHARDS)
-            n_masked = float(mask.sum())
-            if not n_masked > 0.0:
-                raise ValueError("loss mask selects no tokens")
-            cuts = [-(-len(inputs) * i // SHARDS) for i in range(SHARDS + 1)]
-            jobs = [(inputs[lo:hi], targets[lo:hi], mask[lo:hi],
-                     float(mask[lo:hi].sum()) / n_masked, shard_seed)
-                    for lo, hi, shard_seed in zip(cuts, cuts[1:], seeds) if hi > lo]
+            if isinstance(drawn, Exception):
+                break
+            inputs, jobs = drawn
             lr = lr_at(step, opt_cfg)
+            ahead = partial(draw, step + 1) if step + 1 < end_step else None
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                results, grad_norm = _step(layout, halves, model_cfg, jobs, lr, worker)
+                results, grad_norm, drawn = _step(layout, halves, model_cfg, jobs, lr, worker,
+                                                  ahead)
             ces, z_losses, sum_sqs = zip(*results)
 
             row = {
@@ -614,9 +699,16 @@ def train_loop(
             row["diverged"] = int(diverged)
             rows.append(row)
             if halt_on_divergence and diverged:
+                drawn = None  # the batch drawn ahead, or its error, is dropped
                 break
+        if worker is not None:
+            worker.acknowledge()  # an error of the last update comes first
+        if isinstance(drawn, Exception):
+            raise drawn
     finally:
         if worker is not None:
+            with contextlib.suppress(Exception):  # another exception is leaving the call
+                worker.acknowledge()
             worker.close()  # no process outlives the call
         # the caller's own arrays, not views of the mapping the child shared
         layout.hand_back(params, opt_state)

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -130,6 +131,43 @@ def test_grads_from_one_output_are_separate_buffers_clipped_once():
     assert np.array_equal(p["a"].grad, expected)
     assert np.array_equal(p["b"].grad, expected)
     assert np.array_equal(out.grad, np.ones((2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+       lr=st.floats(1e-6, 1.0), t=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+def test_adamw_step_is_the_textbook_update_bit_for_bit(shape, lr, t, seed):
+    rng = np.random.default_rng(seed)
+    data, grad, m = (rng.normal(size=shape) for _ in range(3))
+    v = rng.random(size=shape)
+    p = {"w": Tensor(data.copy())}
+    p["w"].grad = grad
+    state = {"m": {"w": m.copy()}, "v": {"w": v.copy()}, "t": t}
+    adamw_step(p, state, lr)
+
+    bc1, bc2 = 1.0 - BETA1 ** (t + 1), 1.0 - BETA2 ** (t + 1)
+    decayed = data * (1.0 - lr * WEIGHT_DECAY) if data.ndim >= 2 else data
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
+    assert state["t"] == t + 1
+    assert np.array_equal(state["m"]["w"], m) and np.array_equal(state["v"]["w"], v)
+    assert np.array_equal(p["w"].data, decayed - lr * (m / bc1) / (np.sqrt(v / bc2) + EPS))
+
+
+def test_adamw_step_holds_two_temporaries():
+    # three parameter-sized temporaries at once faulted fresh pages on every update
+    p = {"w": Tensor(np.ones((700, 64)))}
+    p["w"].grad = np.full((700, 64), 0.5)
+    state = init_opt_state(p)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        adamw_step(p, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * p["w"].data.nbytes + 4096, peak / p["w"].data.nbytes
 
 
 # ----------------------------------------------------------------------
@@ -737,14 +775,15 @@ def test_halves_cover_every_parameter_once_whatever_the_cpus(monkeypatch):
             assert sizes == [85_920, 85_984]
 
 
-def fail_in_worker_update(monkeypatch, failure):
-    """Make the worker's AdamW half call `failure`, and this process's run as usual."""
+def fail_in_worker_update(monkeypatch, failure, step=None):
+    """Make the worker's AdamW half call `failure`, at every step or at
+    `step` alone of a run from step 0, and this process's run as usual."""
     here = os.getpid()
 
-    def failing_adamw_step(*args):
-        if os.getpid() != here:
+    def failing_adamw_step(params, state, lr):
+        if os.getpid() != here and step in (None, state["t"]):
             failure()
-        return adamw_step(*args)
+        return adamw_step(params, state, lr)
 
     force_fork(monkeypatch, True)
     monkeypatch.setattr("chamtoy.trainer.adamw_step", failing_adamw_step)
@@ -766,6 +805,36 @@ def test_errors_in_the_worker_update_reraise_here(monkeypatch):
     cfg, opt, batch_fn = tiny_setup()
     with pytest.raises(FloatingPointError, match="^the worker's half failed$"):
         train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, end_step=2)
+    assert multiprocessing.active_children() == []
+
+
+def exit_3():
+    os._exit(3)
+
+
+def raise_in_update():
+    raise FloatingPointError("the worker's half failed")
+
+
+@pytest.mark.parametrize("failure, error, message", [
+    (exit_3, ChildProcessError, "^the shard worker process exited with code 3$"),
+    (raise_in_update, FloatingPointError, "^the worker's half failed$"),
+], ids=["exits", "raises"])
+def test_worker_failing_in_its_last_update_is_an_error(monkeypatch, failure, error, message):
+    # no later step reads that update's acknowledgement: the call does, as it ends
+    fail_in_worker_update(monkeypatch, failure, step=2)
+    cfg, opt, batch_fn = tiny_setup()
+    with pytest.raises(error, match=message):
+        train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, end_step=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_update_error_comes_before_the_next_batch_error(monkeypatch):
+    # step 1 ends as it would without the batch drawn ahead of step 2
+    fail_in_worker_update(monkeypatch, raise_in_update, step=1)
+    cfg, opt, batch_fn = tiny_setup()
+    with pytest.raises(FloatingPointError, match="^the worker's half failed$"):
+        train_loop(init_params(cfg, seed=1), cfg, opt, failing_batches(batch_fn, 2), end_step=4)
     assert multiprocessing.active_children() == []
 
 
@@ -832,6 +901,40 @@ def test_ctrl_c_ends_the_worker_with_the_call():
     assert out.stdout == "started\nworker gone\ninterrupted []\n"
 
 
+HEAP = """
+import resource
+import numpy as np
+from chamtoy import trainer
+from chamtoy.model import init_params, preset
+trainer._forks = lambda: {forks}
+cfg = preset("toy", 700)
+rows = np.random.default_rng(0).integers(0, 700, size=(12, 8, 65))
+faults = []
+
+def batch_fn(step, rng):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return rows[step, :, :-1], rows[step, :, 1:], np.ones((8, 64))
+
+for _ in range(2):
+    faults.clear()
+    trainer.train_loop(init_params(cfg, seed=0), cfg,
+                       trainer.OptimConfig(lr=1e-3, warmup_steps=2, total_steps=100), batch_fn,
+                       end_step=12)
+print(int(np.median(np.diff(faults[2:]))))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
+@pytest.mark.parametrize("forks", [False, True], ids=["inline", "forked"])
+def test_train_loop_keeps_its_heap_mapped(forks):
+    # with glibc's default thresholds a fresh process trimmed its heap after
+    # each backward and faulted it in again: about 950 minor faults per step
+    env = src_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", HEAP.format(forks=forks)], capture_output=True,
+                         text=True, env=env, check=True, timeout=120)
+    assert int(out.stdout) <= 50, out.stdout
+
+
 POOL = """
 import multiprocessing, os
 from chamtoy import trainer
@@ -862,6 +965,92 @@ def test_fork_rule_wants_two_cpus_and_one_thread(monkeypatch):
     forks, cpus, in_pool = out.stdout.split()
     assert forks == str(int(cpus) > 1 and sys.platform == "linux")
     assert in_pool == "False"
+
+
+# ----------------------------------------------------------------------
+# the batch drawn a step ahead
+# ----------------------------------------------------------------------
+
+
+def failing_batches(batch_fn, at):
+    """batch_fn, but raising LookupError for step `at`."""
+    def failing(step, rng):
+        if step == at:
+            raise LookupError(f"no batch for step {step}")
+        return batch_fn(step, rng)
+    return failing
+
+
+class FlagsFrom(DivergenceMonitor):
+    """A monitor that flags every step from `step` on."""
+
+    def __init__(self, step):
+        super().__init__()
+        self.step = step
+
+    def observe(self, row):
+        return super().observe(row) or row["step"] >= self.step
+
+
+@pytest.mark.parametrize("forks", [False, True], ids=["inline", "forked"])
+def test_batch_fn_runs_once_per_step_in_order(monkeypatch, forks):
+    force_fork(monkeypatch, forks)
+    cfg, opt, batch_fn = tiny_setup()
+    calls = []
+
+    def recording(step, rng):
+        calls.append(step)
+        return batch_fn(step, rng)
+
+    train_loop(init_params(cfg, seed=1), cfg, opt, recording, seed=5, start_step=1, end_step=5)
+    assert calls == [1, 2, 3, 4]  # never end_step's
+    calls.clear()
+    result = train_loop(init_params(cfg, seed=1), cfg, opt, recording, seed=5, end_step=6,
+                        monitor=FlagsFrom(2), halt_on_divergence=True)
+    # at most the batch drawn ahead of the halting step, and dropped
+    assert calls[:3] == [0, 1, 2] and len(calls) <= 4, calls
+    assert [row["step"] for row in result.rows] == [0, 1, 2] and result.final_step == 3
+    assert multiprocessing.active_children() == []
+    force_fork(monkeypatch, False)
+    inline = train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, seed=5, end_step=6,
+                        monitor=FlagsFrom(2), halt_on_divergence=True)
+    assert_same_runs(inline, result)
+
+
+@pytest.mark.parametrize("at", [0, 2, 3])
+@pytest.mark.parametrize("forks", [False, True], ids=["inline", "forked"])
+def test_batch_fn_error_is_raised_at_its_own_step(monkeypatch, forks, at):
+    # the steps before it end as they would without it, the last one too
+    force_fork(monkeypatch, forks)
+    cfg, opt, batch_fn = tiny_setup()
+    params = init_params(cfg, seed=1)
+    opt_state = init_opt_state(params)
+    with pytest.raises(LookupError, match=f"^no batch for step {at}$"):
+        train_loop(params, cfg, opt, failing_batches(batch_fn, at), seed=5, end_step=4,
+                   opt_state=opt_state)
+    assert multiprocessing.active_children() == []
+    want = train_loop(init_params(cfg, seed=1), cfg, opt, batch_fn, seed=5, end_step=at)
+    assert opt_state["t"] == want.opt_state["t"] == at
+    for k, p in want.params.items():
+        assert np.array_equal(params[k].data, p.data), k
+        for moment in ("m", "v"):
+            assert np.array_equal(opt_state[moment][k], want.opt_state[moment][k]), k
+
+
+@pytest.mark.parametrize("forks", [False, True], ids=["inline", "forked"])
+def test_batch_fn_runs_in_the_callers_error_state(monkeypatch, forks):
+    # not in the step's, which ignores overflow and division by zero
+    force_fork(monkeypatch, forks)
+    cfg, opt, batch_fn = tiny_setup()
+
+    def dividing(step, rng):
+        if step == 2:
+            np.divide(1.0, np.zeros(1))
+        return batch_fn(step, rng)
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError, match="divide by zero"):
+        train_loop(init_params(cfg, seed=1), cfg, opt, dividing, end_step=4)
+    assert multiprocessing.active_children() == []
 
 
 def test_batch_without_masked_tokens_is_refused():
