@@ -12,8 +12,10 @@ the policy; generate_stream feeds it from a key/value cache and yields
 events, generate_fused re-runs the full forward pass per token.  A KV
 step's one-row GEMMs sum in another order than the fused L-row ones, so
 the tokens agree unless a draw lands within rounding of a
-cumulative-probability boundary or an argmax tie.  Both run on frozen
-views of the parameters: no autograd graph, memory bounded by the cache.
+cumulative-probability boundary or an argmax tie.  Both pass read-only
+views of the parameters' arrays through `model_forward`, whose layers then
+run their kernels on plain arrays: no Tensor or autograd node is built,
+decoding cannot write the weights, and memory is bounded by the cache.
 """
 
 from __future__ import annotations
@@ -207,9 +209,14 @@ def check_prompt(cfg: ModelConfig, prompt, policy: DecodePolicy, vocab: MixedVoc
     return state
 
 
-def _frozen(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    """Views of params that record no autograd graph (the arrays are shared)."""
-    return {name: Tensor(t.data) for name, t in params.items()}
+def _frozen(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Read-only views of the parameters' arrays (the memory is shared), on
+    which `model_forward` builds no autograd node."""
+    views = {}
+    for name, t in params.items():
+        views[name] = view = t.data.view()
+        view.flags.writeable = False
+    return views
 
 
 def _cache_len(n_prompt: int, policy: DecodePolicy, cfg: ModelConfig) -> int:
@@ -303,7 +310,9 @@ def generate_stream(
     request's decode memory is fixed after its prompt.  Every call runs the
     head on the sampled position alone, and the prompt's layers are copied
     one at a time, each freed before the next one's buffers are allocated,
-    so a request peaks at its cache plus one prompt layer.
+    so a request peaks at its cache plus one prompt layer.  The forward
+    passes run on read-only views of the parameters' arrays, so they build
+    no Tensor or autograd node and cannot write the weights.
     """
     params = _frozen(params)
     kv = None
@@ -320,7 +329,7 @@ def generate_stream(
             capacity = _cache_len(len(tokens), policy, cfg)
             for i, layer in enumerate(kv):
                 kv[i] = layer.with_capacity(capacity)
-        return logits.data[0, -1]
+        return logits[0, -1]
 
     yield from _decode(cfg, prompt, policy, vocab, next_logits)
 
@@ -341,7 +350,7 @@ def generate_fused(
 
     def next_logits(tokens):
         logits, _ = model_forward(params, cfg, np.array([tokens]), last_only=True)
-        return logits.data[0, -1]
+        return logits[0, -1]
 
     *_, finished = _decode(cfg, prompt, policy, vocab, next_logits)
     return finished

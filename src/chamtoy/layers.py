@@ -1,7 +1,9 @@
 """Transformer building blocks: norms, SwiGLU, rotary embeddings, attention.
 
 Everything here is a pure function over Tensors; parameters are passed in
-explicitly so the model module can own naming and checkpointing.
+explicitly so the model module can own naming and checkpointing.  The
+norms, SwiGLU and attention also take plain arrays, as decoding passes
+them: they then run the same kernels and return arrays, and build no node.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ import functools
 import numpy as np
 
 from .numerics import (
-    Tensor, attend_backward, attend_forward, gain_gradient, normalize, normalize_backward,
-    normalize_forward, turn, turn_back,
+    Tensor, attend_backward, attend_forward, gain_gradient, matmul, normalize,
+    normalize_backward, normalize_forward, turn, turn_back,
 )
 
 
@@ -40,31 +42,36 @@ def swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
     indicator instead of a masked select, which numpy runs an order of
     magnitude slower on an unpredictable sign pattern.  The backward adds
     the gate's and then the up's gradient into x's one at a time: summing
-    the two first would round differently.
+    the two first would round differently.  On an array x (the weights
+    arrays too) this is the output's array.
     """
-    xd = x.data
+    arrays = type(x) is np.ndarray
+    xd, wg, wu, wd = ((x, w_gate, w_up, w_down) if arrays
+                      else (x.data, w_gate.data, w_up.data, w_down.data))
     x2 = xd.reshape(-1, xd.shape[-1])
-    a = x2 @ w_gate.data
-    b = x2 @ w_up.data
+    a = x2 @ wg
+    b = x2 @ wu
     e = np.exp(-np.abs(a))
     sig = np.maximum(e, a >= 0)
     e += 1.0
     sig /= e
     del e
     gate = a * sig * b
-    n = w_down.data.shape[1]
-    out = (gate @ w_down.data).reshape(xd.shape[:-1] + (n,))
+    n = wd.shape[1]
+    out = (gate @ wd).reshape(xd.shape[:-1] + (n,))
+    if arrays:
+        return out
 
     def backward_fn(g):
         g2 = g.reshape(-1, n)
-        g_gate = g2 @ w_down.data.T
+        g_gate = g2 @ wd.T
         if w_down.requires_grad:
             w_down._take(gate.T @ g2)
         ga = g_gate * b * sig * (1.0 + a * (1.0 - sig))
         gb = g_gate * (a * sig)
         if x.requires_grad:
-            x._take((ga @ w_gate.data.T).reshape(xd.shape))
-            x._take((gb @ w_up.data.T).reshape(xd.shape))
+            x._take((ga @ wg.T).reshape(xd.shape))
+            x._take((gb @ wu.T).reshape(xd.shape))
         if w_gate.requires_grad:
             w_gate._take(x2.T @ ga)
         if w_up.requires_grad:
@@ -167,13 +174,13 @@ def attention(
     filled prefix.  The cache carries no graph in any mode: the positions
     it held before the call are constants, and the gradient reaches this
     call's queries, keys and values alone.  Training never passes one, and
-    decoding runs on frozen parameter views.
+    decoding passes arrays, on which this returns the output's array.
     """
     if n_heads % n_kv_heads != 0:
         raise ValueError("query head count must be a multiple of kv head count")
-    merged, cache = _attention_node(x @ wqkv, n_heads, n_kv_heads, rope_c, rope_s, q_gain,
-                                    k_gain, norm_eps, past_kv)
-    return merged @ wo, cache
+    merged, cache = _attention_node(matmul(x, wqkv), n_heads, n_kv_heads, rope_c, rope_s,
+                                    q_gain, k_gain, norm_eps, past_kv)
+    return matmul(merged, wo), cache
 
 
 def _attention_node(qkv: Tensor, n_heads: int, n_kv_heads: int, rope_c: np.ndarray,
@@ -183,20 +190,25 @@ def _attention_node(qkv: Tensor, n_heads: int, n_kv_heads: int, rope_c: np.ndarr
     [b, s, d] and the cache, as one node.  The arithmetic is that of
     `normalize_forward`, `turn` and `attend_forward`; the backward runs
     their backward kernels and writes the query, key and value gradients
-    once each into their column ranges of one buffer shaped as qkv."""
+    once each into their column ranges of one buffer shaped as qkv.  On an
+    array qkv (the gains arrays too) it returns the merged heads' array."""
+    arrays = type(qkv) is np.ndarray
+    data = qkv if arrays else qkv.data
     offset = 0 if past_kv is None else past_kv.length
-    b, s, width = qkv.data.shape
+    b, s, width = data.shape
     hd = width // (n_heads + 2 * n_kv_heads)
     c, sn = _rope_rows(rope_c, rope_s, offset, s)
     # [b, heads, s, hd] views of the q, k and v column ranges
-    heads = qkv.data.reshape(b, s, -1, hd).transpose(0, 2, 1, 3)
+    heads = data.reshape(b, s, -1, hd).transpose(0, 2, 1, 3)
     kv_end = n_heads + n_kv_heads
     q, q_saved = _qk_forward(heads[:, :n_heads], q_gain, norm_eps, c, sn)
     k, k_saved = _qk_forward(heads[:, n_heads:kv_end], k_gain, norm_eps, c, sn)
     v = heads[:, kv_end:]
 
     if past_kv is None:
-        cache = KVCache(k, v, s)
+        # on arrays the values get memory of their own, so that the q/k/v
+        # product they view is freed when this returns, not with the cache
+        cache = KVCache(k, v.copy() if arrays else v, s)
     else:
         t = offset + s
         cache = past_kv if t <= past_kv.k.shape[2] else past_kv.with_capacity(t)
@@ -204,9 +216,13 @@ def _attention_node(qkv: Tensor, n_heads: int, n_kv_heads: int, rope_c: np.ndarr
         cache.length = t
         k, v = cache.k[:, :, :t], cache.v[:, :, :t]
     out, exps, sums = attend_forward(q, k, v)
+    merged = out.transpose(0, 2, 1, 3).reshape(b, s, n_heads * hd)
+    if arrays:
+        return merged, cache
 
     # not 20 cells: CPython 3.11 never reuses a freed closure tuple of exactly
-    # 20 from its free list, so decoding would pile up one per call there
+    # 20 from its free list, so a run of forward passes would pile up one per
+    # call there
     def backward_fn(g):
         gq, gk, gv = attend_backward(g.reshape(b, s, n_heads, hd).transpose(0, 2, 1, 3),
                                      q, k, v, exps, sums)
@@ -222,8 +238,7 @@ def _attention_node(qkv: Tensor, n_heads: int, n_kv_heads: int, rope_c: np.ndarr
             qkv._take(grad)
 
     parents = tuple([t for t in (qkv, q_gain, k_gain) if t is not None])
-    return qkv._make(out.transpose(0, 2, 1, 3).reshape(b, s, n_heads * hd), parents,
-                     backward_fn), cache
+    return qkv._make(merged, parents, backward_fn), cache
 
 
 def _rope_rows(c: np.ndarray, s: np.ndarray, offset: int, seq: int):
@@ -234,13 +249,14 @@ def _rope_rows(c: np.ndarray, s: np.ndarray, offset: int, seq: int):
     return c[offset:offset + seq], s[offset:offset + seq]
 
 
-def _qk_forward(x: np.ndarray, gain: Tensor | None, eps: float, c: np.ndarray, s: np.ndarray):
-    """Queries or keys, layer-normalized first when there is a gain, then
-    rotated: (out, saved), saved the norm's (unit, inv), or None without a
-    gain."""
+def _qk_forward(x: np.ndarray, gain, eps: float, c: np.ndarray, s: np.ndarray):
+    """Queries or keys, layer-normalized first when there is a gain (a
+    Tensor or an array), then rotated: (out, saved), saved the norm's
+    (unit, inv), or None without a gain."""
     if gain is None:
         return turn(np.ascontiguousarray(x), c, s), None
-    out, unit, inv = normalize_forward(x, gain.data, eps, True)
+    out, unit, inv = normalize_forward(x, gain if type(gain) is np.ndarray else gain.data,
+                                       eps, True)
     return turn(out, c, s), (unit, inv)
 
 

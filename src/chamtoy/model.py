@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .layers import KVCache, attention, dropout, rms_norm, rope_tables, swiglu
-from .numerics import Tensor, embedding
+from .numerics import Tensor, embedding, matmul
 
 
 class NormStrategy(enum.Enum):
@@ -146,7 +146,7 @@ def block_forward(
     was added to the stream) and this layer's `KVCache`.
     """
     pre = f"layers.{layer}"
-    rope_c, rope_s = rope_tables(cfg.head_dim, cfg.max_seq, x.data.dtype)
+    rope_c, rope_s = rope_tables(cfg.head_dim, cfg.max_seq, x.dtype)
     q_gain = params.get(f"{pre}.attn.q_gain")
     k_gain = params.get(f"{pre}.attn.k_gain")
 
@@ -207,6 +207,11 @@ def model_forward(
     one position it is the full head itself; at more it equals the full
     head's last row to rounding, as BLAS sums a one-row product in another
     order.  Its gradient flows into that position.
+
+    params may also map each name to a plain array, as decoding passes
+    them: every layer then runs the same kernels on arrays, and logits and
+    aux["hidden"] are arrays, bit-identical to the Tensors' data, with no
+    autograd node built.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -226,9 +231,9 @@ def model_forward(
     hidden = x
     if last_only and ids.shape[1] > 1:  # one row already is the last position
         index = (slice(None), slice(-1, None))
-        x = hidden._make(hidden.data[index], (hidden,),
-                         lambda g: hidden._accumulate_slice(index, g))
-    logits = rms_norm(x, params["final_norm.gain"], cfg.norm_eps) @ params["lm_head"]
+        x = hidden[index] if type(hidden) is np.ndarray else hidden._make(
+            hidden.data[index], (hidden,), lambda g: hidden._accumulate_slice(index, g))
+    logits = matmul(rms_norm(x, params["final_norm.gain"], cfg.norm_eps), params["lm_head"])
     return logits, {"hidden": hidden, "kv": new_kv}
 
 

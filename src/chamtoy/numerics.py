@@ -19,6 +19,12 @@ and its ``.grad``.  A released graph cannot be walked twice: a second
 before any gradient moves, while a fresh graph built on the same leaves
 works as before.
 
+The node functions that the model's forward calls (`matmul`,
+`normalize`, `embedding`, and in `layers` `swiglu` and the attention
+node) also take plain arrays, as decoding passes them: on an array they
+run the same kernels and return the array, with no Tensor, closure or
+node.
+
 A tensor holds float64, the dtype of parameters, checkpoints, decode and
 every gradient check, unless it is built from a float32 array: the training
 step computes in float32, and every op keeps the dtype of its inputs.
@@ -106,6 +112,10 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -184,7 +194,7 @@ class Tensor:
         for p in parents:
             if p.requires_grad:
                 break
-        else:  # no parent needs a gradient (decoding): a bare node
+        else:  # no parent needs a gradient (a shard with no tokens): a bare node
             return Tensor(data)
         live = tuple([p for p in parents if p.requires_grad])
         return Tensor(data, requires_grad=True, _parents=live, _backward_fn=backward_fn)
@@ -229,28 +239,8 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def __matmul__(self, other):
-        """x @ w for x of shape [..., k] and a 2-d weight w of shape [k, n].
-
-        The leading axes of x fold into the rows of one 2-d GEMM, forward
-        and backward, so the weight gradient is a single x2^T @ g2.
-        """
-        other = self._lift(other)
-        a, b = self, other
-        ad, bd = a.data, b.data
-        if ad.ndim == 0 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
-            raise ShapeMismatchError(f"matmul expects [..., k] @ [k, n], got {ad.shape} @ {bd.shape}")
-        k, n = bd.shape
-        a2 = ad.reshape(-1, k)
-        out_data = (a2 @ bd).reshape(ad.shape[:-1] + (n,))
-
-        def backward_fn(g):
-            g2 = g.reshape(-1, n)
-            if a.requires_grad:
-                a._take((g2 @ bd.T).reshape(ad.shape))
-            if b.requires_grad:
-                b._take(a2.T @ g2)
-
-        return self._make(out_data, (a, b), backward_fn)
+        """x @ w as `matmul` runs it: one 2-d GEMM over x's folded rows."""
+        return matmul(self, other)
 
     # ------------------------------------------------------------------
     # reductions
@@ -286,6 +276,37 @@ class Tensor:
 # ----------------------------------------------------------------------
 
 
+def matmul(x, w):
+    """x @ w for x of shape [..., k] and a 2-d weight w of shape [k, n].
+
+    The leading axes of x fold into the rows of one 2-d GEMM, forward and
+    backward, so the weight gradient is a single x2^T @ g2.  numpy's own
+    `@` on a 3-d x runs one GEMM per leading row, which sums in another
+    order.  On an array x (w an array too) this is the product's array;
+    on a Tensor, a node.
+    """
+    arrays = type(x) is np.ndarray
+    if not arrays:
+        w = Tensor._lift(w)
+    xd, wd = (x, w) if arrays else (x.data, w.data)
+    if xd.ndim == 0 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+        raise ShapeMismatchError(f"matmul expects [..., k] @ [k, n], got {xd.shape} @ {wd.shape}")
+    k, n = wd.shape
+    x2 = xd.reshape(-1, k)
+    out = (x2 @ wd).reshape(xd.shape[:-1] + (n,))
+    if arrays:
+        return out
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, n)
+        if x.requires_grad:
+            x._take((g2 @ wd.T).reshape(xd.shape))
+        if w.requires_grad:
+            w._take(x2.T @ g2)
+
+    return x._make(out, (x, w), backward_fn)
+
+
 def normalize(x: Tensor, gain: Tensor, eps: float, center: bool) -> Tensor:
     """gain * h / sqrt(mean(h^2) + eps) over the last axis, as one node.
 
@@ -293,9 +314,14 @@ def normalize(x: Tensor, gain: Tensor, eps: float, center: bool) -> Tensor:
     norm) and x itself otherwise (RMS norm).  `gain` holds one value per
     channel of the last axis and meets any leading shape.  The arithmetic
     is `normalize_forward` and `normalize_backward`, which the attention
-    node calls for its QK norm as well.
+    node calls for its QK norm as well.  On an array x (gain an array too)
+    this is the output's array.
     """
-    out, unit, inv = normalize_forward(x.data, gain.data, eps, center)
+    arrays = type(x) is np.ndarray
+    out, unit, inv = normalize_forward(x if arrays else x.data, gain if arrays else gain.data,
+                                       eps, center)
+    if arrays:
+        return out
 
     def backward_fn(g):
         if gain.requires_grad:
@@ -451,16 +477,20 @@ def _swap(n: int) -> np.ndarray:
 
 
 def embedding(weight: Tensor, ids) -> Tensor:
-    """Row lookup `weight[ids]`; backward scatter-adds into the table."""
+    """Row lookup `weight[ids]`; backward scatter-adds into the table.  On
+    an array weight this is the rows' array."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
         raise IndexError(f"token id out of range [0, {weight.shape[0]})")
+    arrays = type(weight) is np.ndarray
+    out = (weight if arrays else weight.data)[ids]
+    if arrays:
+        return out
     w = weight
-    out_data = w.data[ids]
 
     def backward_fn(g):
         full = np.zeros_like(w.data)
         np.add.at(full, ids, g)
         w._take(full)
 
-    return w._make(out_data, (w,), backward_fn)
+    return w._make(out, (w,), backward_fn)

@@ -22,6 +22,7 @@ from chamtoy.decoder import (
     legal_mask,
 )
 from chamtoy.model import ModelConfig, init_params
+from chamtoy.numerics import Tensor
 from chamtoy.tokenizer import MixedVocab, train_bpe, train_codebook
 
 import reference
@@ -271,7 +272,7 @@ def inf_on_boi(logits):
 ], ids=["nan", "pos-inf", "greedy-all-neg-inf"])
 def test_non_finite_legal_logits_raise(monkeypatch, temperature, fill):
     params, cfg = tiny_model(seed=8)
-    patch_forward(monkeypatch, lambda logits, aux: fill(logits.data))
+    patch_forward(monkeypatch, lambda logits, aux: fill(logits))
     prompt = [VOCAB.bos, 5, 7]  # image-only: BOI is the one legal token
     pol = policy(mode="image-only", temperature=temperature)
     for drive in both_drivers(params, cfg, prompt, pol):
@@ -280,17 +281,51 @@ def test_non_finite_legal_logits_raise(monkeypatch, temperature, fill):
 
 
 def test_decode_builds_no_autograd_graph(monkeypatch):
+    # trainable parameters, yet the drivers construct no Tensor at all, so
+    # no node, closure or graph either: the forward runs on arrays
     params, cfg = tiny_model(seed=9)
     assert all(t.requires_grad for t in params.values())
-    outputs = []
-    patch_forward(monkeypatch, lambda logits, aux: outputs.extend(
-        [logits] + [t for pair in aux["kv"] for t in pair]))
+    made, outputs = [], []
+    init = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    patch_forward(monkeypatch, lambda logits, aux: outputs.extend([logits, aux["hidden"]]))
     pol = policy(mode="image-only")
     for drive in both_drivers(params, cfg, [VOCAB.bos], pol):
+        made.clear()
         outputs.clear()
         assert drive().reason == "image_complete"
-        assert outputs
-        assert not any(t.requires_grad or t._parents for t in outputs)
+        assert outputs and all(type(a) is np.ndarray for a in outputs)
+        assert made == []
+
+
+def test_frozen_views_cannot_be_written():
+    params, _ = tiny_model(seed=9)
+    views = decoder._frozen(params)
+    assert views.keys() == params.keys()
+    for name, view in views.items():
+        assert np.shares_memory(view, params[name].data)
+        with pytest.raises(ValueError, match="read-only"):
+            view[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            view += 1.0
+
+
+def test_decoding_leaves_the_callers_weights_as_they_were():
+    params, cfg = tiny_model(seed=9)
+    params["lm_head"].data[:, VOCAB.boi] += 0.6  # blocks, so that codes are fed too
+    params["final_norm.gain"].data.flags.writeable = False  # a read-only one stays so
+    before = {n: (t.data.tobytes(), t.data.flags.writeable) for n, t in params.items()}
+    for seed in range(3):
+        pol = policy(seed=seed)
+        collect(params, cfg, [VOCAB.bos, 5], pol)
+        generate_fused(params, cfg, [VOCAB.bos, 5], pol, VOCAB)
+        assert {n: (t.data.tobytes(), t.data.flags.writeable)
+                for n, t in params.items()} == before
 
 
 def test_prompt_with_no_room_rejected_before_any_forward(monkeypatch):

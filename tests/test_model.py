@@ -238,11 +238,11 @@ def test_kv_step_builds_19_nodes_on_the_toy_preset(monkeypatch):
     # gate) and the two norms and adds, then the final norm and the head
     # (37 nodes with the head split, norms, attend and merge apart and the
     # feed-forward in four); the last-position head selects nothing at one
-    # row, so decoding's KV step makes the same nodes
+    # row; on frozen Tensors a KV step makes these 19 nodes, and on the
+    # arrays that decoding passes it makes none
     cfg = preset("toy", 48)
-    params = _frozen(init_params(cfg, seed=1))
+    init = init_params(cfg, seed=1)
     ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(1, 6))
-    _, prefill = model_forward(params, cfg, ids[:, :5])
     made = []
     make = Tensor._make
 
@@ -251,10 +251,13 @@ def test_kv_step_builds_19_nodes_on_the_toy_preset(monkeypatch):
         return make(self, *args)
 
     monkeypatch.setattr(Tensor, "_make", counting)
-    for last_only in (False, True):
-        made.clear()
-        model_forward(params, cfg, ids[:, 5:], past_kv=prefill["kv"], last_only=last_only)
-        assert len(made) == 19
+    frozen_tensors = {name: Tensor(t.data) for name, t in init.items()}
+    for params, nodes in ((frozen_tensors, 19), (_frozen(init), 0)):
+        _, prefill = model_forward(params, cfg, ids[:, :5])
+        for last_only in (False, True):
+            made.clear()
+            model_forward(params, cfg, ids[:, 5:], past_kv=prefill["kv"], last_only=last_only)
+            assert len(made) == nodes
 
 
 def toy_kv_step():
@@ -282,7 +285,7 @@ def test_kv_step_makes_a_fixed_number_of_python_calls_on_the_toy_preset():
             model_forward(params, cfg, ids, past_kv=cache, last_only=last_only)
         finally:
             sys.setprofile(None)
-        assert len(calls) == 120
+        assert len(calls) == 62
 
 
 def tiny_decoder():
@@ -302,7 +305,7 @@ def record_kv_steps(monkeypatch, steer=None):
         logits, aux = real(*args, past_kv=past_kv, **kwargs)
         calls.append((past_kv, aux["kv"]))
         if steer is not None:
-            steer(logits.data[0, -1], aux["kv"][0].length)
+            steer(logits[0, -1], aux["kv"][0].length)
         return logits, aux
 
     monkeypatch.setattr(decoder, "model_forward", forward)
@@ -393,13 +396,43 @@ def test_last_only_logits_are_the_last_row_of_the_full_head(name, past, seq):
         return model_forward(params, cfg, ids[:, past:], past_kv=kv, last_only=last_only)[0]
 
     full, last = head(False), head(True)
-    assert last.data.dtype == np.float64 and last.shape == (1, 1, cfg.vocab_size)
+    assert last.dtype == np.float64 and last.shape == (1, 1, cfg.vocab_size)
     if seq == 1:  # nothing is selected: the same arithmetic
-        assert np.array_equal(last.data, full.data)
+        assert np.array_equal(last, full)
     else:
         # BLAS sums a one-row product in another order than the same row of
         # a larger one, so the two agree to rounding, not bit for bit
-        np.testing.assert_allclose(last.data[:, 0], full.data[:, -1], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(last[:, 0], full[:, -1], rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["toy", "7b-recipe", "34b-recipe", "llama2-recipe"])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_the_array_forward_is_the_tensor_forward_bit_for_bit(name, batch):
+    # decoding passes arrays through the same model_forward; every weight
+    # product folds the batch into the rows of one GEMM on both paths, since
+    # numpy's own @ on a 3-d array runs one GEMM per row and sums in another
+    # order (at batch 3 the two forwards would then differ in the last bits)
+    cfg = preset(name, 48)
+    init = init_params(cfg, seed=1)
+    ids = np.random.default_rng(2).integers(0, cfg.vocab_size, size=(batch, 19))
+    runs = []
+    for params in ({n: Tensor(t.data) for n, t in init.items()}, _frozen(init)):
+        for last_only in (False, True):
+            logits, aux = model_forward(params, cfg, ids[:, :17], last_only=last_only)
+            cache = [layer.with_capacity(19) for layer in aux["kv"]]
+            step, step_aux = model_forward(params, cfg, ids[:, 17:], past_kv=cache,
+                                           last_only=last_only)
+            assert [id(layer) for layer in step_aux["kv"]] == [id(layer) for layer in cache]
+            runs.append([logits, aux["hidden"], step, step_aux["hidden"]]
+                        + [a[:, :, :layer.length] for layer in aux["kv"] + cache
+                           for a in (layer.k, layer.v)])
+    tensor_runs, array_runs = runs[:2], runs[2:]
+    for on_tensors, on_arrays in zip(tensor_runs, array_runs):
+        assert len(on_tensors) == len(on_arrays) == 4 + 4 * cfg.n_layers
+        for t, a in zip(on_tensors, on_arrays):
+            assert type(a) is np.ndarray
+            t = t.data if isinstance(t, Tensor) else t
+            assert a.dtype == t.dtype and np.array_equal(a, t)
 
 
 def test_last_only_head_passes_its_gradient_to_the_last_position():
